@@ -7,8 +7,8 @@ analytical model inline, one point at a time, nothing cached.
 
 The *batched path* is this PR's substrate: the vectorized
 :class:`~repro.sim.batch.BatchEngine` for the cycle-level execution plus
-:func:`~repro.eval.parallel.run_design_jobs` with ``jobs=4`` and a warm
-:class:`~repro.eval.parallel.SweepCache` for the metrics.
+:func:`~repro.eval.parallel.run_design_jobs` with a warm
+:class:`~repro.eval.store.PackedSweepStore` for the metrics.
 
 ``test_batched_sweep_speedup`` asserts the two paths agree and that the
 batched one is >= 5x faster wall-clock.  Set ``RED_BENCH_QUICK=1`` for
@@ -28,7 +28,8 @@ from repro.arch.tech import default_tech
 from repro.core.red_design import REDDesign
 from repro.deconv.shapes import DeconvSpec
 from repro.designs.zero_padding_design import ZeroPaddingDesign
-from repro.eval.parallel import DesignJob, SweepCache, run_design_jobs
+from repro.eval.parallel import DesignJob, run_design_jobs
+from repro.eval.store import PackedSweepStore
 from repro.eval.sweeps import stride_speedup_sweep
 from repro.sim.batch import BatchEngine, BatchJob
 from repro.utils.formatting import render_ascii_table
@@ -68,8 +69,8 @@ def _sequential_sweep(specs, operands):
     return points
 
 
-def _batched_sweep(specs, operands, cache, jobs=4):
-    """This PR's path: BatchEngine + pooled, cached metric evaluation."""
+def _batched_sweep(specs, operands, cache):
+    """This PR's path: BatchEngine + cached metric evaluation."""
     batch = BatchEngine().run(
         [BatchJob(spec, fold=1) for spec in specs], operands=operands
     )
@@ -78,7 +79,7 @@ def _batched_sweep(specs, operands, cache, jobs=4):
     for spec in specs:
         design_jobs.append(DesignJob("RED", spec, tech, fold=1))
         design_jobs.append(DesignJob("zero-padding", spec, tech))
-    metrics = run_design_jobs(design_jobs, num_workers=jobs, cache=cache)
+    metrics = run_design_jobs(design_jobs, cache=cache)
     return [
         (result.output, result.cycles, metrics[2 * i], metrics[2 * i + 1])
         for i, result in enumerate(batch.results)
@@ -98,7 +99,7 @@ def test_batched_sweep_speedup(tmp_path):
     specs = sweep_specs()
     engine = BatchEngine()
     operands = [engine.operands_for(BatchJob(spec, seed=i)) for i, spec in enumerate(specs)]
-    cache = SweepCache(tmp_path)
+    cache = PackedSweepStore(tmp_path)
 
     # Warm-up: populate the metrics cache and the compiled-schedule LRU,
     # and check the two paths agree before timing anything.
@@ -120,7 +121,7 @@ def test_batched_sweep_speedup(tmp_path):
             [
                 ("sequential (scalar engine, no cache)", f"{t_sequential:.4f}", "1.00x"),
                 (
-                    "batched (BatchEngine + jobs=4 + warm cache)",
+                    "batched (BatchEngine + warm store)",
                     f"{t_batched:.4f}",
                     f"{speedup:.2f}x",
                 ),
@@ -138,7 +139,7 @@ def test_warm_cache_makes_analytic_sweep_cheap(tmp_path):
     """The closed-form sweep itself: warm cache never slower than 2x cold."""
     strides = STRIDES
     cold = _median_time(lambda: stride_speedup_sweep(strides=strides))
-    cache = SweepCache(tmp_path)
+    cache = PackedSweepStore(tmp_path)
     stride_speedup_sweep(strides=strides, cache=cache)  # populate
     warm = _median_time(lambda: stride_speedup_sweep(strides=strides, cache=cache))
     emit(

@@ -12,10 +12,9 @@ rebuilt tier on the same ~10k-job stride-sweep grid
    baseline the warm path must beat.
 2. **Legacy per-pickle warm**: the faithful pre-ISSUE-5 hot loop —
    per-job :func:`~repro.eval.parallel.job_key`, per-job
-   ``read_bytes`` + ``pickle.loads`` on a
-   :class:`~repro.eval.parallel.SweepCache` directory, unconditional
-   relabel — inlined here because the live ``SweepCache`` has since
-   learned the batched protocol.
+   ``read_bytes`` + ``pickle.loads`` on a directory of
+   ``<job key>.pkl`` files, unconditional relabel — inlined here
+   because that layout survives only as a migration source.
 3. **Packed warm** (`run_design_jobs` over a warm
    :class:`~repro.eval.store.PackedSweepStore`): batched
    :func:`~repro.eval.parallel.job_keys` + one ``get_many`` against
@@ -43,7 +42,7 @@ import time
 
 from benchmarks.bench_sweep_vectorized import build_grid
 from benchmarks.conftest import emit
-from repro.eval.parallel import SweepCache, job_key, run_design_jobs
+from repro.eval.parallel import job_key, job_keys, run_design_jobs
 from repro.eval.store import PackedSweepStore
 from repro.utils.formatting import render_ascii_table
 
@@ -65,7 +64,16 @@ def _median_time(fn, repeats: int = REPEATS) -> float:
     return statistics.median(samples)
 
 
-def _legacy_warm_sweep(jobs, cache: SweepCache):
+def _write_legacy(directory, entries) -> None:
+    """Write ``(key, payload)`` pairs in the legacy one-pickle-per-key layout."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for key, value in entries:
+        (directory / f"{key}.pkl").write_bytes(
+            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        )
+
+
+def _legacy_warm_sweep(jobs, directory):
     """The pre-ISSUE-5 warm hot loop, verbatim.
 
     One scalar ``job_key`` (SHA-256 over the full repr-walk), one
@@ -77,8 +85,7 @@ def _legacy_warm_sweep(jobs, cache: SweepCache):
 
     results = []
     for job in jobs:
-        key = job_key(job)
-        value = pickle.loads(cache.path_for(job, key=key).read_bytes())
+        value = pickle.loads((directory / f"{job_key(job)}.pkl").read_bytes())
         results.append(replace(value, layer=job.layer_name))
     return results
 
@@ -96,8 +103,13 @@ def test_cache_plane_speedup(tmp_path):
     t_cold = _median_time(lambda: run_design_jobs(jobs))
 
     # --- route 2: legacy per-pickle warm ------------------------------
-    legacy = SweepCache(tmp_path / "legacy")
-    run_design_jobs(jobs, cache=legacy)  # populate the directory-of-pickles
+    # Populate the directory-of-pickles: one file per unique key, holding
+    # the result of the key's first job (what the legacy writer stored).
+    legacy = tmp_path / "legacy"
+    first_by_key = {}
+    for key, metrics in zip(job_keys(jobs), cold_results):
+        first_by_key.setdefault(key, metrics)
+    _write_legacy(legacy, first_by_key.items())
     legacy_results = _legacy_warm_sweep(jobs, legacy)
     t_legacy = _median_time(lambda: _legacy_warm_sweep(jobs, legacy))
 

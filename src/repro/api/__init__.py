@@ -21,9 +21,9 @@ Module map (the request -> service -> engine flow)
   :class:`~repro.api.service.RedService` fronts the batch/cache
   substrate: requests are flattened into
   :class:`~repro.eval.parallel.DesignJob` lists and executed by
-  :func:`~repro.eval.parallel.run_design_jobs` (process pool + on-disk
-  :class:`~repro.eval.parallel.SweepCache`); ``trace=True`` adds
-  cycle-level :class:`~repro.eval.parallel.CycleStats` via the
+  :func:`~repro.eval.parallel.run_design_jobs` (vectorized plane +
+  on-disk :class:`~repro.eval.store.PackedSweepStore`); ``trace=True``
+  adds cycle-level :class:`~repro.eval.parallel.CycleStats` via the
   :class:`~repro.sim.batch.BatchEngine`, persisted in the same cache.
   ``submit()``/``gather()`` run any request on a service thread pool.
 
@@ -47,9 +47,9 @@ Registering a fourth design
     # It now appears in available_designs(), every default request,
     # `repro report --json`, and the sweep cache keyspace.
 
-Attributes are imported lazily (PEP 562) so that leaf modules —
-including process-pool workers importing :mod:`repro.api.registry` —
-never drag in the whole evaluation stack.
+Attributes are imported lazily (PEP 562) so that leaf modules
+importing :mod:`repro.api.registry` never drag in the whole evaluation
+stack.
 """
 
 from __future__ import annotations

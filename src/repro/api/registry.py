@@ -26,18 +26,17 @@ Registering a fourth design from user code::
 The class is returned unchanged; from then on ``"my-design"`` is a valid
 design name in every request, sweep, CLI invocation and cache key.
 
-Process-pool caveat: registration is per-process.  The parallel runner
-(``run_design_jobs`` with ``num_workers > 1``) resolves names inside its
-worker processes, which on spawn-based platforms (macOS/Windows) import
-modules fresh — so register plugin designs at import time of a module
-the workers also import, or evaluate them with ``num_workers=1`` (the
-default).  The built-ins are always available: they register when this
-module is imported.
+Process caveat: registration is per-process.  The serving plane's
+shard processes (``repro serve --shards N``) are forked when the server
+starts, so they see the designs registered before that point and none
+registered after — register plugin designs at import time.  The
+built-ins are always available: they register when this module is
+imported.
 
 This module is deliberately a leaf: it imports only :mod:`repro.errors`
 at module scope (the built-in factories import their design classes
-lazily), so anything — including the process-pool sweep workers — can
-import it without dragging in the whole evaluation stack.
+lazily), so anything can import it without dragging in the whole
+evaluation stack.
 """
 
 from __future__ import annotations

@@ -578,10 +578,9 @@ class ErrorInfo:
         transient/permanent split
         (:func:`repro.reliability.policy.is_retryable`), following one
         level of ``__cause__`` so the transient bit survives
-        service-tier wrapping (``raise RichError from
-        BrokenProcessPool``).  ``retry_after_s`` is lifted off the
-        exception when it carries one
-        (:class:`~repro.errors.OverloadedError`).
+        service-tier wrapping (``raise RichError from OSError``).
+        ``retry_after_s`` is lifted off the exception when it carries
+        one (:class:`~repro.errors.OverloadedError`).
         """
         from repro.reliability.policy import is_retryable
 

@@ -7,7 +7,7 @@ a :class:`RedService`, and get a frozen result back::
 
     from repro.api import EvaluationRequest, RedService
 
-    with RedService(num_workers=4, cache="~/.cache/red") as service:
+    with RedService(cache="~/.cache/red") as service:
         result = service.evaluate(EvaluationRequest(layer="GAN_Deconv1"))
         print(result.metrics_for("RED").latency.total)
 
@@ -20,13 +20,12 @@ the library-level helpers :meth:`~RedService.grid`,
 :func:`repro.system.network_mapper.evaluate_network` delegate to —
 flattens the work into :class:`~repro.eval.parallel.DesignJob` entries
 and routes them through :func:`~repro.eval.parallel.run_design_jobs`,
-the single evaluation substrate (vectorized plane / process pool +
-batched on-disk :class:`~repro.eval.store.PackedSweepStore`; the
-legacy :class:`~repro.eval.parallel.SweepCache` is still accepted as a
-ready-made store).  ``trace=True`` requests
-additionally run :func:`~repro.eval.parallel.run_cycle_jobs`, whose
-cycle-level :class:`~repro.eval.parallel.CycleStats` persist in the
-same cache under the ``"cycles"`` kind.
+the single in-process evaluation substrate (vectorized plane + batched
+on-disk :class:`~repro.eval.store.PackedSweepStore`).  ``trace=True``
+requests additionally run :func:`~repro.eval.parallel.run_cycle_jobs`,
+whose cycle-level :class:`~repro.eval.parallel.CycleStats` persist in
+the same cache under the ``"cycles"`` kind.  Process parallelism is the
+serving plane's job: it injects a sharded ``design_runner``.
 
 Concurrency
 -----------
@@ -64,7 +63,6 @@ from repro.errors import ParameterError, SchemaError, ServiceClosedError
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
-    SweepCache,
     _coerce_cache,
     run_cycle_jobs,
     run_design_jobs,
@@ -78,11 +76,9 @@ class RedService:
     """Concurrent facade over the evaluation substrate.
 
     Args:
-        num_workers: process-pool width for cache misses (1 = inline).
-        cache: a :class:`~repro.eval.store.PackedSweepStore`, a legacy
-            :class:`SweepCache`, a cache directory path (constructs the
-            packed store, migrating legacy directory-of-pickles
-            content), or ``None``.
+        cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
+            directory path (constructs the packed store, migrating
+            legacy directory-of-pickles content), or ``None``.
         tech: base technology the per-request overrides apply to
             (default: :func:`default_tech`).
         service_threads: thread-pool width for :meth:`submit`.
@@ -100,8 +96,8 @@ class RedService:
             every runner call the service makes; exceeding it raises
             :class:`~repro.errors.EvaluationTimeoutError`.
         retry_policy: :class:`~repro.reliability.RetryPolicy` the
-            runners apply to transient failures (worker crashes,
-            I/O errors); ``None`` uses the runners' default.
+            runners apply to transient failures (I/O errors); ``None``
+            uses the runners' default.
         design_runner: the evaluation substrate for analytic metrics —
             any callable with :func:`~repro.eval.parallel.run_design_jobs`'
             signature.  The default is ``run_design_jobs`` itself; the
@@ -115,8 +111,7 @@ class RedService:
 
     def __init__(
         self,
-        num_workers: int = 1,
-        cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+        cache: PackedSweepStore | str | os.PathLike | None = None,
         tech: TechnologyParams | None = None,
         service_threads: int = 4,
         max_sub_crossbars: int = 128,
@@ -126,11 +121,8 @@ class RedService:
         retry_policy: RetryPolicy | None = None,
         design_runner=None,
     ) -> None:
-        if num_workers < 1:
-            raise ParameterError(f"num_workers must be >= 1, got {num_workers}")
         if service_threads < 1:
             raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
-        self.num_workers = num_workers
         # Coerce once: a path builds one PackedSweepStore for the
         # service's whole lifetime, so every request shares its offset
         # index, mmaps and in-memory LRU hit tier (re-coercing per call
@@ -159,7 +151,6 @@ class RedService:
         the serving front door propagates each wire deadline here.
         """
         return {
-            "num_workers": self.num_workers,
             "cache": self.cache,
             "vectorized": self.vectorized,
             "timeout": self.timeout if timeout is None else timeout,
@@ -282,7 +273,7 @@ class RedService:
     ) -> SweepResult:
         """Run the stride-speedup sweep a request describes.
 
-        A transient failure (worker crash, I/O fault) in the batched
+        A transient failure (I/O fault, unavailable shard) in the batched
         run does not lose the whole sweep: the service falls back to
         per-stride evaluation and reports strides that still fail as
         :class:`~repro.api.schema.ErrorInfo` entries in

@@ -17,8 +17,8 @@ Usage::
     python -m repro fig9              # area comparison
     python -m repro tradeoff          # Sec. III-C fold sweep (FCN_Deconv2)
     python -m repro network SNGAN     # whole-generator evaluation
-    python -m repro sweep --jobs 4 --cache ~/.cache/red-sweeps
-                                      # stride sweep on the parallel runner
+    python -m repro sweep --cache ~/.cache/red-sweeps
+                                      # stride sweep through the result store
     python -m repro serve --shards 2  # sharded serving plane (SIGTERM drains)
     python -m repro ping              # health/readiness probe (exit 0/1/2)
     python -m repro report --json     # any subcommand, machine-readable
@@ -195,7 +195,7 @@ def _cmd_sweep(args, service: RedService) -> tuple[str, object]:
     text = render_ascii_table(
         ("stride", "modes (s^2)", "ZP cycles", "RED cycles", "speedup"),
         rows,
-        title=f"Sec. III-C stride sweep (jobs={args.jobs})",
+        title="Sec. III-C stride sweep",
     )
     if result.fitted_exponent is not None:
         text += f"\nfitted exponent: speedup ~ stride^{result.fitted_exponent:.2f}"
@@ -285,9 +285,7 @@ def _cmd_network(args, service: RedService) -> tuple[str, object]:
 
 
 def _make_service(args) -> RedService:
-    return RedService(
-        num_workers=getattr(args, "jobs", 1), cache=getattr(args, "cache", None)
-    )
+    return RedService(cache=getattr(args, "cache", None))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,9 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         default="SNGAN",
         help="workload network (DCGAN, 'Improved GAN', SNGAN, 'voc-fcn8s 8x')",
     )
-    sweep = sub.add_parser(
-        "sweep", help="stride-speedup sweep on the parallel runner"
-    )
+    sweep = sub.add_parser("sweep", help="stride-speedup sweep")
     sweep.add_argument(
         "--strides", default="1,2,4,8", help="comma-separated strides"
     )
@@ -349,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     subparsers["serve"] = serve
     subparsers["ping"] = ping
     # Every subcommand gets machine-readable output; the evaluation-grid
-    # commands additionally accept parallel/cache tuning.
+    # commands additionally accept a result store directory.
     for name, cmd in subparsers.items():
         cmd.add_argument(
             "--json",
@@ -357,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
             help="emit a schema_version-tagged JSON payload instead of a table",
         )
         if name in ("report", "fig7", "fig8", "fig9", "network", "sweep"):
-            cmd.add_argument(
-                "--jobs", type=int, default=1,
-                help="process-pool workers (1 = inline)",
-            )
             cmd.add_argument(
                 "--cache", default=None,
                 help=(

@@ -6,9 +6,10 @@
 * :mod:`repro.eval.paper_targets` — the published numbers and the bands we
   assert against.
 * :mod:`repro.eval.report` — formatted text/CSV emission.
-* :mod:`repro.eval.parallel` — sweep runner + on-disk result cache
-  every sweep routes through (vectorized plane by default, process
-  pool for scalar-path designs).
+* :mod:`repro.eval.parallel` — the sweep runners every sweep routes
+  through: one in-process probe/compute/publish pipeline over the
+  packed result store (vectorized plane by default, scalar oracle
+  inline for designs without a batch hook).
 * :mod:`repro.eval.vectorized` — struct-of-arrays analytic evaluation
   plane (per-(design, tech) batches, no per-job design objects).
 * :mod:`repro.eval.sweeps` — prose-claim parameter sweeps.
@@ -25,7 +26,6 @@ from repro.eval.paper_targets import PAPER_TARGETS, PaperBand
 from repro.eval.parallel import (
     CycleStats,
     DesignJob,
-    SweepCache,
     evaluate_design_job,
     job_key,
     run_cycle_jobs,
@@ -47,7 +47,6 @@ __all__ = [
     "DESIGN_ORDER",
     "CycleStats",
     "DesignJob",
-    "SweepCache",
     "evaluate_design_job",
     "job_key",
     "run_cycle_jobs",

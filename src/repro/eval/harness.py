@@ -16,7 +16,6 @@ from repro.api.registry import build_design as _registry_build_design
 from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.designs.base import DeconvDesign
-from repro.eval.parallel import SweepCache
 from repro.eval.store import PackedSweepStore
 from repro.workloads.specs import BenchmarkLayer
 
@@ -75,19 +74,17 @@ class EvaluationGrid:
 def run_grid(
     layers: tuple[BenchmarkLayer, ...] | None = None,
     tech: TechnologyParams | None = None,
-    jobs: int = 1,
-    cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> EvaluationGrid:
     """Evaluate all registered designs over ``layers`` (default: Table I).
 
     Delegates to :meth:`repro.api.service.RedService.grid`, the single
     evaluation path: the grid is flattened into
     :class:`~repro.eval.parallel.DesignJob` entries and routed through
-    :func:`~repro.eval.parallel.run_design_jobs`, so ``jobs`` parallelizes
-    the evaluation and ``cache`` persists it across runs (a directory
-    path constructs the batched
+    :func:`~repro.eval.parallel.run_design_jobs`, and ``cache`` persists
+    it across runs (a directory path constructs the batched
     :class:`~repro.eval.store.PackedSweepStore`).
     """
     from repro.api.service import RedService
 
-    return RedService(num_workers=jobs, cache=cache).grid(layers=layers, tech=tech)
+    return RedService(cache=cache).grid(layers=layers, tech=tech)

@@ -3,11 +3,10 @@
 Why the cache needed its own engineering pass
 ---------------------------------------------
 Once the cold analytic plane went vectorized (PR 4, ~tens of thousands
-of jobs per second), the original directory-of-pickles
-:class:`~repro.eval.parallel.SweepCache` became the warm-path
-bottleneck: every hit paid one ``open``/``read`` syscall pair, one
-``pickle.loads`` and one dataclass relabel, and every store paid one
-``os.replace``.  This module is the storage tier rebuilt for batch
+of jobs per second), the original directory-of-pickles cache (one
+``<job key>.pkl`` per entry) became the warm-path bottleneck: every hit
+paid one ``open``/``read`` syscall pair, one ``pickle.loads`` and one
+dataclass relabel, and every store paid one ``os.replace``.  This module is the storage tier rebuilt for batch
 traffic:
 
 - **Sharded append-only segments.**  ``put_many`` groups its entries by
@@ -32,10 +31,10 @@ traffic:
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.
 - **Legacy migration.**  Opening a directory that contains
-  ``<hex key>.pkl`` files written by the legacy
-  :class:`~repro.eval.parallel.SweepCache` imports them (raw bytes, so
-  reads stay byte-identical) into the packed layout once; the legacy
-  files are left in place for older readers.
+  ``<hex key>.pkl`` files written by the legacy directory-of-pickles
+  cache imports them (raw bytes, so reads stay byte-identical) into the
+  packed layout once; the legacy files are left in place for older
+  readers.
 
 The layout is deliberately batch-oriented: each publish rewrites the
 (compact, 48-bytes-per-entry) index and appends new segment files, so
@@ -46,10 +45,9 @@ future work (see ROADMAP).
 
 The store is key-addressed and payload-kind aware but job-agnostic at
 the batch layer: :func:`~repro.eval.parallel.job_keys` produces the
-keys, :func:`~repro.eval.parallel.run_design_jobs` /
-:func:`~repro.eval.parallel.run_cycle_jobs` drive ``get_many`` /
-``put_many`` exactly once per call.  Job-level ``get``/``put``
-conveniences mirror the legacy API for tests and interactive use.
+keys, and the runners in :mod:`repro.eval.parallel` drive
+``get_many`` / ``put_many`` exactly once per call.  Job-level
+``get``/``put`` conveniences serve tests and interactive use.
 """
 
 from __future__ import annotations
@@ -71,18 +69,45 @@ try:  # pragma: no cover - always available on the supported platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.arch.breakdown import DesignMetrics
 from repro.errors import CacheError, ParameterError
 from repro.eval.parallel import (
-    _DECODE_ERRORS,
-    _KIND_PAYLOADS,
     CACHE_SCHEMA_VERSION,
+    CYCLES_KIND,
+    FIDELITY_KIND,
     METRICS_KIND,
+    CycleStats,
     DesignJob,
+    FidelityStats,
     job_key,
     relabelled,
 )
 from repro.reliability import failpoints
 from repro.reliability.policy import RetryPolicy
+
+#: Payload class expected under each cache kind.
+_KIND_PAYLOADS: dict[str, type] = {
+    METRICS_KIND: DesignMetrics,
+    CYCLES_KIND: CycleStats,
+    FIDELITY_KIND: FidelityStats,
+}
+
+#: What ``pickle.loads`` of a truncated/corrupt/shape-skewed entry can
+#: raise.  Deliberately narrower than ``Exception`` so programming
+#: errors (NameError, ParameterError, ...) surface instead of being
+#: silently counted as cache misses.
+_DECODE_ERRORS = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+    ValueError,
+    TypeError,
+    UnicodeDecodeError,
+    MemoryError,
+)
 
 _INDEX_MAGIC = b"REDPACK1\n"
 #: Index row: raw key (32), segment id (u32), offset (u64), length (u32).
@@ -127,8 +152,7 @@ class PackedSweepStore:
             directory recovers.
 
     Statistics (``hits = memory_hits + disk_hits``, plus ``misses``,
-    ``stores``, ``corrupt`` and ``migrated``) are plain attributes,
-    mirroring :class:`~repro.eval.parallel.SweepCache`.
+    ``stores``, ``corrupt`` and ``migrated``) are plain attributes.
     """
 
     def __init__(
@@ -315,7 +339,7 @@ class PackedSweepStore:
         return len(cached)
 
     # ------------------------------------------------------------------
-    # Job-level compatibility API (mirrors the legacy SweepCache)
+    # Job-level convenience API
     # ------------------------------------------------------------------
     def get(
         self, job: DesignJob, kind: str = METRICS_KIND, *, key: str | None = None
@@ -728,7 +752,7 @@ class PackedSweepStore:
     _MIGRATION_CHUNK = 4096
 
     def _migrate_legacy(self) -> None:
-        """Import ``<64-hex-key>.pkl`` files the legacy SweepCache wrote.
+        """Import ``<64-hex-key>.pkl`` files of the legacy per-pickle layout.
 
         Raw file bytes are appended verbatim (no re-pickling), so a
         migrated entry reads back byte-identical to the legacy path.

@@ -13,7 +13,6 @@ import os
 from repro.api.schema import SweepPoint
 from repro.arch.tech import TechnologyParams
 from repro.errors import ParameterError
-from repro.eval.parallel import SweepCache
 from repro.eval.store import PackedSweepStore
 
 #: Backwards-compatible name: the sweep's point type now lives in the
@@ -28,8 +27,7 @@ def stride_speedup_sweep(
     filters: int = 32,
     tech: TechnologyParams | None = None,
     fold: int | str = 1,
-    jobs: int = 1,
-    cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> list[StrideSweepPoint]:
     """Measure RED's speedup as the stride grows (FCN convention K=2s).
 
@@ -39,8 +37,7 @@ def stride_speedup_sweep(
     folded, area-capped variant).
 
     Delegates to :meth:`repro.api.service.RedService.sweep_points`, the
-    single evaluation path: ``jobs`` fans the per-stride evaluations over
-    a process pool and ``cache`` makes repeated sweeps near-free (a
+    single evaluation path: ``cache`` makes repeated sweeps near-free (a
     directory path constructs the batched
     :class:`~repro.eval.store.PackedSweepStore`).  The
     service is scoped to the call (context-managed) so its thread pool
@@ -48,7 +45,7 @@ def stride_speedup_sweep(
     """
     from repro.api.service import RedService
 
-    with RedService(num_workers=jobs, cache=cache) as service:
+    with RedService(cache=cache) as service:
         return service.sweep_points(
             strides=tuple(strides),
             input_size=input_size,

@@ -8,7 +8,7 @@ value-keyed determinism (see the seeding contract in
   named failure sites (``RED_FAILPOINTS=store.put_many:io_error@0.3``)
   whose trigger draws derive from ``SeedSequence(seed, spawn_key=...)``
   so an injected fault schedule is a pure function of configuration,
-  never of batch order, worker count or wall clock.
+  never of batch order, shard count or wall clock.
 - :mod:`repro.reliability.policy` — the frozen :class:`RetryPolicy`
   (deterministic exponential backoff, injectable sleeper) plus the
   :func:`is_retryable` transient/permanent split and the

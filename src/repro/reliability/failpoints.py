@@ -1,16 +1,18 @@
 """Process-wide deterministic failpoint registry.
 
 A *failpoint* is a named site in the substrate where a fault can be
-injected: ``pool.worker`` (a sweep worker job), ``store.put_many`` (a
-batch publish), ``store.index.publish`` (the index ``os.replace``),
-``store.get_many`` (a payload read).  Sites are armed with a spec
-string, either programmatically::
+injected: ``store.put_many`` (a batch publish), ``store.index.publish``
+(the index ``os.replace``), ``store.get_many`` (a payload read) and the
+serving plane's ``serving.accept`` / ``serving.shard_call`` /
+``serving.merge`` (see the catalogue in ``README.md``).  Sites are
+armed with a spec string, either programmatically::
 
-    configure_failpoints("store.put_many:io_error@0.3;pool.worker:crash@0.1",
-                         seed=7)
+    configure_failpoints(
+        "store.put_many:io_error@0.3;serving.shard_call:crash@0.1", seed=7
+    )
 
 or through the environment (``RED_FAILPOINTS`` / ``RED_FAILPOINT_SEED``,
-read at import so forked *and* spawned pool workers arm themselves).
+read at import so forked shard processes arm themselves).
 
 Determinism contract (PR 6, :mod:`repro.reram`)
 -----------------------------------------------
@@ -31,10 +33,11 @@ Modes
     (an ``OSError`` — the retry plane treats it as the transient it
     stands in for).
 ``crash``
-    In a marked pool worker process (:func:`mark_worker_process`, set by
-    the runner's pool initializer) the process hard-exits, producing a
-    real ``BrokenProcessPool`` in the parent.  Anywhere else it raises
-    :class:`~repro.errors.WorkerCrashError` so tests never kill pytest.
+    In a marked shard process (:func:`mark_worker_process`, called by
+    the serving shard's entry point) the process hard-exits, a real
+    death the shard supervisor must detect and respawn.  Anywhere else
+    it raises :class:`~repro.errors.WorkerCrashError` so tests never
+    kill pytest.
 ``corrupt``
     :func:`corrupted` returns a deterministically bit-flipped copy of
     the payload (decode fails downstream and the store's quarantine
@@ -70,8 +73,8 @@ CRASH = "crash"
 CORRUPT = "corrupt"
 MODES = (IO_ERROR, CRASH, CORRUPT)
 
-#: Exit status a ``crash``-mode failpoint kills a marked worker with.
-#: Distinctive on purpose: a pool that died with this status died by
+#: Exit status a ``crash``-mode failpoint kills a marked shard with.
+#: Distinctive on purpose: a shard that died with this status died by
 #: injection, not by a real fault.
 CRASH_EXIT_STATUS = 86
 
@@ -217,8 +220,8 @@ def configure_from_env(environ=os.environ) -> bool:
     """Arm from ``RED_FAILPOINTS`` / ``RED_FAILPOINT_SEED`` if present.
 
     Returns True when a spec was found and armed.  Called at import so
-    spawned pool workers (which re-import this module) inherit the
-    environment-armed configuration; forked workers inherit the module
+    a process that re-imports this module inherits the
+    environment-armed configuration; forked shards inherit the module
     state directly.
     """
     spec = environ.get(ENV_VAR)
@@ -236,7 +239,7 @@ def configure_from_env(environ=os.environ) -> bool:
 
 
 def mark_worker_process() -> None:
-    """Mark this process as a disposable pool worker.
+    """Mark this process as a disposable serving shard.
 
     Only marked processes hard-exit on ``crash``-mode failpoints;
     everywhere else ``crash`` raises

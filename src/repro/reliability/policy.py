@@ -16,7 +16,6 @@ documented in :mod:`repro.errors` and implemented by
 from __future__ import annotations
 
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,8 +38,8 @@ def is_retryable(exc: BaseException, *, follow_cause: bool = False) -> bool:
     """True for transient failures a retry can plausibly cure.
 
     Transient: ``OSError`` (real or injected I/O faults), worker
-    crashes (:class:`~repro.errors.WorkerCrashError`,
-    :class:`BrokenProcessPool`), unavailable serving shards
+    crashes (:class:`~repro.errors.WorkerCrashError`), unavailable
+    serving shards
     (:class:`~repro.errors.ShardUnavailableError`) and deterministic
     load shedding (:class:`~repro.errors.OverloadedError`).  Permanent:
     :class:`~repro.errors.EvaluationTimeoutError` (the budget is
@@ -51,8 +50,8 @@ def is_retryable(exc: BaseException, *, follow_cause: bool = False) -> bool:
 
     ``follow_cause=True`` additionally classifies a permanent-looking
     wrapper by its direct ``__cause__``: the service tier re-raises
-    transient pool/store failures wrapped in richer types
-    (``raise X from BrokenProcessPool``), and the wire envelope and the
+    transient shard/store failures wrapped in richer types
+    (``raise X from OSError``), and the wire envelope and the
     serving circuit breaker must not lose the transient bit in that
     wrapping.  Exactly one level is followed, and the
     explicitly-permanent classifications above (timeout, draining)
@@ -66,7 +65,6 @@ def is_retryable(exc: BaseException, *, follow_cause: bool = False) -> bool:
         (
             OSError,
             WorkerCrashError,
-            BrokenProcessPool,
             ShardUnavailableError,
             OverloadedError,
         ),

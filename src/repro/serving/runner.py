@@ -108,19 +108,16 @@ class ShardedRunner:
     def __call__(
         self,
         jobs,
-        num_workers: int = 1,
         cache=None,
-        chunk_size: int | None = None,
         vectorized: bool = True,
         timeout: float | None = None,
         retry_policy=None,
     ):
         """Evaluate every job, in order, scattered across the shards.
 
-        ``num_workers``/``cache``/``chunk_size``/``retry_policy`` are
-        accepted for signature compatibility but owned by the shards
-        (each runs its own store and pool settings) — the serving plane
-        is shared-nothing on purpose.
+        ``cache``/``retry_policy`` are accepted for signature
+        compatibility but owned by the shards (each runs its own
+        store) — the serving plane is shared-nothing on purpose.
         """
         jobs = list(jobs)
         if not jobs:
@@ -189,7 +186,6 @@ class ShardedRunner:
         self.degraded_calls += 1
         return run_design_jobs(
             sub_jobs,
-            num_workers=1,
             cache=None,
             vectorized=vectorized,
             timeout=timeout,

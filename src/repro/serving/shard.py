@@ -93,7 +93,6 @@ def shard_worker_main(
                 failpoints.inject(SHARD_CALL_SITE, shard_index, seq, attempt)
                 metrics = run_design_jobs(
                     list(jobs),
-                    num_workers=1,
                     cache=store,
                     vectorized=vectorized,
                     timeout=timeout_s,

@@ -19,7 +19,7 @@ from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import SchemaError, ServiceClosedError, UnknownDesignError
-from repro.eval.parallel import CYCLES_KIND, DesignJob, SweepCache, job_key
+from repro.eval.parallel import CYCLES_KIND, DesignJob, job_key
 from repro.eval.store import PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
@@ -112,12 +112,26 @@ class TestTrace:
         assert stats.cycles == cold.metrics_for("RED").cycles
 
     def test_legacy_sweep_cache_still_accepted(self, tmp_path):
+        # A directory in the legacy one-pickle-per-entry layout warms a
+        # service: the store migrates metrics and cycle entries on open.
         request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
-        cache = SweepCache(tmp_path)
-        cold = RedService(cache=cache).evaluate(request)
-        warm = RedService(cache=cache).evaluate(request)
+        cold = RedService().evaluate(request)
+        jobs = [
+            DesignJob(design, SPEC, default_tech(), layer_name="L")
+            for design in cold.designs
+        ]
+        entries = [(job_key(job), m) for job, m in zip(jobs, cold.metrics)]
+        entries.append((job_key(jobs[-1], kind=CYCLES_KIND), cold.cycle_stats[-1]))
+        for key, value in entries:
+            (tmp_path / f"{key}.pkl").write_bytes(
+                pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            )
+        store = PackedSweepStore(tmp_path)
+        assert store.migrated == 4
+        warm = RedService(cache=store).evaluate(request)
         assert warm == cold
-        assert cache.hits == 4
+        assert store.hits == 4
+        assert store.misses == 0
 
     def test_cached_cycle_stats_relabelled(self, tmp_path):
         RedService(cache=tmp_path).evaluate(

@@ -32,7 +32,6 @@ from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
     FidelityStats,
-    SweepCache,
     evaluate_design_job,
     fidelity_job_keys,
     job_key,
@@ -395,14 +394,22 @@ class TestConcurrentWriters:
 # ----------------------------------------------------------------------
 # Legacy directory-of-pickles migration
 # ----------------------------------------------------------------------
+def write_legacy(directory, entries) -> None:
+    """Write ``(key, payload)`` pairs in the legacy one-pickle-per-key layout."""
+    for key, value in entries:
+        (directory / f"{key}.pkl").write_bytes(
+            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        )
+
+
 class TestLegacyMigration:
     def test_legacy_entries_read_back_byte_identical(self, tmp_path):
-        legacy = SweepCache(tmp_path)
         jobs = [
             make_job(design=design, layer_name=design)
             for design in ("RED", "zero-padding", "padding-free")
         ]
-        legacy_results = run_design_jobs(jobs, cache=legacy)
+        legacy_results = run_design_jobs(jobs)
+        write_legacy(tmp_path, zip(job_keys(jobs), legacy_results))
         migrated = PackedSweepStore(tmp_path)
         assert migrated.migrated == len(jobs)
         packed_results = run_design_jobs(jobs, cache=migrated)
@@ -414,8 +421,8 @@ class TestLegacyMigration:
         assert len(list(tmp_path.glob("*.pkl"))) == len(jobs)
 
     def test_migration_is_idempotent(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        run_design_jobs([make_job()], cache=legacy)
+        job = make_job()
+        write_legacy(tmp_path, [(job_key(job), evaluate_design_job(job))])
         first = PackedSweepStore(tmp_path)
         assert first.migrated == 1
         second = PackedSweepStore(tmp_path)

@@ -1,4 +1,4 @@
-"""Hit/miss/invalidation coverage for the on-disk sweep cache."""
+"""Hit/miss/invalidation coverage for the on-disk sweep store."""
 
 import dataclasses
 import pickle
@@ -10,13 +10,19 @@ from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError
 from repro.eval.parallel import (
     DesignJob,
-    SweepCache,
     evaluate_design_job,
     job_key,
     run_design_jobs,
 )
+from repro.eval.store import PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
+
+
+def stored_bytes(store: PackedSweepStore, job: DesignJob) -> bytes:
+    """The raw pickled payload a packed store holds for ``job``."""
+    with store._lock:
+        return store._read_locked(store._index[bytes.fromhex(job_key(job))])
 
 
 def make_job(**overrides) -> DesignJob:
@@ -82,52 +88,28 @@ class TestJobKey:
 
 class TestCacheLifecycle:
     def test_miss_then_store_then_hit(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job = make_job()
         assert cache.get(job) is None
         assert (cache.hits, cache.misses) == (0, 1)
         metrics = evaluate_design_job(job)
         cache.put(job, metrics)
         assert cache.stores == 1
-        assert cache.path_for(job).exists()
+        assert job_key(job) in cache
         cached = cache.get(job)
         assert cache.hits == 1
         assert cached == metrics
 
     def test_hit_relabelled_to_requesting_job(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job_a = make_job(layer_name="GAN_Deconv1")
         cache.put(job_a, evaluate_design_job(job_a))
         cached = cache.get(make_job(layer_name="SNGAN_Deconv4"))
         assert cached is not None
         assert cached.layer == "SNGAN_Deconv4"
 
-    def test_corrupt_entry_is_a_miss_and_gets_rewritten(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        job = make_job()
-        cache.path_for(job).write_bytes(b"not a pickle")
-        assert cache.get(job) is None
-        # The bad entry is counted and unlinked so the slot is rewritten.
-        assert cache.corrupt == 1
-        assert cache.misses == 1
-        assert not cache.path_for(job).exists()
-        results = run_design_jobs([job], cache=cache)
-        assert pickle.dumps(results[0]) == pickle.dumps(evaluate_design_job(job))
-        assert cache.get(job) is not None
-        assert cache.corrupt == 1  # the rewrite is clean
-
-    def test_shape_skewed_entry_counts_as_corrupt(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        job = make_job()
-        # A valid pickle of the wrong payload class (e.g. written before
-        # a payload schema change) is shape skew, not a programming error.
-        cache.path_for(job).write_bytes(pickle.dumps({"not": "metrics"}))
-        assert cache.get(job) is None
-        assert cache.corrupt == 1
-        assert not cache.path_for(job).exists()
-
     def test_tech_change_invalidates_previous_results(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job = make_job()
         run_design_jobs([job], cache=cache)
         retuned = make_job(tech=default_tech().with_overrides(t_adc=1.0e-9))
@@ -147,7 +129,7 @@ class TestCacheLifecycle:
         assert len(list(tmp_path.glob("*.pkl"))) == 0
 
     def test_duplicate_jobs_computed_once_with_labels_preserved(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(layer_name="A"), make_job(layer_name="B")]
         results = run_design_jobs(jobs, cache=cache)
         assert cache.stores == 1  # one evaluation served both jobs
@@ -155,7 +137,7 @@ class TestCacheLifecycle:
         assert results[0].latency == results[1].latency
 
     def test_mixed_hit_miss_preserves_job_order(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(design=d, layer_name=d) for d in ("RED", "zero-padding")]
         run_design_jobs([jobs[0]], cache=cache)
         results = run_design_jobs(jobs, cache=cache)
@@ -164,7 +146,7 @@ class TestCacheLifecycle:
 
 
 class TestCacheWithVectorizedRoute:
-    """ISSUE-4: SweepCache semantics are route-independent.
+    """ISSUE-4: store semantics are route-independent.
 
     Hits relabel per requesting job, misses are computed once per unique
     key, and cold/warm results are byte-identical whether the vectorized
@@ -181,18 +163,18 @@ class TestCacheWithVectorizedRoute:
 
     def test_cold_entries_byte_identical_across_routes(self, tmp_path):
         jobs = self._job_grid()
-        vec_cache = SweepCache(tmp_path / "vec")
-        scalar_cache = SweepCache(tmp_path / "scalar")
+        vec_cache = PackedSweepStore(tmp_path / "vec")
+        scalar_cache = PackedSweepStore(tmp_path / "scalar")
         run_design_jobs(jobs, cache=vec_cache, vectorized=True)
         run_design_jobs(jobs, cache=scalar_cache, vectorized=False)
         for job in jobs:
-            vec_bytes = vec_cache.path_for(job).read_bytes()
-            scalar_bytes = scalar_cache.path_for(job).read_bytes()
+            vec_bytes = stored_bytes(vec_cache, job)
+            scalar_bytes = stored_bytes(scalar_cache, job)
             assert vec_bytes == scalar_bytes
 
     def test_warm_reads_match_cold_results_regardless_of_writer(self, tmp_path):
         jobs = self._job_grid()
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         cold = run_design_jobs(jobs, cache=cache, vectorized=True)
         warm_scalar = run_design_jobs(jobs, cache=cache, vectorized=False)
         warm_vec = run_design_jobs(jobs, cache=cache, vectorized=True)
@@ -205,7 +187,7 @@ class TestCacheWithVectorizedRoute:
         assert cache.hits == 2 * len(jobs)
 
     def test_vectorized_misses_computed_once_per_unique_key(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(layer_name=label) for label in ("A", "B", "C")]
         jobs += [make_job(design="zp", layer_name="D")]  # zero-padding alias
         results = run_design_jobs(jobs, cache=cache, vectorized=True)
@@ -216,7 +198,7 @@ class TestCacheWithVectorizedRoute:
         assert results[0].latency == results[1].latency == results[2].latency
 
     def test_hits_relabel_per_requesting_job_on_batched_path(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         run_design_jobs([make_job(layer_name="seed")], cache=cache, vectorized=True)
         relabelled = run_design_jobs(
             [make_job(layer_name="hit-1"), make_job(layer_name="hit-2")],
@@ -239,9 +221,13 @@ class TestRunnerValidation:
         with pytest.raises(ParameterError):
             run_design_jobs([make_job()], num_workers=0)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ParameterError):
-            run_design_jobs([make_job()], chunk_size=0)
+    def test_parallel_worker_count_points_at_the_serving_plane(self):
+        # The second positional slot survives for old callers but only
+        # accepts 1: process parallelism lives in `repro serve --shards`.
+        with pytest.raises(ParameterError, match="repro serve --shards"):
+            run_design_jobs([make_job()], 4)
+        (metrics,) = run_design_jobs([make_job()], 1)
+        assert metrics.layer == "L"
 
     def test_unknown_design_raises(self):
         with pytest.raises(KeyError):

@@ -1,8 +1,8 @@
-"""Property-based determinism guarantees for the parallel sweep runner.
+"""Property-based determinism guarantees for the sweep runner.
 
 The contract from ISSUE-1: :func:`repro.eval.parallel.run_design_jobs`
-returns *byte-identical* results (compared via pickle) for ``jobs=1`` vs
-``jobs=4``, and on a warm cache vs a cold cache vs no cache at all.
+returns *byte-identical* results (compared via pickle) on a warm store
+vs a cold store vs no store at all.
 """
 
 import pickle
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import DesignJob, SweepCache, run_design_jobs
+from repro.eval.parallel import DesignJob, run_design_jobs
+from repro.eval.store import PackedSweepStore
 from repro.eval.sweeps import stride_speedup_sweep
 
 DESIGNS = ("zero-padding", "padding-free", "RED")
@@ -61,28 +62,12 @@ def _digest(results) -> tuple[bytes, ...]:
     )
 
 
-class TestWorkerCountInvariance:
-    @given(design_job_lists())
-    @settings(**_SETTINGS)
-    def test_jobs1_equals_jobs4(self, jobs):
-        sequential = run_design_jobs(jobs, num_workers=1)
-        parallel = run_design_jobs(jobs, num_workers=4, chunk_size=1)
-        assert _digest(sequential) == _digest(parallel)
-
-    @given(design_job_lists(), st.sampled_from((2, 3, 8)))
-    @settings(**_SETTINGS)
-    def test_chunk_size_is_irrelevant(self, jobs, chunk_size):
-        a = run_design_jobs(jobs, num_workers=2, chunk_size=chunk_size)
-        b = run_design_jobs(jobs, num_workers=1)
-        assert _digest(a) == _digest(b)
-
-
 class TestCacheInvariance:
     @given(design_job_lists())
     @settings(**_SETTINGS)
     def test_warm_cache_equals_cold_cache_equals_uncached(self, jobs):
         with tempfile.TemporaryDirectory() as directory:
-            cache = SweepCache(directory)
+            cache = PackedSweepStore(directory)
             cold = run_design_jobs(jobs, cache=cache)
             assert cache.stores == len(jobs)
             warm = run_design_jobs(jobs, cache=cache)
@@ -90,20 +75,12 @@ class TestCacheInvariance:
             uncached = run_design_jobs(jobs)
             assert _digest(cold) == _digest(warm) == _digest(uncached)
 
-    @given(design_job_lists())
-    @settings(**_SETTINGS)
-    def test_parallel_workers_share_a_warm_cache(self, jobs):
-        with tempfile.TemporaryDirectory() as directory:
-            cold = run_design_jobs(jobs, num_workers=4, cache=directory)
-            warm = run_design_jobs(jobs, num_workers=4, cache=directory)
-            assert _digest(cold) == _digest(warm)
-
 
 class TestSweepLevelDeterminism:
     def test_stride_sweep_identical_across_jobs_and_cache(self):
         strides = (1, 2, 4)
         baseline = stride_speedup_sweep(strides=strides)
         with tempfile.TemporaryDirectory() as directory:
-            pooled = stride_speedup_sweep(strides=strides, jobs=4, cache=directory)
-            cached = stride_speedup_sweep(strides=strides, jobs=4, cache=directory)
-        assert _digest(baseline) == _digest(pooled) == _digest(cached)
+            cold = stride_speedup_sweep(strides=strides, cache=directory)
+            cached = stride_speedup_sweep(strides=strides, cache=directory)
+        assert _digest(baseline) == _digest(cold) == _digest(cached)

@@ -1,9 +1,9 @@
 """Chaos suite: injected faults must recover to byte-identical results.
 
 The headline invariant of the resilience plane: a run under injected
-pool crashes, I/O errors and corrupt payloads either recovers to the
-exact result of a fault-free run (retry, respawn, degrade) or surfaces
-a typed error — it never silently returns different numbers.
+compute faults, I/O errors and corrupt payloads either recovers to the
+exact result of a fault-free run (retry, degrade, recompute) or
+surfaces a typed error — it never silently returns different numbers.
 
 Every test pins its fault schedule with ``configured_failpoints`` (the
 draws are pure functions of ``(seed, site, tokens)``, so a failing
@@ -13,16 +13,20 @@ exports.
 """
 
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.eval.vectorized as vectorized_plane
+import repro.reram.batch as reram_batch
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import EvaluationTimeoutError
+from repro.errors import EvaluationTimeoutError, InjectedFaultError
+from repro.eval import parallel
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
@@ -33,6 +37,7 @@ from repro.eval.parallel import (
 from repro.eval.store import PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
+from repro.sim.batch import BatchEngine
 
 TECH = default_tech()
 SPECS = (
@@ -87,44 +92,84 @@ def fault_free_fidelity() -> tuple:
         return tuple(run_fidelity_jobs(fidelity_jobs()))
 
 
-class TestPoolChaos:
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_io_error_retries_recover_byte_identical(self, seed):
-        with configured_failpoints("pool.worker:io_error@0.15", seed=seed):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
-        assert tuple(result) == fault_free_metrics()
+def _digest(results) -> list[bytes]:
+    """Per-element pickles (list-level pickling memoizes shared objects)."""
+    return [pickle.dumps(value, pickle.HIGHEST_PROTOCOL) for value in results]
 
-    def test_certain_crash_respawns_then_degrades(self):
-        # rate 1.0: every pool attempt hard-exits its worker.  The
-        # runner respawns the pool once, sees it break again, and
-        # degrades the remaining chunks to in-process execution — the
-        # recovery of last resort still produces the exact results.
-        with configured_failpoints("pool.worker:crash@1.0"):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
-        assert tuple(result) == fault_free_metrics()
 
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_partial_crashes_recover_byte_identical(self, seed):
-        with configured_failpoints("pool.worker:crash@0.4", seed=seed):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
-        assert tuple(result) == fault_free_metrics()
+def flaky(fn, failures: int):
+    """``fn`` raising :class:`InjectedFaultError` on its first ``failures`` calls."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise InjectedFaultError("injected compute-step fault")
+        return fn(*args, **kwargs)
+
+    wrapper.calls = calls
+    return wrapper
+
+
+#: Each runner's compute step: (owner, attribute, run under a policy,
+#: fault-free reference).  The runners resolve these at call time, so
+#: patching the attribute puts the fault inside the retried step.
+COMPUTE_STEPS = {
+    "metrics-vectorized": (
+        vectorized_plane,
+        "evaluate_design_jobs_batch",
+        lambda policy: run_design_jobs(list(JOBS), retry_policy=policy),
+        fault_free_metrics,
+    ),
+    "metrics-scalar-inline": (
+        parallel,
+        "evaluate_design_job",
+        lambda policy: run_design_jobs(
+            list(JOBS), vectorized=False, retry_policy=policy
+        ),
+        fault_free_metrics,
+    ),
+    "cycles": (
+        BatchEngine,
+        "run",
+        lambda policy: run_cycle_jobs(list(RED_JOBS), retry_policy=policy),
+        fault_free_cycles,
+    ),
+    "fidelity": (
+        reram_batch,
+        "sample_fidelity_grid",
+        lambda policy: run_fidelity_jobs(fidelity_jobs(), retry_policy=policy),
+        fault_free_fidelity,
+    ),
+}
+
+
+class TestPipelineRetry:
+    """The one runner pipeline retries its compute step per policy."""
+
+    @pytest.mark.parametrize("step", sorted(COMPUTE_STEPS))
+    def test_transient_compute_fault_recovers_byte_identical(self, step, monkeypatch):
+        owner, attribute, run, reference = COMPUTE_STEPS[step]
+        expected = reference()
+        wrapper = flaky(getattr(owner, attribute), failures=1)
+        monkeypatch.setattr(owner, attribute, wrapper)
+        with configured_failpoints(None):
+            result = run(LENIENT)
+        assert _digest(result) == _digest(expected)
+        assert len(wrapper.calls) >= 2  # the fault fired and was retried
+
+    @pytest.mark.parametrize("step", sorted(COMPUTE_STEPS))
+    def test_persistent_compute_fault_surfaces_after_max_attempts(
+        self, step, monkeypatch
+    ):
+        owner, attribute, run, _ = COMPUTE_STEPS[step]
+        wrapper = flaky(getattr(owner, attribute), failures=10**9)
+        monkeypatch.setattr(owner, attribute, wrapper)
+        policy = RetryPolicy(max_attempts=3, sleeper=no_sleep)
+        with configured_failpoints(None):
+            with pytest.raises(InjectedFaultError):
+                run(policy)
+        assert len(wrapper.calls) == policy.max_attempts
 
 
 class TestStoreChaos:
@@ -166,11 +211,7 @@ class TestStoreChaos:
         # store directory.
         import tempfile
 
-        spec = (
-            "pool.worker:io_error@0.1;"
-            "store.put_many:io_error@0.4;"
-            "store.get_many:corrupt@0.4"
-        )
+        spec = "store.put_many:io_error@0.4;store.get_many:corrupt@0.4"
         with tempfile.TemporaryDirectory() as directory:
             with configured_failpoints(spec, seed=seed):
                 store = PackedSweepStore(
@@ -179,14 +220,12 @@ class TestStoreChaos:
                 )
                 cold = run_design_jobs(
                     list(JOBS),
-                    num_workers=2,
                     cache=store,
                     vectorized=False,
                     retry_policy=LENIENT,
                 )
                 warm = run_design_jobs(
                     list(JOBS),
-                    num_workers=2,
                     cache=store,
                     vectorized=False,
                     retry_policy=LENIENT,
@@ -229,17 +268,6 @@ class TestTimeouts:
             with pytest.raises(EvaluationTimeoutError):
                 run_design_jobs(list(JOBS), timeout=1e-9)
 
-    def test_pool_timeout(self):
-        with configured_failpoints(None):
-            with pytest.raises(EvaluationTimeoutError):
-                run_design_jobs(
-                    list(JOBS),
-                    num_workers=2,
-                    vectorized=False,
-                    timeout=1e-9,
-                    retry_policy=LENIENT,
-                )
-
     def test_cycle_jobs_timeout(self):
         with configured_failpoints(None):
             with pytest.raises(EvaluationTimeoutError):
@@ -253,20 +281,28 @@ class TestTimeouts:
 
 class TestServicePartialResults:
     def test_sweep_salvages_surviving_strides(self):
-        # max_attempts=1 disables retries so per-stride failures surface
-        # into the partial-result envelope; seed 4 yields a mix of
-        # survivors and failures for this grid.
-        policy = RetryPolicy(max_attempts=1, sleeper=no_sleep)
+        # A design runner that fails transiently whenever its batch
+        # holds a doomed stride: the batched sweep fails, and the
+        # per-stride salvage pass keeps the survivors and reports the
+        # rest in the partial-result envelope.
+        doomed = {2, 8}
+
+        def flaky_runner(jobs, **kwargs):
+            hit = sorted(doomed & {job.spec.stride for job in jobs})
+            if hit:
+                raise InjectedFaultError(f"injected fault for strides {hit}")
+            return run_design_jobs(jobs, **kwargs)
+
         request = SweepRequest(strides=(1, 2, 4, 8))
-        with configured_failpoints("pool.worker:io_error@0.3", seed=4):
-            with RedService(
-                num_workers=2, vectorized=False, retry_policy=policy
-            ) as service:
-                partial = service.sweep(request)
         with configured_failpoints(None):
+            with RedService(design_runner=flaky_runner) as service:
+                partial = service.sweep(request)
             with RedService() as service:
                 clean = service.sweep(request)
-        assert partial.failures
+        assert {info.source for info in partial.failures} == {
+            "stride=2",
+            "stride=8",
+        }
         assert clean.failures == ()
         failed = {info.source for info in partial.failures}
         assert all(source.startswith("stride=") for source in failed)
@@ -275,7 +311,7 @@ class TestServicePartialResults:
             assert info.retryable
         # Surviving strides are byte-identical to the fault-free sweep.
         clean_by_stride = {point.stride: point for point in clean.points}
-        assert partial.points  # seed 4: survivors exist
+        assert partial.points  # strides 1 and 4 survive
         for point in partial.points:
             assert point == clean_by_stride[point.stride]
             assert f"stride={point.stride}" not in failed
@@ -286,11 +322,20 @@ class TestServicePartialResults:
 
 
 class TestAmbientEnvironment:
-    def test_ambient_env_matrix_recovers(self):
+    def test_ambient_env_matrix_recovers(self, tmp_path):
         # Under `make chaos` this module imports with RED_FAILPOINTS
-        # armed from the environment, so this run executes under the
-        # ambient fault matrix; unarmed it is a plain determinism check.
-        result = run_design_jobs(
-            list(JOBS), num_workers=2, vectorized=False, retry_policy=LENIENT
+        # armed from the environment, so the cold run publishes and the
+        # reopened run reads under the ambient store-fault matrix;
+        # unarmed it is a plain determinism check.
+        store_policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
+        store = PackedSweepStore(tmp_path, retry_policy=store_policy)
+        cold = run_design_jobs(
+            list(JOBS), cache=store, vectorized=False, retry_policy=LENIENT
         )
-        assert tuple(result) == fault_free_metrics()
+        store.close()
+        reopened = PackedSweepStore(tmp_path, retry_policy=store_policy)
+        warm = run_design_jobs(
+            list(JOBS), cache=reopened, vectorized=False, retry_policy=LENIENT
+        )
+        assert tuple(cold) == fault_free_metrics()
+        assert tuple(warm) == fault_free_metrics()

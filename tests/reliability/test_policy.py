@@ -1,13 +1,15 @@
 """Retry policies, the transient/permanent taxonomy, and deadlines."""
 
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import (
+    DrainingError,
     EvaluationTimeoutError,
     InjectedFaultError,
+    OverloadedError,
     ParameterError,
     ShapeError,
+    ShardUnavailableError,
     WorkerCrashError,
 )
 from repro.reliability.policy import (
@@ -26,7 +28,8 @@ class TestRetryable:
             OSError("disk"),
             InjectedFaultError("injected"),
             WorkerCrashError("crash"),
-            BrokenProcessPool("pool"),
+            ShardUnavailableError("shard"),
+            OverloadedError("shed", retry_after_s=0.5),
         ],
     )
     def test_transient_failures_retry(self, exc):
@@ -42,6 +45,8 @@ class TestRetryable:
             ParameterError("bad param"),
             ValueError("bad"),
             KeyError("missing"),
+            # A draining server is going away: retrying it cannot help.
+            DrainingError("draining"),
         ],
     )
     def test_permanent_failures_surface(self, exc):

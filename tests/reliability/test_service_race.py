@@ -19,10 +19,10 @@ from repro.reliability import configured_failpoints
 
 SWEEP = SweepRequest(strides=(1, 2, 4))
 
-#: Ambient fault schedule for the race: transient pool/store failures
-#: that the service's internal retries absorb or surface as taxonomy
-#: errors — deterministic via the pinned seed.
-AMBIENT = "pool.worker:io_error@0.1;store.put_many:io_error@0.3"
+#: Ambient fault schedule for the race: transient store failures that
+#: the service's internal retries absorb or surface as taxonomy errors
+#: — deterministic via the pinned seed.
+AMBIENT = "store.put_many:io_error@0.3"
 
 
 class TestSubmitCloseRace:

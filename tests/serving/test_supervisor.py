@@ -1,5 +1,8 @@
 """Shard supervision: correct results, crash respawn, budget, degrade."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.arch.tech import default_tech
@@ -14,6 +17,7 @@ from repro.errors import (
 from repro.eval.parallel import DesignJob, run_design_jobs
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import no_sleep
+from repro.serving.runner import ShardedRunner
 from repro.serving.supervisor import (
     DEGRADED,
     RUNNING,
@@ -64,6 +68,39 @@ class TestSupervisorCalls:
                 # The unresponsive process was reclaimed, not waited on.
                 assert sup.states()[0] == RUNNING
                 assert sup.call(0, JOBS) == run_design_jobs(list(JOBS))
+
+
+class TestShardedRunner:
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_shard_count_is_irrelevant(self, num_shards):
+        # Process parallelism lives in the serving plane: however the
+        # ring partitions the list, the merge returns the in-process
+        # results in request order, byte for byte.
+        jobs = [
+            DesignJob(
+                design,
+                DeconvSpec(3, 3, 2, max(2 * s, 2), max(2 * s, 2), 2,
+                           stride=s, padding=s // 2),
+                TECH,
+                layer_name=f"s{s}-{design}",
+            )
+            for s in (1, 2, 4)
+            for design in ("RED", "zero-padding", "padding-free")
+        ]
+        jobs.append(dataclasses.replace(jobs[0], layer_name="repeat"))
+        with configured_failpoints(None):
+            expected = run_design_jobs(jobs)
+            with make_supervisor(num_shards=num_shards) as sup:
+                runner = ShardedRunner(sup)
+                try:
+                    merged = runner(jobs)
+                finally:
+                    runner.close()
+        digest = [pickle.dumps(m, pickle.HIGHEST_PROTOCOL) for m in merged]
+        assert digest == [
+            pickle.dumps(m, pickle.HIGHEST_PROTOCOL) for m in expected
+        ]
+        assert runner.degraded_calls == 0
 
 
 class TestRespawnBudget:

@@ -80,7 +80,7 @@ class TestPipelineNetworkSweep:
             network, designs=("RED",), batch=4, cache=tmp_path
         )
         warm = pipeline_network_sweep(
-            network, designs=("RED",), batch=4, cache=tmp_path, jobs=2
+            network, designs=("RED",), batch=4, cache=tmp_path
         )
         assert list(cold) == ["RED"]
         assert cold["RED"].stage_latencies == warm["RED"].stage_latencies
