@@ -6,12 +6,13 @@
 #   make serve-chaos - serving suite clean + under a serving fault matrix
 #   make bench-smoke - quick-mode batch-engine benchmark (ISSUE-1 gate)
 #   make bench       - full benchmark suite with reproduced paper tables
+#   make perf-smoke  - every repo-benchmark workload briefly, answers checked
 #   make verify      - what CI runs
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test lint chaos serve-chaos bench-smoke bench verify
+.PHONY: test lint chaos serve-chaos bench-smoke bench perf-smoke verify
 
 test:
 	python -m pytest -x -q
@@ -64,4 +65,18 @@ bench:
 	python -m pytest benchmarks/ -o python_files="bench_*.py" --benchmark-only -s
 	python -m pytest benchmarks/bench_batch_engine.py benchmarks/bench_cycle_compile.py benchmarks/bench_sweep_vectorized.py benchmarks/bench_cache_plane.py benchmarks/bench_device_plane.py benchmarks/bench_resilience.py benchmarks/bench_serving.py -q -s
 
-verify: lint test chaos bench-smoke
+# Repo-benchmark smoke (perfbench/README.md): each workload for 2 s
+# with its answer checks, including served answers byte-identical to
+# the in-process ones.  Fails unless every result line (the last line
+# of a run) reports correct: true and failed: 0.
+perf-smoke:
+	@for workload in interactive served bulk; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 0 \
+		| python3 -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
+			print(*lines, sep="\n"); result = json.loads(lines[-1]); \
+			ok = result["correct"] is True and result["failed"] == 0; \
+			sys.exit(0 if ok else f"perf-smoke: {sys.argv[1]} is not correct with 0 failed")' \
+			$$workload || exit 1; \
+	done
+
+verify: lint test chaos bench-smoke perf-smoke

@@ -4,36 +4,28 @@ Every payload crossing the service boundary lives in
 ``repro/api/schema.py`` and must:
 
 * be declared ``@dataclass(frozen=True)`` — payloads are immutable;
-* if it is a wire payload (its ``to_dict`` emits a ``"kind"``
-  discriminator), carry a ``schema_version`` field so readers can
-  reject foreign API generations;
-* have its ``kind`` dispatched by ``payload_from_dict`` — i.e. appear
-  in the ``PAYLOAD_KINDS`` table (and every table entry must point at a
-  class that actually emits that kind).
+* if it is a wire payload (its body assigns a ``kind`` class
+  attribute, ``kind: ClassVar[str] = "..."``), carry a
+  ``schema_version`` field so readers can reject foreign API
+  generations.
 
-Leaf row types (``SweepPoint`` and friends) have no ``kind`` and ride
-inside a versioned envelope; they only need to be frozen.
+Dispatch needs no check: the schema base class registers every
+declared ``kind`` in ``PAYLOAD_KINDS`` as the class is created and
+refuses a duplicate, so ``payload_from_dict`` cannot drift from the
+classes.  Leaf row types (``SweepPoint`` and friends) declare no
+``kind`` and ride inside a versioned envelope; they only need to be
+frozen.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.analysis.engine import Finding, ModuleSource, Rule
 
 #: The module this contract covers.
 SCHEMA_MODULE = ("repro", "api", "schema")
-
-
-@dataclass
-class _SchemaClass:
-    node: ast.ClassDef
-    frozen: bool = False
-    is_dataclass: bool = False
-    field_names: set[str] = field(default_factory=set)
-    kind: str | None = None
 
 
 def _dataclass_decoration(node: ast.ClassDef) -> tuple[bool, bool]:
@@ -55,54 +47,28 @@ def _dataclass_decoration(node: ast.ClassDef) -> tuple[bool, bool]:
 
 
 def _declared_kind(node: ast.ClassDef) -> str | None:
-    """The ``"kind"`` string the class's ``to_dict`` emits, if any."""
+    """The string the class body assigns to ``kind``, if any."""
     for item in node.body:
-        if not (isinstance(item, ast.FunctionDef) and item.name == "to_dict"):
-            continue
-        for sub in ast.walk(item):
-            if not isinstance(sub, ast.Dict):
-                continue
-            for key, value in zip(sub.keys, sub.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "kind"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    return value.value
-    return None
-
-
-def _payload_kinds_table(tree: ast.Module) -> tuple[dict[str, str], ast.AST | None]:
-    """``kind -> class name`` from the ``PAYLOAD_KINDS`` assignment."""
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
+        if isinstance(item, ast.AnnAssign):
+            targets, value = [item.target], item.value
+        elif isinstance(item, ast.Assign):
+            targets, value = item.targets, item.value
         else:
             continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "PAYLOAD_KINDS" for t in targets
+        if (
+            any(isinstance(t, ast.Name) and t.id == "kind" for t in targets)
+            and isinstance(value, ast.Constant)
+            and isinstance(value.value, str)
         ):
-            continue
-        table = {}
-        if isinstance(value, ast.Dict):
-            for key, val in zip(value.keys, value.values):
-                if isinstance(key, ast.Constant) and isinstance(val, ast.Name):
-                    table[str(key.value)] = val.id
-        return table, node
-    return {}, None
+            return value.value
+    return None
 
 
 class SchemaRule(Rule):
     rule_id = "RED002"
     summary = (
-        "schema payloads are frozen dataclasses carrying schema_version, "
-        "with every kind dispatched by payload_from_dict"
+        "schema payloads are frozen dataclasses, and every one declaring "
+        "a kind carries schema_version"
     )
 
     def applies_to(self, module: ModuleSource) -> bool:
@@ -111,79 +77,31 @@ class SchemaRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         tree = module.tree
         assert tree is not None
-        classes: list[_SchemaClass] = []
         for node in tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
             is_dataclass, frozen = _dataclass_decoration(node)
-            info = _SchemaClass(node=node, frozen=frozen, is_dataclass=is_dataclass)
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    info.field_names.add(item.target.id)
-            info.kind = _declared_kind(node)
-            classes.append(info)
-
-        table, table_node = _payload_kinds_table(tree)
-        class_names = {c.node.name for c in classes}
-
-        for info in classes:
-            name = info.node.name
-            if not info.is_dataclass:
-                continue  # helper classes are not payloads
-            if not info.frozen:
+            if not is_dataclass:
+                continue  # helper classes (the codec base) are not payloads
+            if not frozen:
                 yield self.finding(
                     module,
-                    info.node,
-                    f"schema dataclass {name} is not frozen=True; payloads "
+                    node,
+                    f"schema dataclass {node.name} is not frozen=True; payloads "
                     "must be immutable",
                 )
-            if info.kind is None:
+            kind = _declared_kind(node)
+            if kind is None:
                 continue  # leaf row type riding inside an envelope
-            if "schema_version" not in info.field_names:
+            field_names = {
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+            if "schema_version" not in field_names:
                 yield self.finding(
                     module,
-                    info.node,
-                    f"payload {name} emits kind {info.kind!r} but carries no "
+                    node,
+                    f"payload {node.name} declares kind {kind!r} but carries no "
                     "schema_version field; wire payloads must be versioned",
                 )
-            if info.kind not in table:
-                yield self.finding(
-                    module,
-                    info.node,
-                    f"payload kind {info.kind!r} ({name}) is missing from "
-                    "PAYLOAD_KINDS; payload_from_dict cannot dispatch it",
-                )
-            elif table[info.kind] != name:
-                yield self.finding(
-                    module,
-                    info.node,
-                    f"PAYLOAD_KINDS maps kind {info.kind!r} to "
-                    f"{table[info.kind]} but {name} emits it",
-                )
-
-        if table_node is None:
-            yield self.finding(
-                module,
-                tree.body[0] if tree.body else None,
-                "no PAYLOAD_KINDS table found; payload_from_dict has nothing "
-                "to dispatch on",
-            )
-        else:
-            emitted = {c.kind for c in classes if c.kind is not None}
-            for kind, target in sorted(table.items()):
-                if target not in class_names:
-                    yield self.finding(
-                        module,
-                        table_node,
-                        f"PAYLOAD_KINDS entry {kind!r} points at unknown "
-                        f"class {target}",
-                    )
-                elif kind not in emitted:
-                    yield self.finding(
-                        module,
-                        table_node,
-                        f"PAYLOAD_KINDS entry {kind!r} -> {target}, but "
-                        f"{target}.to_dict does not emit that kind",
-                    )

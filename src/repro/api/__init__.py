@@ -9,14 +9,18 @@ Module map (the request -> service -> engine flow)
   request uses.  This is the only name-to-design dispatch in the
   library.
 * :mod:`repro.api.schema` — **what crosses the boundary.**  Frozen,
-  ``schema_version``-tagged request/response dataclasses
-  (:class:`~repro.api.schema.EvaluationRequest` /
+  ``schema_version``-tagged dataclasses, one per wire ``kind``:
+  :class:`~repro.api.schema.EvaluationRequest` /
   :class:`~repro.api.schema.EvaluationResult`,
   :class:`~repro.api.schema.SweepRequest` /
   :class:`~repro.api.schema.SweepResult`,
   :class:`~repro.api.schema.NetworkRequest` /
-  :class:`~repro.api.schema.NetworkResult`) with strict
-  ``to_dict``/``from_dict`` round-tripping.
+  :class:`~repro.api.schema.NetworkResult`,
+  :class:`~repro.api.schema.FidelityRequest` /
+  :class:`~repro.api.schema.FidelityResult`, the CLI envelope
+  :class:`~repro.api.schema.CommandPayload` and the failure envelope
+  :class:`~repro.api.schema.ErrorInfo`.  Their strict
+  ``to_dict``/``from_dict`` codec is derived from the dataclass fields.
 * :mod:`repro.api.service` — **how it runs.**
   :class:`~repro.api.service.RedService` fronts the batch/cache
   substrate: requests are flattened into

@@ -2,37 +2,43 @@
 
 Every payload that crosses the service boundary — CLI ``--json`` output,
 :class:`~repro.api.service.RedService` arguments and results, exported
-records — is one of the frozen dataclasses below.  Each type:
+records — is one of the frozen dataclasses below.  Each carries a
+``schema_version`` (:data:`SCHEMA_VERSION`); every version in
+:data:`SUPPORTED_SCHEMA_VERSIONS` still parses, a parsed payload keeps
+the version it arrived with, and :func:`downgrade_payload` rewrites v2
+trees for v1 readers.  ``T.from_dict(t.to_dict()) == t`` holds through
+JSON (property-tested in ``tests/api/test_schema.py``; the bytes are
+pinned by ``tests/api/golden/``).
 
-* carries a ``schema_version`` field (:data:`SCHEMA_VERSION`) so readers
-  can reject payloads from an unsupported API generation — every
-  version in :data:`SUPPORTED_SCHEMA_VERSIONS` still parses, and a
-  parsed payload keeps the version it arrived with so v1 round-trips
-  stay v1 (:func:`downgrade_payload` rewrites v2 trees for v1 readers);
-* round-trips exactly: ``T.from_dict(t.to_dict()) == t``, including
-  through ``json.dumps``/``json.loads`` (property-tested in
-  ``tests/api/test_schema.py``);
-* validates strictly — wrong version, unknown keys, missing required
-  keys and malformed values all raise
-  :class:`~repro.errors.SchemaError`, never produce a half-built object.
-
-``to_dict`` emits JSON-native values only (dicts, lists, strings,
-numbers, booleans, ``None``); ``from_dict`` restores the frozen tuple
-forms.  The generic :func:`payload_from_dict` dispatches on the
-``"kind"`` discriminator every ``to_dict`` embeds.
+The codec is derived once per class from the dataclass fields and their
+annotations, and inherited from one base.  A wire payload declares
+``kind: ClassVar[str]``, which registers it in :data:`PAYLOAD_KINDS`
+for :func:`payload_from_dict`; its mapping starts with ``kind`` and
+``schema_version``, then the fields in declaration order.  Tuples
+encode as lists, ``tuple[tuple[str, X], ...]`` pairs as JSON objects.
+Decoding is strict: ``int`` rejects bools, ``float`` takes an int or a
+float and stores a float, ``str`` and ``bool`` match exactly,
+``T | None`` takes ``None`` or a ``T``, a union of scalars takes any
+arm, and ``object`` fields pass through.  Required keys are the fields
+without defaults (plus ``schema_version`` on wire payloads); unknown
+keys are rejected.  Every failure is a :class:`~repro.errors.SchemaError`
+naming the field path (``sweep_result.points[0].stride``).  Field
+metadata carries the versioning: ``since`` (the first version with the
+field) drives :func:`downgrade_payload`, and ``omit_default`` keeps a
+field off the wire at its default.  ``__post_init__`` validation stays
+hand-written: it carries the real semantics.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
+from types import UnionType
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
-from repro.arch.breakdown import (
-    AreaBreakdown,
-    DesignMetrics,
-    EnergyBreakdown,
-    LatencyBreakdown,
-)
+from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import SchemaError
@@ -48,35 +54,221 @@ SCHEMA_VERSION = 2
 #: v1 clients keep working against a v2 server.
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
 
+#: ``kind`` -> payload class for :func:`payload_from_dict` (self-registered).
+PAYLOAD_KINDS: dict[str, type] = {}
+
+#: Wire key order where it differs from the (unchangeable) field order.
+_WIRE_ORDER = {DesignMetrics: ("design", "layer", "cycles", "latency", "energy", "area")}
+
+#: Scalar annotation -> (accepted runtime types, description).
+_SCALARS = {int: ((int,), "an int"), float: ((int, float), "a number"),
+            str: ((str,), "a string"), bool: ((bool,), "a bool")}
+
 _TECH_FIELDS = frozenset(f.name for f in fields(TechnologyParams))
 
 
 # ----------------------------------------------------------------------
-# Strict payload plumbing
+# The derived codec
 # ----------------------------------------------------------------------
-def _require_mapping(payload, kind: str) -> dict:
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{kind} payload must be a mapping, got {type(payload).__name__}")
-    return payload
+class _DecodeError(Exception):
+    """A decode failure; ``path`` grows innermost-first as it unwinds."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: list[str] = []
 
 
-def _check_keys(payload: dict, kind: str, required: frozenset, optional: frozenset) -> None:
-    keys = set(payload)
-    missing = required - keys
-    if missing:
-        raise SchemaError(f"{kind} payload is missing keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise SchemaError(f"{kind} payload has unknown keys {sorted(unknown)}")
+def _expected(what: str, value) -> _DecodeError:
+    return _DecodeError(f"expected {what}, got {reprlib.repr(value)}")
 
 
-def _check_version(payload: dict, kind: str) -> None:
-    version = payload.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise SchemaError(
-            f"{kind} payload has schema_version {version!r}; "
-            f"this library speaks versions {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
-        )
+def _scalar(*arms):
+    """Strict decoder for a scalar annotation or a union of scalars."""
+    accepted = tuple(t for arm in arms for t in _SCALARS[arm][0])
+    what = " or ".join(_SCALARS[arm][1] for arm in arms)
+    to_float = float in arms and int not in arms
+
+    def decode(value):
+        if isinstance(value, accepted) and (bool in arms or not isinstance(value, bool)):
+            return float(value) if to_float and isinstance(value, int) else value
+        raise _expected(what, value)
+
+    return decode
+
+
+def _codec(tp) -> tuple:
+    """``(encode, decode, nested plan)`` of one resolved annotation; a ``None``
+    code is the identity, and the plan leads downgrades to nested payloads."""
+    if tp is object:
+        return None, None, None
+    if tp in _SCALARS:
+        return None, _scalar(tp), None
+    if dataclasses.is_dataclass(tp):
+        plan = _plan(tp)
+        return plan.encode, plan.decode, plan
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and get_origin(args[0]) is tuple:
+        return dict, partial(_decode_pairs, _codec(get_args(args[0])[1])[1]), None
+    if origin is tuple:
+        item, decode, nested = _codec(args[0])
+        encode = list if item is None else (lambda values: [item(v) for v in values])
+        return encode, partial(_decode_items, decode), nested
+    arms = [arm for arm in args if arm is not type(None)]
+    if origin is UnionType and len(arms) == 1:
+        encode, decode, nested = _codec(arms[0])
+    elif origin is UnionType and all(arm in _SCALARS for arm in arms):
+        encode, decode, nested = None, _scalar(*arms), None
+    else:
+        raise TypeError(f"no wire codec for annotation {tp!r}")
+    if len(arms) == len(args):
+        return encode, decode, nested
+    return encode and partial(_optional, encode), partial(_optional, decode), nested
+
+
+def _optional(convert, value):
+    return None if value is None else convert(value)
+
+
+def _decode_items(decode, value) -> tuple:
+    if not isinstance(value, list):
+        raise _expected("a list", value)
+    items = []
+    try:
+        for item in value:
+            items.append(decode(item))
+    except _DecodeError as exc:
+        exc.path.append(f"[{len(items)}]")
+        raise
+    return tuple(items)
+
+
+def _decode_pairs(decode_value, value) -> tuple:
+    if not isinstance(value, dict):
+        raise _expected("a mapping", value)
+    pairs = []
+    try:
+        for key, item in value.items():
+            pairs.append((key, item if decode_value is None else decode_value(item)))
+    except _DecodeError as exc:
+        exc.path.append(f"[{key!r}]")
+        raise
+    return tuple(sorted(pairs))
+
+
+class _Plan:
+    """The codec of one dataclass, derived once from its fields."""
+
+    def __init__(self, cls) -> None:
+        self.cls, self.kind = cls, getattr(cls, "kind", None)
+        self.label = self.kind or cls.__name__
+        declared = {f.name: f for f in fields(cls)}
+        required = {name for name, f in declared.items()
+                    if f.default is MISSING and f.default_factory is MISSING}
+        order = _WIRE_ORDER.get(cls, tuple(declared))
+        if self.kind is not None:
+            order = ("schema_version", *(n for n in order if n != "schema_version"))
+            required.add("schema_version")
+        self.required = frozenset(required)
+        self.allowed = frozenset(declared) | ({"kind"} if self.kind else set())
+        hints = get_type_hints(cls)
+        self.encoders, self.decoders, self.versions = [], [], {}
+        for name in order:
+            encode, decode, nested = _codec(hints[name])
+            meta = declared[name].metadata
+            self.encoders.append((name, encode, meta.get("omit_default"), declared[name].default))
+            self.decoders.append((name, decode))
+            self.versions[name] = (meta.get("since", 1), nested)
+
+    def encode(self, obj) -> dict:
+        wire = {"kind": self.kind} if self.kind else {}
+        for name, encode, omit, default in self.encoders:
+            value = getattr(obj, name)
+            if not (omit and value == default):
+                wire[name] = value if encode is None else encode(value)
+        return wire
+
+    def decode(self, payload):
+        if not isinstance(payload, dict):
+            raise _expected("a mapping", payload)
+        if self.kind is not None and payload.get("kind", self.kind) != self.kind:
+            raise _DecodeError(f"expected a {self.kind!r} payload, got kind {payload['kind']!r}")
+        keys = payload.keys()
+        if not (self.required <= keys and keys <= self.allowed):
+            missing = sorted(self.required - set(keys))
+            unknown = sorted(set(keys) - self.allowed, key=str)
+            raise _DecodeError(f"missing keys {missing}" if missing else f"unknown keys {unknown}")
+        kwargs = {}
+        try:
+            for name, decode in self.decoders:
+                if name in payload:
+                    kwargs[name] = payload[name] if decode is None else decode(payload[name])
+        except _DecodeError as exc:
+            exc.path.append(f".{name}")
+            raise
+        try:
+            return self.cls(**kwargs)
+        except Exception as exc:
+            raise _DecodeError(str(exc)) from exc
+
+    def downgrade(self, wire, version: int):
+        """A wire mapping (or a list of them) rewritten for ``version``."""
+        if isinstance(wire, list):
+            return [self.downgrade(item, version) for item in wire]
+        if not isinstance(wire, dict):
+            return wire
+        rewritten = {}
+        for key, value in wire.items():
+            since, nested = self.versions.get(key, (1, None))
+            if since <= version:
+                value = value if nested is None else nested.downgrade(value, version)
+                rewritten[key] = version if key == "schema_version" else value
+        return rewritten
+
+
+@cache
+def _plan(cls) -> _Plan:
+    return _Plan(cls)
+
+
+class _Payload:
+    """Base of every schema dataclass: the derived ``to_dict``/``from_dict``.
+
+    A subclass declaring ``kind`` is a wire payload and registers itself
+    in :data:`PAYLOAD_KINDS`; a duplicate kind is an error.
+    """
+
+    kind: ClassVar[str | None] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        kind = cls.__dict__.get("kind")
+        if kind is not None and PAYLOAD_KINDS.setdefault(kind, cls) is not cls:
+            raise TypeError(f"payload kind {kind!r} is declared twice ({cls.__name__})")
+
+    def to_dict(self) -> dict:
+        """This payload as JSON-native values (dicts, lists, scalars)."""
+        return _plan(type(self)).encode(self)
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Strictly rebuild a payload; any failure is a SchemaError."""
+        plan = _plan(cls)
+        try:
+            return plan.decode(payload)
+        except _DecodeError as exc:
+            where = plan.label + "".join(reversed(exc.path))
+            raise SchemaError(f"{where}: {exc}") from exc.__cause__
+
+
+class _TechRequest(_Payload):
+    """A request carrying ``TechnologyParams`` field ``tech_overrides``."""
+
+    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
+        """The concrete technology after applying the overrides."""
+        base = base or default_tech()
+        if not self.tech_overrides:
+            return base
+        return dataclasses.replace(base, **dict(self.tech_overrides))
 
 
 def _check_instance_version(kind: str, version) -> None:
@@ -85,12 +277,6 @@ def _check_instance_version(kind: str, version) -> None:
             f"{kind} schema_version {version!r} is not one of the "
             f"supported versions {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
         )
-
-
-def _check_kind(payload: dict, kind: str) -> None:
-    declared = payload.get("kind", kind)
-    if declared != kind:
-        raise SchemaError(f"expected a {kind!r} payload, got kind {declared!r}")
 
 
 def _normalize_overrides(overrides) -> tuple[tuple[str, object], ...]:
@@ -121,113 +307,6 @@ def _normalize_overrides(overrides) -> tuple[tuple[str, object], ...]:
     return tuple(normalized)
 
 
-def _resolve_tech(
-    overrides: tuple[tuple[str, object], ...], base: TechnologyParams | None = None
-) -> TechnologyParams:
-    base = base or default_tech()
-    if not overrides:
-        return base
-    return dataclasses.replace(base, **dict(overrides))
-
-
-# ----------------------------------------------------------------------
-# Leaf serializers: spec, metrics, cycle stats
-# ----------------------------------------------------------------------
-def spec_to_dict(spec: DeconvSpec) -> dict:
-    """A :class:`DeconvSpec` as a flat JSON mapping."""
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
-
-
-def spec_from_dict(payload) -> DeconvSpec:
-    """Rebuild a :class:`DeconvSpec`; shape errors become SchemaError."""
-    payload = _require_mapping(payload, "spec")
-    names = frozenset(f.name for f in fields(DeconvSpec))
-    required = frozenset(
-        f.name for f in fields(DeconvSpec)
-        if f.default is dataclasses.MISSING
-    )
-    _check_keys(payload, "spec", required, names - required)
-    try:
-        return DeconvSpec(**payload)
-    except Exception as exc:
-        raise SchemaError(f"invalid spec payload: {exc}") from exc
-
-
-def _breakdown_to_dict(breakdown) -> dict:
-    return breakdown.as_dict()
-
-
-def _breakdown_from_dict(payload, cls):
-    payload = _require_mapping(payload, cls.__name__)
-    names = frozenset(f.name for f in fields(cls))
-    _check_keys(payload, cls.__name__, frozenset(), names)
-    try:
-        return cls(**{k: float(v) for k, v in payload.items()})
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid {cls.__name__} payload: {exc}") from exc
-
-
-def metrics_to_dict(metrics: DesignMetrics) -> dict:
-    """A :class:`DesignMetrics` as nested JSON mappings."""
-    return {
-        "design": metrics.design,
-        "layer": metrics.layer,
-        "cycles": metrics.cycles,
-        "latency": _breakdown_to_dict(metrics.latency),
-        "energy": _breakdown_to_dict(metrics.energy),
-        "area": _breakdown_to_dict(metrics.area),
-    }
-
-
-def metrics_from_dict(payload) -> DesignMetrics:
-    """Rebuild a :class:`DesignMetrics` from :func:`metrics_to_dict`."""
-    payload = _require_mapping(payload, "metrics")
-    _check_keys(
-        payload,
-        "metrics",
-        frozenset({"design", "layer", "cycles", "latency", "energy", "area"}),
-        frozenset(),
-    )
-    return DesignMetrics(
-        design=str(payload["design"]),
-        layer=str(payload["layer"]),
-        cycles=int(payload["cycles"]),
-        latency=_breakdown_from_dict(payload["latency"], LatencyBreakdown),
-        energy=_breakdown_from_dict(payload["energy"], EnergyBreakdown),
-        area=_breakdown_from_dict(payload["area"], AreaBreakdown),
-    )
-
-
-def cycle_stats_to_dict(stats: CycleStats) -> dict:
-    """A :class:`CycleStats` as a JSON mapping (counters become a dict)."""
-    return {
-        "design": stats.design,
-        "layer": stats.layer,
-        "fold": stats.fold,
-        "cycles": stats.cycles,
-        "counters": dict(stats.counters),
-    }
-
-
-def cycle_stats_from_dict(payload) -> CycleStats:
-    """Rebuild a :class:`CycleStats` from :func:`cycle_stats_to_dict`."""
-    payload = _require_mapping(payload, "cycle_stats")
-    _check_keys(
-        payload,
-        "cycle_stats",
-        frozenset({"design", "layer", "fold", "cycles", "counters"}),
-        frozenset(),
-    )
-    counters = _require_mapping(payload["counters"], "cycle_stats.counters")
-    return CycleStats(
-        design=str(payload["design"]),
-        layer=str(payload["layer"]),
-        fold=int(payload["fold"]),
-        cycles=int(payload["cycles"]),
-        counters=tuple(sorted((str(k), int(v)) for k, v in counters.items())),
-    )
-
-
 def _validate_fold(fold) -> None:
     if fold is None or fold == "auto":
         return
@@ -248,7 +327,7 @@ def _tuple_of_str(value, label: str) -> tuple[str, ...]:
 # Evaluation: one layer, N designs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class EvaluationRequest:
+class EvaluationRequest(_TechRequest):
     """Evaluate one layer across designs.
 
     Exactly one of ``layer`` (a Table I benchmark-layer name) or
@@ -268,6 +347,7 @@ class EvaluationRequest:
             ``layer`` or the spec description).
     """
 
+    kind: ClassVar[str] = "evaluation_request"
     layer: str | None = None
     spec: DeconvSpec | None = None
     designs: tuple[str, ...] = ()
@@ -292,52 +372,9 @@ class EvaluationRequest:
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "evaluation_request",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "spec": None if self.spec is None else spec_to_dict(self.spec),
-            "designs": list(self.designs),
-            "fold": self.fold,
-            "tech_overrides": dict(self.tech_overrides),
-            "trace": self.trace,
-            "layer_name": self.layer_name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "EvaluationRequest":
-        payload = _require_mapping(payload, "evaluation_request")
-        _check_kind(payload, "evaluation_request")
-        _check_version(payload, "evaluation_request")
-        _check_keys(
-            payload,
-            "evaluation_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "layer", "spec", "designs", "fold", "tech_overrides",
-                 "trace", "layer_name"}
-            ),
-        )
-        spec = payload.get("spec")
-        return cls(
-            layer=payload.get("layer"),
-            spec=None if spec is None else spec_from_dict(spec),
-            designs=tuple(payload.get("designs", ())),
-            fold=payload.get("fold"),
-            tech_overrides=payload.get("tech_overrides", ()),
-            trace=bool(payload.get("trace", False)),
-            layer_name=str(payload.get("layer_name", "")),
-            schema_version=payload["schema_version"],
-        )
-
 
 @dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(_Payload):
     """Per-design metrics (and optional cycle stats) for one layer.
 
     Attributes:
@@ -349,6 +386,7 @@ class EvaluationResult:
             cycle engine); empty tuple otherwise.
     """
 
+    kind: ClassVar[str] = "evaluation_result"
     layer: str
     designs: tuple[str, ...]
     metrics: tuple[DesignMetrics, ...]
@@ -376,51 +414,18 @@ class EvaluationResult:
                 return metrics
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "evaluation_result",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "designs": list(self.designs),
-            "metrics": [metrics_to_dict(m) for m in self.metrics],
-            "cycle_stats": [
-                None if s is None else cycle_stats_to_dict(s) for s in self.cycle_stats
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "EvaluationResult":
-        payload = _require_mapping(payload, "evaluation_result")
-        _check_kind(payload, "evaluation_result")
-        _check_version(payload, "evaluation_result")
-        _check_keys(
-            payload,
-            "evaluation_result",
-            frozenset({"schema_version", "layer", "designs", "metrics"}),
-            frozenset({"kind", "cycle_stats"}),
-        )
-        return cls(
-            layer=str(payload["layer"]),
-            designs=tuple(str(d) for d in payload["designs"]),
-            metrics=tuple(metrics_from_dict(m) for m in payload["metrics"]),
-            cycle_stats=tuple(
-                None if s is None else cycle_stats_from_dict(s)
-                for s in payload.get("cycle_stats", ())
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Stride sweep
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_TechRequest):
     """The Sec. III-C stride-speedup sweep, parameterized.
 
     Attributes mirror :func:`repro.eval.sweeps.stride_speedup_sweep`.
     """
 
+    kind: ClassVar[str] = "sweep_request"
     strides: tuple[int, ...] = (1, 2, 4, 8)
     input_size: int = 8
     channels: int = 64
@@ -449,52 +454,9 @@ class SweepRequest:
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sweep_request",
-            "schema_version": self.schema_version,
-            "strides": list(self.strides),
-            "input_size": self.input_size,
-            "channels": self.channels,
-            "filters": self.filters,
-            "fold": self.fold,
-            "tech_overrides": dict(self.tech_overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepRequest":
-        payload = _require_mapping(payload, "sweep_request")
-        _check_kind(payload, "sweep_request")
-        _check_version(payload, "sweep_request")
-        _check_keys(
-            payload,
-            "sweep_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "strides", "input_size", "channels", "filters", "fold",
-                 "tech_overrides"}
-            ),
-        )
-        kwargs = {
-            name: payload[name]
-            for name in ("strides", "input_size", "channels", "filters", "fold")
-            if name in payload
-        }
-        if "strides" in kwargs:
-            kwargs["strides"] = tuple(kwargs["strides"])
-        return cls(
-            tech_overrides=payload.get("tech_overrides", ()),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(_Payload):
     """One measured stride of the sweep (mirrors ``StrideSweepPoint``)."""
 
     stride: int
@@ -503,25 +465,9 @@ class SweepPoint:
     cycles_zp: int
     speedup: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepPoint":
-        payload = _require_mapping(payload, "sweep_point")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "sweep_point", names, frozenset())
-        return cls(
-            stride=int(payload["stride"]),
-            modes=int(payload["modes"]),
-            cycles_red=int(payload["cycles_red"]),
-            cycles_zp=int(payload["cycles_zp"]),
-            speedup=float(payload["speedup"]),
-        )
-
 
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(_Payload):
     """A failure, as it travels on the wire.
 
     The error envelope the serving plane round-trips: enough to
@@ -534,11 +480,12 @@ class ErrorInfo:
     partial results (:attr:`SweepResult.failures`).
     """
 
+    kind: ClassVar[str] = "error_info"
     error_type: str
     message: str
     retryable: bool = False
     source: str = ""
-    retry_after_s: float | None = None
+    retry_after_s: float | None = field(default=None, metadata={"since": 2, "omit_default": True})
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -599,42 +546,9 @@ class ErrorInfo:
             retry_after_s=retry_after_s,
         )
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": "error_info",
-            "schema_version": self.schema_version,
-            "error_type": self.error_type,
-            "message": self.message,
-            "retryable": self.retryable,
-            "source": self.source,
-        }
-        if self.retry_after_s is not None:
-            payload["retry_after_s"] = self.retry_after_s
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload) -> "ErrorInfo":
-        payload = _require_mapping(payload, "error_info")
-        _check_kind(payload, "error_info")
-        _check_version(payload, "error_info")
-        _check_keys(
-            payload,
-            "error_info",
-            frozenset({"schema_version", "error_type", "message"}),
-            frozenset({"kind", "retryable", "source", "retry_after_s"}),
-        )
-        return cls(
-            error_type=payload["error_type"],
-            message=payload["message"],
-            retryable=bool(payload.get("retryable", False)),
-            source=str(payload.get("source", "")),
-            retry_after_s=payload.get("retry_after_s"),
-            schema_version=payload["schema_version"],
-        )
-
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Payload):
     """The measured stride-speedup curve, possibly partial.
 
     Attributes:
@@ -648,9 +562,10 @@ class SweepResult:
             for those named in each failure's ``source``.
     """
 
+    kind: ClassVar[str] = "sweep_result"
     points: tuple[SweepPoint, ...]
     fitted_exponent: float | None = None
-    failures: tuple[ErrorInfo, ...] = ()
+    failures: tuple[ErrorInfo, ...] = field(default=(), metadata={"omit_default": True})
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -664,44 +579,12 @@ class SweepResult:
                 )
         object.__setattr__(self, "failures", failures)
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": "sweep_result",
-            "schema_version": self.schema_version,
-            "points": [p.to_dict() for p in self.points],
-            "fitted_exponent": self.fitted_exponent,
-        }
-        if self.failures:
-            payload["failures"] = [f.to_dict() for f in self.failures]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepResult":
-        payload = _require_mapping(payload, "sweep_result")
-        _check_kind(payload, "sweep_result")
-        _check_version(payload, "sweep_result")
-        _check_keys(
-            payload,
-            "sweep_result",
-            frozenset({"schema_version", "points"}),
-            frozenset({"kind", "fitted_exponent", "failures"}),
-        )
-        exponent = payload.get("fitted_exponent")
-        return cls(
-            points=tuple(SweepPoint.from_dict(p) for p in payload["points"]),
-            fitted_exponent=None if exponent is None else float(exponent),
-            failures=tuple(
-                ErrorInfo.from_dict(f) for f in payload.get("failures", ())
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Whole-network evaluation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class NetworkRequest:
+class NetworkRequest(_TechRequest):
     """Evaluate every deconv layer of a named workload network.
 
     Attributes:
@@ -714,6 +597,7 @@ class NetworkRequest:
         seed: RNG seed for the synthesized network weights.
     """
 
+    kind: ClassVar[str] = "network_request"
     network: str
     designs: tuple[str, ...] = ()
     batch: int = 16
@@ -738,53 +622,9 @@ class NetworkRequest:
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "network_request",
-            "schema_version": self.schema_version,
-            "network": self.network,
-            "designs": list(self.designs),
-            "batch": self.batch,
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "seed": self.seed,
-            "tech_overrides": dict(self.tech_overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkRequest":
-        payload = _require_mapping(payload, "network_request")
-        _check_kind(payload, "network_request")
-        _check_version(payload, "network_request")
-        _check_keys(
-            payload,
-            "network_request",
-            frozenset({"schema_version", "network"}),
-            frozenset(
-                {"kind", "designs", "batch", "input_height", "input_width", "seed",
-                 "tech_overrides"}
-            ),
-        )
-        kwargs = {
-            name: payload[name]
-            for name in ("batch", "input_height", "input_width", "seed")
-            if name in payload
-        }
-        return cls(
-            network=str(payload["network"]),
-            designs=tuple(payload.get("designs", ())),
-            tech_overrides=payload.get("tech_overrides", ()),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class NetworkDesignSummary:
+class NetworkDesignSummary(_Payload):
     """End-to-end roll-up of one design over a whole network.
 
     Attributes:
@@ -808,23 +648,9 @@ class NetworkDesignSummary:
     throughput_per_s: float
     chip_area_m2: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkDesignSummary":
-        payload = _require_mapping(payload, "network_design_summary")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "network_design_summary", names, frozenset())
-        values = {name: payload[name] for name in names}
-        values["design"] = str(values["design"])
-        for name in names - {"design"}:
-            values[name] = float(values[name])
-        return cls(**values)
-
 
 @dataclass(frozen=True)
-class NetworkResult:
+class NetworkResult(_Payload):
     """Whole-network evaluation: per-layer metrics plus design roll-ups.
 
     Attributes:
@@ -836,6 +662,7 @@ class NetworkResult:
         summaries: one :class:`NetworkDesignSummary` per design.
     """
 
+    kind: ClassVar[str] = "network_result"
     network: str
     batch: int
     layers: tuple[str, ...]
@@ -856,52 +683,12 @@ class NetworkResult:
                 return summary
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "network_result",
-            "schema_version": self.schema_version,
-            "network": self.network,
-            "batch": self.batch,
-            "layers": list(self.layers),
-            "designs": list(self.designs),
-            "layer_results": [r.to_dict() for r in self.layer_results],
-            "summaries": [s.to_dict() for s in self.summaries],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkResult":
-        payload = _require_mapping(payload, "network_result")
-        _check_kind(payload, "network_result")
-        _check_version(payload, "network_result")
-        _check_keys(
-            payload,
-            "network_result",
-            frozenset(
-                {"schema_version", "network", "batch", "layers", "designs",
-                 "layer_results", "summaries"}
-            ),
-            frozenset({"kind"}),
-        )
-        return cls(
-            network=str(payload["network"]),
-            batch=int(payload["batch"]),
-            layers=tuple(str(n) for n in payload["layers"]),
-            designs=tuple(str(n) for n in payload["designs"]),
-            layer_results=tuple(
-                EvaluationResult.from_dict(r) for r in payload["layer_results"]
-            ),
-            summaries=tuple(
-                NetworkDesignSummary.from_dict(s) for s in payload["summaries"]
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Device-fidelity frontier: accuracy vs energy vs drift, per design
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FidelityRequest:
+class FidelityRequest(_TechRequest):
     """Monte-Carlo device-fidelity sweep over one layer.
 
     Exactly one of ``layer`` or ``spec`` must be given (same contract as
@@ -928,6 +715,7 @@ class FidelityRequest:
         layer_name: label carried into the results.
     """
 
+    kind: ClassVar[str] = "fidelity_request"
     layer: str | None = None
     spec: DeconvSpec | None = None
     designs: tuple[str, ...] = ()
@@ -989,72 +777,9 @@ class FidelityRequest:
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fidelity_request",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "spec": None if self.spec is None else spec_to_dict(self.spec),
-            "designs": list(self.designs),
-            "seeds": list(self.seeds),
-            "times": list(self.times),
-            "nu": self.nu,
-            "programming_sigma": self.programming_sigma,
-            "read_noise_sigma": self.read_noise_sigma,
-            "stuck_at_rate": self.stuck_at_rate,
-            "adc_bits": self.adc_bits,
-            "max_rows": self.max_rows,
-            "max_cols": self.max_cols,
-            "tech_overrides": dict(self.tech_overrides),
-            "layer_name": self.layer_name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityRequest":
-        payload = _require_mapping(payload, "fidelity_request")
-        _check_kind(payload, "fidelity_request")
-        _check_version(payload, "fidelity_request")
-        _check_keys(
-            payload,
-            "fidelity_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "layer", "spec", "designs", "seeds", "times", "nu",
-                 "programming_sigma", "read_noise_sigma", "stuck_at_rate",
-                 "adc_bits", "max_rows", "max_cols", "tech_overrides",
-                 "layer_name"}
-            ),
-        )
-        spec = payload.get("spec")
-        kwargs = {
-            name: payload[name]
-            for name in (
-                "nu", "programming_sigma", "read_noise_sigma", "stuck_at_rate",
-                "adc_bits", "max_rows", "max_cols",
-            )
-            if name in payload
-        }
-        if "seeds" in payload:
-            kwargs["seeds"] = tuple(payload["seeds"])
-        if "times" in payload:
-            kwargs["times"] = tuple(payload["times"])
-        return cls(
-            layer=payload.get("layer"),
-            spec=None if spec is None else spec_from_dict(spec),
-            designs=tuple(payload.get("designs", ())),
-            tech_overrides=payload.get("tech_overrides", ()),
-            layer_name=str(payload.get("layer_name", "")),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class FidelityPoint:
+class FidelityPoint(_Payload):
     """One Monte-Carlo sample of the frontier (mirrors
     :class:`~repro.eval.parallel.FidelityStats`, labels dropped)."""
 
@@ -1066,27 +791,9 @@ class FidelityPoint:
     max_abs_error: float
     stuck_fraction: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityPoint":
-        payload = _require_mapping(payload, "fidelity_point")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "fidelity_point", names, frozenset())
-        return cls(
-            design=str(payload["design"]),
-            seed=int(payload["seed"]),
-            time_s=float(payload["time_s"]),
-            rms_error=float(payload["rms_error"]),
-            mean_abs_error=float(payload["mean_abs_error"]),
-            max_abs_error=float(payload["max_abs_error"]),
-            stuck_fraction=float(payload["stuck_fraction"]),
-        )
-
 
 @dataclass(frozen=True)
-class FidelityResult:
+class FidelityResult(_Payload):
     """The accuracy-vs-energy-vs-drift frontier for one layer.
 
     Attributes:
@@ -1098,6 +805,7 @@ class FidelityResult:
             request's ``seeds x times`` order.
     """
 
+    kind: ClassVar[str] = "fidelity_result"
     layer: str
     designs: tuple[str, ...]
     energy_j: tuple[float, ...]
@@ -1127,41 +835,12 @@ class FidelityResult:
                 return energy
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fidelity_result",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "designs": list(self.designs),
-            "energy_j": list(self.energy_j),
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityResult":
-        payload = _require_mapping(payload, "fidelity_result")
-        _check_kind(payload, "fidelity_result")
-        _check_version(payload, "fidelity_result")
-        _check_keys(
-            payload,
-            "fidelity_result",
-            frozenset({"schema_version", "layer", "designs", "energy_j", "points"}),
-            frozenset({"kind"}),
-        )
-        return cls(
-            layer=str(payload["layer"]),
-            designs=tuple(str(d) for d in payload["designs"]),
-            energy_j=tuple(float(e) for e in payload["energy_j"]),
-            points=tuple(FidelityPoint.from_dict(p) for p in payload["points"]),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Generic CLI envelope
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CommandPayload:
+class CommandPayload(_Payload):
     """Envelope for CLI subcommands without a dedicated result type.
 
     ``data`` must be a JSON-native tree (the CLI builds it that way);
@@ -1170,6 +849,7 @@ class CommandPayload:
     payload is lossless versus the non-``--json`` output.
     """
 
+    kind: ClassVar[str] = "command_result"
     command: str
     data: object = None
     results: tuple[EvaluationResult, ...] = ()
@@ -1182,51 +862,15 @@ class CommandPayload:
             raise SchemaError(f"command must be a non-empty string, got {self.command!r}")
         object.__setattr__(self, "results", tuple(self.results))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "command_result",
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "data": self.data,
-            "results": [r.to_dict() for r in self.results],
-            "text": self.text,
-        }
 
-    @classmethod
-    def from_dict(cls, payload) -> "CommandPayload":
-        payload = _require_mapping(payload, "command_result")
-        _check_kind(payload, "command_result")
-        _check_version(payload, "command_result")
-        _check_keys(
-            payload,
-            "command_result",
-            frozenset({"schema_version", "command"}),
-            frozenset({"kind", "data", "results", "text"}),
-        )
-        return cls(
-            command=str(payload["command"]),
-            data=payload.get("data"),
-            results=tuple(
-                EvaluationResult.from_dict(r) for r in payload.get("results", ())
-            ),
-            text=str(payload.get("text", "")),
-            schema_version=payload["schema_version"],
-        )
-
-
-#: ``kind`` discriminator -> payload class, for :func:`payload_from_dict`.
-PAYLOAD_KINDS: dict[str, type] = {
-    "evaluation_request": EvaluationRequest,
-    "evaluation_result": EvaluationResult,
-    "sweep_request": SweepRequest,
-    "sweep_result": SweepResult,
-    "network_request": NetworkRequest,
-    "network_result": NetworkResult,
-    "fidelity_request": FidelityRequest,
-    "fidelity_result": FidelityResult,
-    "command_result": CommandPayload,
-    "error_info": ErrorInfo,
-}
+def _payload_class(payload) -> type:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"api payload must be a mapping, got {type(payload).__name__}")
+    kind = payload.get("kind")
+    cls = PAYLOAD_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"unknown payload kind {kind!r}; expected one of {sorted(PAYLOAD_KINDS)}")
+    return cls
 
 
 def payload_from_dict(payload):
@@ -1235,43 +879,20 @@ def payload_from_dict(payload):
     Dispatches on the embedded ``"kind"`` discriminator; unknown or
     missing kinds raise :class:`~repro.errors.SchemaError`.
     """
-    payload = _require_mapping(payload, "api")
-    kind = payload.get("kind")
-    cls = PAYLOAD_KINDS.get(kind)
-    if cls is None:
-        raise SchemaError(
-            f"unknown payload kind {kind!r}; expected one of {sorted(PAYLOAD_KINDS)}"
-        )
-    return cls.from_dict(payload)
-
-
-def _downgrade_tree(node, version: int):
-    if isinstance(node, dict):
-        rewritten = {}
-        for key, value in node.items():
-            if version < 2 and key == "retry_after_s":
-                continue
-            rewritten[key] = _downgrade_tree(value, version)
-        if "schema_version" in rewritten:
-            rewritten["schema_version"] = version
-        return rewritten
-    if isinstance(node, list):
-        return [_downgrade_tree(item, version) for item in node]
-    return node
+    return _payload_class(payload).from_dict(payload)
 
 
 def downgrade_payload(wire, version: int) -> dict:
     """Rewrite a ``to_dict`` tree for an older-generation client.
 
     The serving front door answers a client at the schema version the
-    client spoke: this recursively stamps ``schema_version=version`` on
-    every nested payload mapping and drops keys that generation cannot
-    parse (``retry_after_s`` below version 2), so a strict v1
-    ``from_dict`` accepts the result.  The input tree is not mutated.
+    client spoke: every payload mapping in the tree gets that
+    ``schema_version`` and loses the fields newer than it (``since``
+    metadata), so a strict older ``from_dict`` accepts the result.
+    ``object`` fields (``CommandPayload.data``) are opaque and left
+    alone.  The input tree is not mutated.
     """
     if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise SchemaError(
-            f"cannot downgrade to schema_version {version!r}; supported "
-            f"versions are {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
-        )
-    return _downgrade_tree(_require_mapping(wire, "api"), version)
+        supported = sorted(SUPPORTED_SCHEMA_VERSIONS)
+        raise SchemaError(f"cannot downgrade to schema_version {version!r}; supported: {supported}")
+    return _plan(_payload_class(wire)).downgrade(wire, version)

@@ -419,7 +419,15 @@ class ServingServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise SchemaError(
+                f"Content-Length must be a non-negative integer, got {raw_length!r}"
+            )
         if length > _MAX_BODY_BYTES:
             raise SchemaError(f"request body of {length} bytes exceeds the cap")
         body = await reader.readexactly(length) if length else b""
@@ -520,13 +528,11 @@ class ServingServer:
             failpoints.inject(ACCEPT_SITE, zlib.crc32(body), attempt)
             try:
                 wire = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 raise SchemaError(f"request body is not valid JSON: {exc}") from exc
-            if (
-                isinstance(wire, dict)
-                and wire.get("schema_version") in SUPPORTED_SCHEMA_VERSIONS
-            ):
-                client_version = wire["schema_version"]
+            version = wire.get("schema_version") if isinstance(wire, dict) else None
+            if type(version) is int and version in SUPPORTED_SCHEMA_VERSIONS:
+                client_version = version
             request = payload_from_dict(wire)
             self.runner.set_attempt(attempt)
             handler = self.service._handler_for(request)

@@ -1,6 +1,7 @@
 """Per-rule fixtures: a violating tree, a clean tree, a suppressed tree."""
 
 import textwrap
+from pathlib import Path
 
 from repro.analysis.engine import run_analysis
 
@@ -113,21 +114,21 @@ class TestSeedingRule:
 class TestSchemaRule:
     CLEAN = """\
     from dataclasses import dataclass
+    from typing import ClassVar
 
     SCHEMA_VERSION = 1
 
+    class Payload:
+        kind: ClassVar[str | None] = None
+
     @dataclass(frozen=True)
-    class Request:
+    class Request(Payload):
+        kind: ClassVar[str] = "request"
         schema_version: int = SCHEMA_VERSION
 
-        def to_dict(self):
-            return {"kind": "request", "schema_version": self.schema_version}
-
     @dataclass(frozen=True)
-    class Row:
+    class Row(Payload):
         value: float = 0.0
-
-    PAYLOAD_KINDS = {"request": Request}
     """
 
     def test_clean_schema_module(self, tmp_path):
@@ -144,16 +145,32 @@ class TestSchemaRule:
 
     def test_kind_without_schema_version_flagged(self, tmp_path):
         source = self.CLEAN.replace("schema_version: int = SCHEMA_VERSION", "other: int = 0")
-        source = source.replace('"schema_version": self.schema_version', '"other": self.other')
         report = run_on(tmp_path, {"src/repro/api/schema.py": source})
         assert rules_hit(report) == {"RED002"}
         assert "schema_version" in report.findings[0].message
 
-    def test_kind_missing_from_dispatch_table_flagged(self, tmp_path):
-        source = self.CLEAN.replace('PAYLOAD_KINDS = {"request": Request}', "PAYLOAD_KINDS = {}")
+    def test_plain_kind_assignment_counts_as_a_wire_payload(self, tmp_path):
+        source = self.CLEAN.replace('kind: ClassVar[str] = "request"', 'kind = "request"')
+        source = source.replace("schema_version: int = SCHEMA_VERSION", "other: int = 0")
         report = run_on(tmp_path, {"src/repro/api/schema.py": source})
         assert rules_hit(report) == {"RED002"}
-        assert "PAYLOAD_KINDS" in report.findings[0].message
+
+    def test_rule_checks_every_kind_of_the_real_schema(self, tmp_path):
+        # Not vacuous on the real module: strip the version field from
+        # every payload and each of the ten registered kinds is flagged.
+        from repro.api.schema import PAYLOAD_KINDS
+
+        real = Path(__file__).resolve().parents[2] / "src/repro/api/schema.py"
+        source = real.read_text().replace(
+            "    schema_version: int = SCHEMA_VERSION\n", "    other: int = 0\n"
+        )
+        path = tmp_path / "src/repro/api/schema.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(source)
+        report = run_analysis([tmp_path / "src"])
+        assert rules_hit(report) == {"RED002"}
+        flagged = {f.message.split()[1] for f in report.findings}
+        assert flagged == {cls.__name__ for cls in PAYLOAD_KINDS.values()}
 
     def test_rule_only_covers_schema_module(self, tmp_path):
         report = run_on(

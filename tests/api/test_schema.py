@@ -617,3 +617,124 @@ class TestSchemaV2:
 
         with pytest.raises(SchemaError):
             downgrade_payload(SweepRequest(strides=(2,)).to_dict(), 0)
+
+
+def _wire_with(payload, path, value):
+    """``payload.to_dict()`` with the value at ``path`` (keys and indices) replaced."""
+    wire = json.loads(json.dumps(payload.to_dict()))
+    node = wire
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return wire
+
+
+_METRICS = DesignMetrics(
+    "RED", "L", LatencyBreakdown(wordline=1.0), EnergyBreakdown(bitline=2.0),
+    AreaBreakdown(mux=3.0), cycles=4,
+)
+_EVAL_REQUEST = EvaluationRequest(layer="GAN_Deconv1")
+_ERROR = ErrorInfo(error_type="OSError", message="x")
+_FIDELITY_REQUEST = FidelityRequest(layer="GAN_Deconv1")
+
+#: (payload, path to the bad value, bad value, the field path the error names).
+#: The first ten raised TypeError/ValueError in the hand-written decoders;
+#: the last six were coerced or passed through.
+MALFORMED = [
+    (_EVAL_REQUEST, ("designs",), 5, "evaluation_request.designs"),
+    (_EVAL_REQUEST, ("designs",), "RED", "evaluation_request.designs"),
+    (SweepRequest(), ("strides",), 5, "sweep_request.strides"),
+    (_FIDELITY_REQUEST, ("seeds",), 5, "fidelity_request.seeds"),
+    (SweepResult(points=()), ("points",), 5, "sweep_result.points"),
+    (
+        SweepResult(points=(SweepPoint(2, 4, 10, 40, 4.0),)),
+        ("points", 0, "stride"), "x", "sweep_result.points[0].stride",
+    ),
+    (
+        EvaluationResult(layer="L", designs=("RED",), metrics=(_METRICS,)),
+        ("metrics", 0, "cycles"), "x", "evaluation_result.metrics[0].cycles",
+    ),
+    (
+        FidelityResult(layer="L", designs=("RED",), energy_j=(1.0,), points=()),
+        ("energy_j",), ["x"], "fidelity_result.energy_j[0]",
+    ),
+    (
+        NetworkResult(network="DCGAN", batch=1, layers=(), designs=(),
+                      layer_results=(), summaries=()),
+        ("batch",), "x", "network_result.batch",
+    ),
+    (CommandPayload(command="report"), ("results",), 5, "command_result.results"),
+    (_ERROR, ("retryable",), 1, "error_info.retryable"),
+    (_EVAL_REQUEST, ("trace",), 1, "evaluation_request.trace"),
+    (_ERROR, ("source",), 5, "error_info.source"),
+    (_EVAL_REQUEST, ("layer",), 5, "evaluation_request.layer"),
+    (NetworkRequest(network="SNGAN"), ("network",), 5, "network_request.network"),
+    (_FIDELITY_REQUEST, ("times",), [True], "fidelity_request.times[0]"),
+]
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        ("payload", "path", "value", "where"),
+        MALFORMED,
+        ids=[f"{where}={value!r}" for _, _, value, where in MALFORMED],
+    )
+    def test_schema_error_names_the_field(self, payload, path, value, where):
+        wire = _wire_with(payload, path, value)
+        with pytest.raises(SchemaError) as caught:
+            payload_from_dict(wire)
+        assert str(caught.value).startswith(f"{where}: ")
+
+    def test_constructor_errors_are_wrapped_with_the_path(self):
+        wire = EvaluationRequest(spec=DeconvSpec(4, 4, 2, 3, 3, 2, stride=2, padding=1)).to_dict()
+        wire["spec"]["padding"] = 3
+        with pytest.raises(SchemaError, match=r"^evaluation_request\.spec: padding 3") as caught:
+            payload_from_dict(wire)
+        assert isinstance(caught.value.__cause__, ShapeError)
+
+    def test_unhashable_kind_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="unknown payload kind"):
+            payload_from_dict({"kind": [], "schema_version": SCHEMA_VERSION})
+
+    def test_float_fields_store_floats(self):
+        wire = FidelityRequest(layer="GAN_Deconv1").to_dict()
+        wire["nu"] = 1
+        assert type(payload_from_dict(wire).nu) is float
+
+
+class TestDowngradeOpaqueData:
+    def test_command_data_is_left_alone(self):
+        from repro.api.schema import downgrade_payload
+
+        data = {"retry_after_s": 0.5, "schema_version": 7, "rows": [{"schema_version": 2}]}
+        cmd = CommandPayload(
+            command="serve",
+            data=data,
+            results=(EvaluationResult(layer="L", designs=("RED",), metrics=(_METRICS,)),),
+        )
+        wire = downgrade_payload(cmd.to_dict(), 1)
+        assert wire["data"] == data
+        assert wire["schema_version"] == 1
+        assert wire["results"][0]["schema_version"] == 1
+        assert payload_from_dict(wire).data == data
+
+
+def test_duplicate_kind_is_refused():
+    from repro.api.schema import PAYLOAD_KINDS
+
+    before = dict(PAYLOAD_KINDS)
+    with pytest.raises(TypeError, match="sweep_request"):
+        class Clash(SweepPoint):
+            kind = "sweep_request"
+    assert PAYLOAD_KINDS == before
+
+
+def test_pair_fields_decode_sorted():
+    # JSON objects carry no order the tuple-of-pairs form may depend on.
+    stats = CycleStats("RED", "L", 1, 8, (("a", 1), ("b", 2)))
+    result = EvaluationResult(
+        layer="L", designs=("RED",), metrics=(_METRICS,), cycle_stats=(stats,)
+    )
+    wire = result.to_dict()
+    wire["cycle_stats"][0]["counters"] = {"b": 2, "a": 1}
+    assert payload_from_dict(wire) == result

@@ -90,13 +90,35 @@ class TestWireProtocol:
         assert body["kind"] == "error_info"
         assert not body["retryable"]
 
-    def test_malformed_json_is_a_400_envelope(self, plane):
+    @pytest.mark.parametrize(
+        ("request_body", "headers"),
+        [
+            ("{not json", {"Content-Type": "application/json"}),
+            (
+                json.dumps({"kind": "evaluation_request", "schema_version": SCHEMA_VERSION,
+                            "layer": "GAN_Deconv1", "designs": 5}),
+                {"Content-Type": "application/json"},
+            ),
+            (
+                json.dumps({"kind": "sweep_request", "schema_version": [SCHEMA_VERSION]}),
+                {"Content-Type": "application/json"},
+            ),
+            ("[" * 100_000, {"Content-Type": "application/json"}),
+            ("", {"Content-Length": "abc"}),
+            ("", {"Content-Length": "-5"}),
+        ],
+        ids=[
+            "not-json", "designs-not-a-list", "unhashable-schema-version",
+            "nested-too-deep", "content-length-abc", "content-length-negative",
+        ],
+    )
+    def test_malformed_json_is_a_400_envelope(self, plane, request_body, headers):
         with plane.client() as client:
             status, body = client._exchange(
-                "POST", "/v1/payload", body="{not json",
-                headers={"Content-Type": "application/json"},
+                "POST", "/v1/payload", body=request_body, headers=headers
             )
         assert status == 400
+        assert body["kind"] == "error_info"
         assert body["error_type"] == "SchemaError"
 
     def test_bad_deadline_header_is_a_400_envelope(self, plane):
