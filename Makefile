@@ -67,16 +67,19 @@ bench:
 
 # Repo-benchmark smoke (perfbench/README.md): each workload for 2 s
 # with its answer checks, including served answers byte-identical to
-# the in-process ones.  Fails unless every result line (the last line
-# of a run) reports correct: true and failed: 0.
+# the in-process ones, then one traced interactive run, which fails if
+# a boundary the per-layer tracer wraps was renamed or removed.  Fails
+# unless every result line (the last line of a run) reports
+# correct: true and failed: 0.
 perf-smoke:
-	@for workload in interactive served bulk; do \
-		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 0 \
+	@for run in "interactive 0" "served 0" "bulk 0" "interactive 1"; do \
+		set -- $$run; \
+		python3 perfbench/run.py --workload $$1 --seed 1 --seconds 2 --trace $$2 \
 		| python3 -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
 			print(*lines, sep="\n"); result = json.loads(lines[-1]); \
 			ok = result["correct"] is True and result["failed"] == 0; \
 			sys.exit(0 if ok else f"perf-smoke: {sys.argv[1]} is not correct with 0 failed")' \
-			$$workload || exit 1; \
+			"$$1 --trace $$2" || exit 1; \
 	done
 
 verify: lint test chaos bench-smoke perf-smoke

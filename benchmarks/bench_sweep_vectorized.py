@@ -7,8 +7,8 @@ ablation grid, stride sweep and network mapping hammers:
 1. **Scalar sequential** (``vectorized=False``): the seed-era oracle
    path, one design object + scalar Eq. 3/4 walk per job.
 2. **Vectorized plane** (``vectorized=True``, the default): one
-   struct-of-arrays batch per (design, tech) group
-   (:mod:`repro.eval.vectorized`), evaluated in-process.
+   struct-of-arrays batch per technology, every design's jobs packed
+   and evaluated together (:mod:`repro.eval.vectorized`), in-process.
 
 The grid mirrors the paper's stride sweep (FCN rule ``K = 2s``,
 ``p = s/2``) across all registered designs, input sizes, channel/filter

@@ -67,12 +67,22 @@ class DesignEntry:
         baseline: the design every paper figure normalizes against.
         description: one-line summary for introspection output.
         perf_batch: optional vectorized perf-input hook, called as
-            ``perf_batch(specs, folds, tech, layer_names)`` and
+            ``perf_batch(arrays, folds, tech, layer_names)`` and
             returning a :class:`~repro.arch.metrics_batch.PerfInputBatch`
-            covering every job closed-form (no per-job design objects).
-            Designs with a hook are evaluated through the vectorized
-            analytic plane (:mod:`repro.eval.vectorized`); designs
-            without one fall back to the scalar per-job path.
+            with one row per row of ``arrays``, derived closed-form (no
+            per-job design objects).  ``arrays`` is a
+            :class:`~repro.deconv.shapes.SpecArrays` row slice of the
+            pack the vectorized plane (:mod:`repro.eval.vectorized`)
+            builds once per technology: its derived counts (output
+            sizes, taps, ``useful_macs``) are shared with the other
+            designs' slices, so read them instead of recomputing them.
+            ``folds`` (``'auto'`` or ints, ``None`` already mapped to
+            ``'auto'``) and ``layer_names`` are per-row lists.  The
+            plane joins every design's batch with
+            :meth:`~repro.arch.metrics_batch.PerfInputBatch.concat` and
+            evaluates them in one call, so a hook must keep the dtypes
+            :class:`~repro.arch.metrics_batch.PerfInputBatch` documents.
+            Designs without a hook fall back to the scalar per-job path.
         fidelity_profile: optional Monte-Carlo fidelity hook, called as
             ``fidelity_profile(spec, tech, adc_bits=..., max_rows=...,
             max_cols=...)`` and returning the
@@ -229,22 +239,22 @@ def build_design(name: str, spec, tech=None, fold=None):
 # and batch hooks import their classes lazily so this module stays a
 # leaf.
 # ----------------------------------------------------------------------
-def _zero_padding_perf_batch(specs, folds=None, tech=None, layer_names=None):
+def _zero_padding_perf_batch(arrays, folds=None, tech=None, layer_names=None):
     from repro.designs.zero_padding_design import ZeroPaddingDesign
 
-    return ZeroPaddingDesign.perf_input_batch(specs, folds, tech, layer_names)
+    return ZeroPaddingDesign.perf_input_batch(arrays, folds, tech, layer_names)
 
 
-def _padding_free_perf_batch(specs, folds=None, tech=None, layer_names=None):
+def _padding_free_perf_batch(arrays, folds=None, tech=None, layer_names=None):
     from repro.designs.padding_free_design import PaddingFreeDesign
 
-    return PaddingFreeDesign.perf_input_batch(specs, folds, tech, layer_names)
+    return PaddingFreeDesign.perf_input_batch(arrays, folds, tech, layer_names)
 
 
-def _red_perf_batch(specs, folds, tech=None, layer_names=None):
+def _red_perf_batch(arrays, folds, tech=None, layer_names=None):
     from repro.core.red_design import REDDesign
 
-    return REDDesign.perf_input_batch(specs, folds, tech, layer_names)
+    return REDDesign.perf_input_batch(arrays, folds, tech, layer_names)
 
 
 def _derived_fidelity_hook(name):

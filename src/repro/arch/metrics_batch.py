@@ -8,13 +8,18 @@ module is the struct-of-arrays twin of the scalar evaluator:
 
 * :class:`PerfInputBatch` packs every :class:`DesignPerfInput` field
   (including per-bank decoder geometry) into flat NumPy arrays, one
-  entry per job;
+  entry per job; :meth:`PerfInputBatch.concat` joins the batches of
+  several design families end to end;
 * :func:`latency_breakdown_batch` / :func:`energy_breakdown_batch` /
   :func:`area_breakdown_batch` evaluate Eq. 3 / Eq. 4 / the Fig. 9
   accounting as vectorized formulas over those arrays for one shared
   :class:`~repro.arch.tech.TechnologyParams`;
 * :func:`evaluate_perf_batch` assembles the per-job
   :class:`~repro.arch.breakdown.DesignMetrics`.
+
+Every formula is elementwise over jobs, so a job's result does not
+depend on which other jobs share its batch: :mod:`repro.eval.vectorized`
+evaluates all designs of one technology in a single call.
 
 Bit-identity contract
 ---------------------
@@ -54,14 +59,27 @@ from repro.errors import ParameterError
 def _exact_log2(values: np.ndarray) -> np.ndarray:
     """``math.log2`` applied elementwise, bit-identical to the scalar path.
 
-    The inputs at both call sites (decoder row counts, broadcast
-    fan-outs) are small integers with few distinct values, so mapping
-    unique values through the very same libm call the scalar evaluator
-    makes is both exact and cheap.
+    Maps the very libm call the scalar evaluator makes over the Python
+    ints of ``values.tolist()``, so every entry is exact by
+    construction.  Small requests pass a handful of rows, where
+    deduplicating first (``np.unique``, then one call per distinct
+    value) costs ~10x the plain map (15 vs 1.5 us at 5 rows on a
+    2-vCPU host).  On large batches with few distinct values
+    ``np.unique`` wins back a little (about 0.4 vs 1.0 ms over the
+    9,888-job grid, under 1% of that call), which does not pay for a
+    second code path.
     """
-    unique, inverse = np.unique(values, return_inverse=True)
-    table = np.array([math.log2(int(v)) for v in unique], dtype=np.float64)
-    return table[inverse]
+    return np.fromiter(map(math.log2, values.tolist()), np.float64, len(values))
+
+
+#: The per-job 1-D array fields of :class:`PerfInputBatch`.
+_JOB_COLUMNS = (
+    "cycles", "wordline_cols", "bitline_rows", "rows_selected_per_cycle",
+    "conv_values_per_cycle", "live_row_cycles_total", "useful_macs",
+    "total_cells_logical", "broadcast_instances", "sa_extra_ops_per_value",
+    "crop_values_total", "col_periphery_sets", "col_set_width",
+    "row_bank_instances", "has_crop_unit", "overlap_adder_cols",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +122,7 @@ class PerfInputBatch:
             raise ParameterError(
                 f"{jobs} designs but {len(self.layers)} layer labels"
             )
-        for name in (
-            "cycles", "wordline_cols", "bitline_rows", "rows_selected_per_cycle",
-            "conv_values_per_cycle", "live_row_cycles_total", "useful_macs",
-            "total_cells_logical", "broadcast_instances", "sa_extra_ops_per_value",
-            "crop_values_total", "col_periphery_sets", "col_set_width",
-            "row_bank_instances", "has_crop_unit", "overlap_adder_cols",
-        ):
+        for name in _JOB_COLUMNS:
             array = getattr(self, name)
             if array.shape != (jobs,):
                 raise ParameterError(
@@ -169,6 +181,39 @@ class PerfInputBatch:
             row_bank_instances=column("row_bank_instances", np.int64),
             has_crop_unit=column("has_crop_unit", bool),
             overlap_adder_cols=column("overlap_adder_cols", np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["PerfInputBatch"]) -> "PerfInputBatch":
+        """Join batches end to end, jobs in ``parts`` order.
+
+        Decoder banks widen to the widest part; the extra slots are
+        ``rows=0, count=0`` padding, which contributes nothing (see the
+        class docstring), so every job evaluates exactly as it would in
+        its own part.  A single part is returned as-is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        jobs = sum(len(part) for part in parts)
+        banks = max(part.decoder_rows.shape[1] for part in parts)
+        rows = np.zeros((jobs, banks), dtype=np.int64)
+        counts = np.zeros((jobs, banks), dtype=np.int64)
+        start = 0
+        for part in parts:
+            stop = start + len(part)
+            width = part.decoder_rows.shape[1]
+            rows[start:stop, :width] = part.decoder_rows
+            counts[start:stop, :width] = part.decoder_counts
+            start = stop
+        return cls(
+            designs=sum((part.designs for part in parts), ()),
+            layers=sum((part.layers for part in parts), ()),
+            decoder_rows=rows,
+            decoder_counts=counts,
+            **{
+                name: np.concatenate([getattr(part, name) for part in parts])
+                for name in _JOB_COLUMNS
+            },
         )
 
 

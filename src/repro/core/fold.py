@@ -78,6 +78,17 @@ def choose_fold(spec, max_sub_crossbars: int = 128) -> int:
     return fold
 
 
+def _explicit_fold(fold) -> int:
+    """``fold`` if it is an int >= 1, else :class:`ParameterError`.
+
+    ``bool`` is an ``int`` subclass but not a fold: accepting ``True``
+    as fold 1 would file one result under two store keys.
+    """
+    if isinstance(fold, int) and not isinstance(fold, bool) and fold >= 1:
+        return fold
+    raise ParameterError(f"fold must be 'auto' or an int >= 1, got {fold!r}")
+
+
 def resolve_fold(spec, fold: int | str, max_sub_crossbars: int = 128) -> int:
     """The single ``'auto'``/int fold-resolution rule.
 
@@ -86,9 +97,7 @@ def resolve_fold(spec, fold: int | str, max_sub_crossbars: int = 128) -> int:
     """
     if fold == "auto":
         return choose_fold(spec, max_sub_crossbars)
-    if isinstance(fold, int) and fold >= 1:
-        return fold
-    raise ParameterError(f"fold must be 'auto' or an int >= 1, got {fold!r}")
+    return _explicit_fold(fold)
 
 
 def choose_fold_batch(num_taps, max_sub_crossbars: int = 128) -> np.ndarray:
@@ -112,9 +121,9 @@ def resolve_fold_batch(num_taps, folds, max_sub_crossbars: int = 128) -> np.ndar
     """Vectorized :func:`resolve_fold` over per-job ``'auto'``/int folds.
 
     ``folds`` is a sequence aligned with ``num_taps``; every entry must
-    be ``'auto'`` or an int >= 1 (the scalar rule), otherwise
-    :class:`~repro.errors.ParameterError` is raised exactly as the
-    scalar path would.
+    be ``'auto'`` or an int >= 1 (the scalar rule, so no bools),
+    otherwise :class:`~repro.errors.ParameterError` is raised exactly as
+    the scalar path would.
     """
     taps = np.asarray(num_taps, dtype=np.int64)
     if taps.shape[0] != len(folds):
@@ -126,10 +135,8 @@ def resolve_fold_batch(num_taps, folds, max_sub_crossbars: int = 128) -> np.ndar
     for index, fold in enumerate(folds):
         if fold == "auto":
             auto[index] = True
-        elif isinstance(fold, int) and fold >= 1:
-            resolved[index] = fold
         else:
-            raise ParameterError(f"fold must be 'auto' or an int >= 1, got {fold!r}")
+            resolved[index] = _explicit_fold(fold)
     if auto.any():
         resolved[auto] = choose_fold_batch(taps[auto], max_sub_crossbars)
     return resolved

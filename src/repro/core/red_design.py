@@ -23,7 +23,7 @@ from repro.arch.tech import TechnologyParams
 from repro.core.dataflow import ZeroSkippingSchedule, red_cycle_count
 from repro.core.fold import FoldedSCT, fold_sct, resolve_fold, resolve_fold_batch
 from repro.core.mapping import build_sct
-from repro.deconv.analysis import useful_mac_count, useful_mac_count_batch
+from repro.deconv.analysis import useful_mac_count
 from repro.deconv.modes import decompose_modes
 from repro.deconv.shapes import DeconvSpec, SpecArrays
 from repro.designs.base import DeconvDesign, FunctionalRun
@@ -258,7 +258,7 @@ class REDDesign(DeconvDesign):
     @classmethod
     def perf_input_batch(
         cls,
-        specs,
+        arrays: SpecArrays,
         folds,
         tech=None,
         layer_names=None,
@@ -266,15 +266,15 @@ class REDDesign(DeconvDesign):
     ) -> PerfInputBatch:
         """Closed-form :meth:`perf_input` for many (layer, fold) jobs.
 
-        ``folds`` is a per-job sequence of ``'auto'`` or ints, resolved
-        through the same Eq. 2 rule as the constructor
+        ``arrays`` packs the jobs' specs; ``folds`` is a per-job
+        sequence of ``'auto'`` or ints, resolved through the same Eq. 2
+        rule as the constructor
         (:func:`~repro.core.fold.resolve_fold_batch`).  The nonempty
         mode count uses the closed form ``min(KH, s) * min(KW, s)``
         (:func:`~repro.deconv.modes.num_nonempty_modes`) instead of the
         full mode decomposition; everything else is the scalar formula
         applied elementwise.  ``tech`` is accepted for hook uniformity.
         """
-        arrays = SpecArrays.from_specs(specs)
         jobs = len(arrays)
         taps = arrays.num_kernel_taps
         fold = resolve_fold_batch(taps, folds, max_sub_crossbars)
@@ -284,7 +284,7 @@ class REDDesign(DeconvDesign):
         nonempty_modes = np.minimum(arrays.kernel_height, arrays.stride) * np.minimum(
             arrays.kernel_width, arrays.stride
         )
-        useful = useful_mac_count_batch(arrays)
+        useful = arrays.useful_macs
         return PerfInputBatch(
             designs=(cls.name,) * jobs,
             layers=tuple(layer_names) if layer_names is not None else ("",) * jobs,

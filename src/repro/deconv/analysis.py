@@ -60,6 +60,17 @@ def useful_mac_count(spec: DeconvSpec) -> int:
     return rows * cols * spec.in_channels * spec.out_channels
 
 
+def _edge_loss(edge: np.ndarray, stride: np.ndarray, in_size: np.ndarray) -> np.ndarray:
+    """``sum(max(0, edge - stride*i) for i in range(in_size))`` per entry.
+
+    An arithmetic series over its ``n = clip(ceil(edge/stride), 0,
+    in_size)`` positive terms: ``n*edge - stride*n*(n-1)/2``.
+    """
+    # ceil(a / s) for positive s, via floor division: -((-a) // s).
+    terms = np.minimum(np.maximum(-((-edge) // stride), 0), in_size)
+    return terms * edge - stride * (terms * (terms - 1) // 2)
+
+
 def _taps_1d_batch(
     in_size: np.ndarray,
     kernel: np.ndarray,
@@ -67,54 +78,45 @@ def _taps_1d_batch(
     padding: np.ndarray,
     output_padding: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized one-dimensional live-tap count, one value per spec.
+    """Vectorized one-dimensional live-tap count, one value per entry.
 
-    For each spec, counts the ``(kk, i)`` pairs with
-    ``0 <= s*i + kk - p < out`` — the same set the scalar
-    :func:`useful_mac_count` enumerates — but closed-form over ``i``:
-    the valid input indices for tap ``kk`` form the integer interval
-    ``[ceil((p - kk)/s), ceil((out + p - kk)/s))`` clipped to
-    ``[0, in_size)``.  The per-tap interval lengths are evaluated for
-    all specs' taps at once (one flat array over ``sum(K_j)`` entries)
-    and segment-summed back per spec.
+    Counts the ``(kk, i)`` pairs with ``0 <= s*i + kk - p < out`` — the
+    same set the scalar :func:`useful_mac_count` enumerates — in closed
+    form.  With ``out = (in_size - 1)*s - 2p + K + op`` and
+    ``j = in_size - 1 - i``, input index ``i`` reaches the taps
+    ``[a_i, K - b_j)``: the left-edge loss is ``a_i = max(0, p - s*i)``
+    and the right-edge loss ``b_j = max(0, (p - op) - s*j)``.  A valid
+    spec keeps ``a_i + b_j < K`` (each loss alone is at most ``p < K``;
+    both together are ``2p - op - s*(in_size - 1) = K - out``), so no
+    interval is empty and the count is ``in_size*K`` minus both losses
+    summed over ``i`` (:func:`_edge_loss`).
     """
-    out = (in_size - 1) * stride - 2 * padding + kernel + output_padding
-    starts = np.cumsum(kernel) - kernel
-    job = np.repeat(np.arange(kernel.shape[0]), kernel)
-    kk = np.arange(int(kernel.sum()), dtype=np.int64) - starts[job]
-    s = stride[job]
-    p = padding[job]
-    # ceil(a / s) for positive s, via floor division: -((-a) // s).
-    lo = np.maximum(0, -((-(p - kk)) // s))
-    hi = np.minimum(in_size[job], -((-(out[job] + p - kk)) // s))
-    counts = np.maximum(hi - lo, 0)
-    return np.add.reduceat(counts, starts)
+    return (
+        in_size * kernel
+        - _edge_loss(padding, stride, in_size)
+        - _edge_loss(padding - output_padding, stride, in_size)
+    )
 
 
 def useful_mac_count_batch(arrays: SpecArrays) -> np.ndarray:
     """Vectorized :func:`useful_mac_count`: one ``int64`` per spec.
 
+    The height and width tap counts come from one
+    :func:`_taps_1d_batch` pass over both dimensions stacked end to end.
     Exact integer arithmetic throughout, so the result is identical to
-    the scalar count (property-tested in
-    ``tests/deconv/test_analysis.py``).
+    the scalar count (property-tested in ``tests/deconv/test_analysis.py``).
+    :attr:`SpecArrays.useful_macs <repro.deconv.shapes.SpecArrays.useful_macs>`
+    caches this per pack.
     """
-    if len(arrays) == 0:
-        return np.empty(0, dtype=np.int64)
-    rows = _taps_1d_batch(
-        arrays.input_height,
-        arrays.kernel_height,
-        arrays.stride,
-        arrays.padding,
-        arrays.output_padding,
+    jobs = len(arrays)
+    taps = _taps_1d_batch(
+        np.concatenate((arrays.input_height, arrays.input_width)),
+        np.concatenate((arrays.kernel_height, arrays.kernel_width)),
+        np.concatenate((arrays.stride, arrays.stride)),
+        np.concatenate((arrays.padding, arrays.padding)),
+        np.concatenate((arrays.output_padding, arrays.output_padding)),
     )
-    cols = _taps_1d_batch(
-        arrays.input_width,
-        arrays.kernel_width,
-        arrays.stride,
-        arrays.padding,
-        arrays.output_padding,
-    )
-    return rows * cols * arrays.in_channels * arrays.out_channels
+    return taps[:jobs] * taps[jobs:] * arrays.in_channels * arrays.out_channels
 
 
 def redundant_mac_fraction(spec: DeconvSpec) -> float:

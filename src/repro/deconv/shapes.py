@@ -17,6 +17,7 @@ at the bottom/right), and then runs a stride-1 valid convolution with the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
 
@@ -240,10 +241,13 @@ class SpecArrays:
     """Struct-of-arrays view of many :class:`DeconvSpec` instances.
 
     Every field is a flat ``int64`` array of length ``len(specs)``; the
-    derived-size properties mirror the scalar spec's properties
-    elementwise.  This is the packing layer the vectorized analytic
-    evaluation plane (:mod:`repro.arch.metrics_batch`) computes over —
-    one array op instead of one Python attribute walk per job.
+    derived counts mirror the scalar spec's properties elementwise and
+    are computed once per instance, on first use.  This is the packing
+    layer the vectorized analytic evaluation plane
+    (:mod:`repro.arch.metrics_batch`) computes over — one array op
+    instead of one Python attribute walk per job.  :meth:`split` cuts
+    one pack into row slices that share its derived counts, so several
+    design families reading the same pack pay for each count once.
     """
 
     input_height: np.ndarray
@@ -268,10 +272,31 @@ class SpecArrays:
     def __len__(self) -> int:
         return self.input_height.shape[0]
 
+    def split(self, stops: Sequence[int]) -> list["SpecArrays"]:
+        """Consecutive row slices ``[0, stops[0]), [stops[0], stops[1]), ...``.
+
+        Every derived count is computed once over the whole pack first;
+        each slice carries views of those arrays instead of recomputing
+        them over its own rows.
+        """
+        for name in _DERIVED_COUNTS:
+            getattr(self, name)
+        columns = self.__dict__
+        slices = []
+        start = 0
+        for stop in stops:
+            part = object.__new__(SpecArrays)
+            part.__dict__.update(
+                {name: array[start:stop] for name, array in columns.items()}
+            )
+            slices.append(part)
+            start = stop
+        return slices
+
     # ------------------------------------------------------------------
-    # Derived sizes (elementwise mirrors of the DeconvSpec properties)
+    # Derived counts (elementwise mirrors of the DeconvSpec properties)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def output_height(self) -> np.ndarray:
         """``OH = (IH - 1) * s - 2p + KH + op`` per spec."""
         return (
@@ -281,7 +306,7 @@ class SpecArrays:
             + self.output_padding
         )
 
-    @property
+    @cached_property
     def output_width(self) -> np.ndarray:
         """``OW = (IW - 1) * s - 2p + KW + op`` per spec."""
         return (
@@ -291,25 +316,48 @@ class SpecArrays:
             + self.output_padding
         )
 
-    @property
+    @cached_property
     def num_input_pixels(self) -> np.ndarray:
         """``IH * IW`` per spec."""
         return self.input_height * self.input_width
 
-    @property
+    @cached_property
     def num_output_pixels(self) -> np.ndarray:
         """``OH * OW`` per spec."""
         return self.output_height * self.output_width
 
-    @property
+    @cached_property
     def num_kernel_taps(self) -> np.ndarray:
         """``KH * KW`` per spec."""
         return self.kernel_height * self.kernel_width
 
-    @property
+    @cached_property
     def num_weights(self) -> np.ndarray:
         """``KH * KW * C * M`` per spec."""
         return self.num_kernel_taps * self.in_channels * self.out_channels
+
+    @cached_property
+    def useful_macs(self) -> np.ndarray:
+        """MACs with a live input operand per spec (Fig. 4's MAC view).
+
+        See :func:`repro.deconv.analysis.useful_mac_count_batch`.
+        """
+        # Bound at call time: repro.deconv.analysis imports this module.
+        from repro.deconv.analysis import useful_mac_count_batch
+
+        return useful_mac_count_batch(self)
+
+
+#: The :class:`SpecArrays` counts :meth:`SpecArrays.split` shares.
+_DERIVED_COUNTS = (
+    "output_height",
+    "output_width",
+    "num_input_pixels",
+    "num_output_pixels",
+    "num_kernel_taps",
+    "num_weights",
+    "useful_macs",
+)
 
 
 def solve_padding(

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.arch.metrics_batch import PerfInputBatch
 from repro.arch.perf_input import DecoderBank, DesignPerfInput
-from repro.deconv.analysis import useful_mac_count, useful_mac_count_batch
+from repro.deconv.analysis import useful_mac_count
 from repro.deconv.padding_free import crop_to_output, full_overlap_shape, overlap_add
 from repro.deconv.shapes import SpecArrays
 from repro.designs.base import DeconvDesign, FunctionalRun
@@ -137,14 +137,15 @@ class PaddingFreeDesign(DeconvDesign):
         )
 
     @classmethod
-    def perf_input_batch(cls, specs, folds=None, tech=None, layer_names=None) -> PerfInputBatch:
+    def perf_input_batch(
+        cls, arrays: SpecArrays, folds=None, tech=None, layer_names=None
+    ) -> PerfInputBatch:
         """Closed-form :meth:`perf_input` for many layers at once.
 
         Same counts as the scalar method (including the uncropped
         overlap canvas ``(I-1)s + K``), derived from the packed spec
         arrays.  ``folds``/``tech`` are accepted for hook uniformity.
         """
-        arrays = SpecArrays.from_specs(specs)
         jobs = len(arrays)
         wide_cols = arrays.num_kernel_taps * arrays.out_channels
         full_h = (arrays.input_height - 1) * arrays.stride + arrays.kernel_height
@@ -164,7 +165,7 @@ class PaddingFreeDesign(DeconvDesign):
             live_row_cycles_total=(
                 arrays.in_channels * arrays.num_input_pixels
             ).astype(np.float64),
-            useful_macs=useful_mac_count_batch(arrays),
+            useful_macs=arrays.useful_macs,
             total_cells_logical=arrays.num_weights,
             broadcast_instances=ones,
             sa_extra_ops_per_value=1.0 + arrays.num_kernel_taps / 8.0,

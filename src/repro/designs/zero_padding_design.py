@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.arch.metrics_batch import PerfInputBatch
 from repro.arch.perf_input import DecoderBank, DesignPerfInput
-from repro.deconv.analysis import useful_mac_count, useful_mac_count_batch
+from repro.deconv.analysis import useful_mac_count
 from repro.deconv.reference import rotate_kernel_180
 from repro.deconv.shapes import SpecArrays
 from repro.deconv.zero_padding import padded_input_vectors, zero_insert_input
@@ -132,7 +132,9 @@ class ZeroPaddingDesign(DeconvDesign):
         )
 
     @classmethod
-    def perf_input_batch(cls, specs, folds=None, tech=None, layer_names=None) -> PerfInputBatch:
+    def perf_input_batch(
+        cls, arrays: SpecArrays, folds=None, tech=None, layer_names=None
+    ) -> PerfInputBatch:
         """Closed-form :meth:`perf_input` for many layers at once.
 
         Same counts as the scalar method, derived straight from the
@@ -140,10 +142,9 @@ class ZeroPaddingDesign(DeconvDesign):
         ``tech`` are accepted for hook-signature uniformity; the
         zero-padding geometry depends on neither.
         """
-        arrays = SpecArrays.from_specs(specs)
         jobs = len(arrays)
         rows = arrays.num_kernel_taps * arrays.in_channels
-        useful = useful_mac_count_batch(arrays)
+        useful = arrays.useful_macs
         ones = np.ones(jobs, dtype=np.int64)
         return PerfInputBatch(
             designs=(cls.name,) * jobs,

@@ -11,7 +11,7 @@
   packed result store (vectorized plane by default, scalar oracle
   inline for designs without a batch hook).
 * :mod:`repro.eval.vectorized` — struct-of-arrays analytic evaluation
-  plane (per-(design, tech) batches, no per-job design objects).
+  plane (one fused batch per technology, no per-job design objects).
 * :mod:`repro.eval.sweeps` — prose-claim parameter sweeps.
 """
 

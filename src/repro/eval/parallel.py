@@ -597,8 +597,8 @@ def run_design_jobs(
             legacy directory-of-pickles content), or ``None``.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
-            plane (:mod:`repro.eval.vectorized`), batched per
-            (design, tech).  ``False`` forces the scalar per-job path
+            plane (:mod:`repro.eval.vectorized`), one fused batch per
+            technology.  ``False`` forces the scalar per-job path
             for everything — the bit-identical oracle the plane is
             property-tested against.
         timeout: wall-clock budget in seconds (``None`` = no budget);

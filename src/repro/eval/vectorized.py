@@ -1,13 +1,21 @@
 """Job-level front end of the vectorized analytic evaluation plane.
 
 :func:`evaluate_design_jobs_batch` takes a flat list of
-:class:`~repro.eval.parallel.DesignJob` entries, groups them by
-(canonical design, technology instance), asks each design family's
-registered ``perf_batch`` hook (:mod:`repro.api.registry`) for a
-:class:`~repro.arch.metrics_batch.PerfInputBatch` covering its group,
-and evaluates every group through
-:func:`~repro.arch.metrics_batch.evaluate_perf_batch` — no per-job
-design objects, no process pool, one set of NumPy array ops per group.
+:class:`~repro.eval.parallel.DesignJob` entries and groups them by
+technology value.  Per technology it packs every job's spec once into a
+design-major :class:`~repro.deconv.shapes.SpecArrays` (one contiguous
+row run per canonical design), computing the counts all designs share —
+output sizes, kernel taps, useful MACs — once for the whole pack.  Each
+design family's registered ``perf_batch`` hook (:mod:`repro.api.registry`)
+turns its row slice into a :class:`~repro.arch.metrics_batch.PerfInputBatch`;
+the parts join into one batch and
+:func:`~repro.arch.metrics_batch.evaluate_perf_batch` runs once per
+technology — no per-job design objects, no process pool, and one set of
+NumPy array ops per technology rather than per (design, technology).
+That fixed cost dominates small requests (a stride sweep or a Table-I
+layer comparison is a handful of jobs), and because every formula is
+elementwise over jobs, a job's result does not depend on what else
+shares its batch.
 
 This is the default execution path for analytic cache misses inside
 :func:`repro.eval.parallel.run_design_jobs`; the scalar per-job walk
@@ -18,11 +26,13 @@ fallback for designs that do not implement the batch hook.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 from repro.api.registry import get_design, resolve_design
 from repro.arch.breakdown import DesignMetrics
-from repro.arch.metrics_batch import evaluate_perf_batch
+from repro.arch.metrics_batch import PerfInputBatch, evaluate_perf_batch
+from repro.deconv.shapes import SpecArrays
 from repro.errors import ParameterError
 from repro.eval.parallel import TechTokens
 
@@ -43,10 +53,11 @@ def evaluate_design_jobs_batch(
     Every job's design must provide a ``perf_batch`` hook
     (:func:`design_supports_batch`); mixed-capability work lists are the
     caller's concern (``run_design_jobs`` partitions before calling).
-    Jobs are grouped by (canonical design, tech): value-equal
-    technology instances share a group even when they are distinct
-    objects, and ``fold=None`` canonicalizes to ``'auto'`` exactly as
-    the scalar build path does.
+    Jobs are grouped by tech value (value-equal technology instances
+    share a group even when they are distinct objects) and, within a
+    tech, run design-major: each hook sees one contiguous row slice of
+    the tech's spec pack.  ``fold=None`` canonicalizes to ``'auto'``
+    exactly as the scalar build path does.
 
     Returns:
         Per-job :class:`DesignMetrics`, bit-identical to
@@ -57,27 +68,41 @@ def evaluate_design_jobs_batch(
     # keeps the hash-expensive tech instances out of the group keys.
     tech_tokens = TechTokens()
     canonical: dict[str, str] = {}
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[int, dict[str, list[int]]] = {}
     for index, job in enumerate(jobs):
         design = canonical.get(job.design)
         if design is None:
             design = canonical[job.design] = resolve_design(job.design)
-        groups.setdefault((design, tech_tokens.token(job.tech)), []).append(index)
+        by_design = groups.setdefault(tech_tokens.token(job.tech), {})
+        by_design.setdefault(design, []).append(index)
 
-    for (design, _), indices in groups.items():
-        hook = get_design(design).perf_batch
-        if hook is None:
-            raise ParameterError(
-                f"design {design!r} has no perf_batch hook; "
-                "route it through the scalar path instead"
-            )
-        tech = jobs[indices[0]].tech
-        batch = hook(
-            [jobs[i].spec for i in indices],
-            ["auto" if jobs[i].fold is None else jobs[i].fold for i in indices],
-            tech,
-            [jobs[i].layer_name for i in indices],
+    for by_design in groups.values():
+        order = [index for indices in by_design.values() for index in indices]
+        tech = jobs[order[0]].tech
+        packs = SpecArrays.from_specs([jobs[i].spec for i in order]).split(
+            list(accumulate(len(indices) for indices in by_design.values()))
         )
-        for index, metrics in zip(indices, evaluate_perf_batch(batch, tech)):
+        parts = []
+        for (design, indices), arrays in zip(by_design.items(), packs):
+            hook = get_design(design).perf_batch
+            if hook is None:
+                raise ParameterError(
+                    f"design {design!r} has no perf_batch hook; "
+                    "route it through the scalar path instead"
+                )
+            part = hook(
+                arrays,
+                ["auto" if jobs[i].fold is None else jobs[i].fold for i in indices],
+                tech,
+                [jobs[i].layer_name for i in indices],
+            )
+            if len(part) != len(indices):
+                raise ParameterError(
+                    f"design {design!r}'s perf_batch hook returned "
+                    f"{len(part)} rows for {len(indices)} jobs"
+                )
+            parts.append(part)
+        evaluated = evaluate_perf_batch(PerfInputBatch.concat(parts), tech)
+        for index, metrics in zip(order, evaluated):
             results[index] = metrics
     return results  # type: ignore[return-value]

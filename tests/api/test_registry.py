@@ -43,12 +43,13 @@ class TestBuiltins:
         """Every built-in design ships a vectorized perf-input hook."""
         from repro.arch.metrics_batch import PerfInputBatch
         from repro.arch.tech import default_tech
-        from repro.deconv.shapes import DeconvSpec
+        from repro.deconv.shapes import DeconvSpec, SpecArrays
 
         spec = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
+        arrays = SpecArrays.from_specs([spec])
         for entry in design_entries():
             assert entry.perf_batch is not None
-            batch = entry.perf_batch([spec], ["auto"], default_tech(), ["layer"])
+            batch = entry.perf_batch(arrays, ["auto"], default_tech(), ["layer"])
             assert isinstance(batch, PerfInputBatch)
             assert batch.layers == ("layer",)
             assert batch.designs == (entry.name,)

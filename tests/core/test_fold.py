@@ -56,7 +56,7 @@ class TestBatchFoldResolution:
 
     def test_resolve_fold_batch_rejects_invalid_entries(self):
         taps = np.array([16])
-        for bad in (0, -1, 2.5, "half"):
+        for bad in (0, -1, 2.5, "half", True, False):
             with pytest.raises(ParameterError):
                 resolve_fold_batch(taps, [bad])
 

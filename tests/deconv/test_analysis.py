@@ -78,9 +78,9 @@ class TestMacCounts:
         batch = useful_mac_count_batch(arrays)
         assert batch.tolist() == [useful_mac_count(s) for s in SMALL_SPECS]
 
-    @given(st.lists(deconv_specs(max_input=6, max_kernel=7, max_stride=5),
+    @given(st.lists(deconv_specs(max_input=6, max_kernel=12, max_stride=9),
                     min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_batch_count_matches_scalar_property(self, specs):
         batch = useful_mac_count_batch(SpecArrays.from_specs(specs))
         assert batch.tolist() == [useful_mac_count(s) for s in specs]

@@ -1,11 +1,13 @@
 """Unit tests for the deconvolution shape algebra."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.deconv.shapes import DeconvSpec, solve_padding
+from repro.deconv.analysis import useful_mac_count
+from repro.deconv.shapes import DeconvSpec, SpecArrays, solve_padding
 from repro.errors import ParameterError, ShapeError
-from tests.conftest import deconv_specs
+from tests.conftest import SMALL_SPECS, deconv_specs
 
 
 class TestOutputSize:
@@ -162,3 +164,29 @@ class TestSolvePadding:
             stride=spec.stride, padding=p, output_padding=op,
         )
         assert rebuilt.output_height == spec.output_height
+
+
+class TestSpecArrays:
+    def test_counts_mirror_the_scalar_properties(self):
+        arrays = SpecArrays.from_specs(SMALL_SPECS)
+        for name in (
+            "output_height", "output_width", "num_input_pixels",
+            "num_output_pixels", "num_kernel_taps", "num_weights",
+        ):
+            assert getattr(arrays, name).tolist() == [
+                getattr(spec, name) for spec in SMALL_SPECS
+            ]
+        assert arrays.useful_macs.tolist() == [
+            useful_mac_count(spec) for spec in SMALL_SPECS
+        ]
+
+    def test_split_slices_share_the_pack_counts(self):
+        pack = SpecArrays.from_specs(SMALL_SPECS)
+        parts = pack.split([2, 2, len(SMALL_SPECS)])
+        assert [len(part) for part in parts] == [2, 0, len(SMALL_SPECS) - 2]
+        for part, start in zip(parts, (0, 2, 2)):
+            expected = SpecArrays.from_specs(SMALL_SPECS[start:start + len(part)])
+            for name in ("input_height", "stride", "output_width", "useful_macs"):
+                assert getattr(part, name).tolist() == getattr(expected, name).tolist()
+        # A view of the pack's counts, not a recomputation over the slice.
+        assert np.shares_memory(parts[2].useful_macs, pack.useful_macs)

@@ -8,19 +8,27 @@ struct-of-arrays evaluator returns ``DesignMetrics`` that are float64
 default with no observable behavior change.
 """
 
+import dataclasses
 import pickle
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.api.registry as registry
+import repro.eval.vectorized as vectorized_plane
 from repro.api.registry import (
     available_designs,
     get_design,
     register_design,
     unregister_design,
 )
+from repro.arch.metrics_batch import PerfInputBatch
+from repro.arch.perf_input import DecoderBank
 from repro.arch.tech import default_tech
+from repro.deconv.shapes import DeconvSpec
+from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.errors import ParameterError
 from repro.eval.parallel import DesignJob, evaluate_design_job, run_design_jobs
 from repro.eval.vectorized import design_supports_batch, evaluate_design_jobs_batch
@@ -51,6 +59,59 @@ def _bytes(metrics_list):
     return [pickle.dumps(m, 5) for m in metrics_list]
 
 
+class TwoBankDesign(ZeroPaddingDesign):
+    """Zero-padding geometry split over two decoder banks."""
+
+    name = "two-bank"
+
+    def perf_input(self, layer_name: str = ""):
+        perf = super().perf_input(layer_name)
+        rows = perf.decoder_banks[0].rows
+        return dataclasses.replace(
+            perf,
+            decoder_banks=(
+                DecoderBank(rows=rows, count=1),
+                DecoderBank(rows=-(-rows // 2), count=2),
+            ),
+        )
+
+
+def _two_bank_perf_batch(arrays, folds, tech, layer_names):
+    columns = [getattr(arrays, field.name).tolist() for field in dataclasses.fields(arrays)]
+    return PerfInputBatch.from_perf_inputs(
+        [
+            TwoBankDesign(DeconvSpec(*row), tech).perf_input(name)
+            for row, name in zip(zip(*columns), layer_names)
+        ]
+    )
+
+
+@contextmanager
+def two_bank_design():
+    """A plugin design whose batch hook goes through ``from_perf_inputs``."""
+    register_design("two-bank", perf_batch=_two_bank_perf_batch)(TwoBankDesign)
+    try:
+        yield
+    finally:
+        unregister_design("two-bank")
+
+
+#: Two technologies, so one call holds two fused batches.
+MIX_TECHS = (default_tech(), default_tech().with_overrides(mux_share=4, t_adc=0.75e-9))
+
+#: Every built-in (one through an alias) plus the two-bank plugin.
+mixed_jobs = st.lists(
+    st.tuples(
+        deconv_specs(max_input=5, max_kernel=6, max_stride=4),
+        st.sampled_from(("zero-padding", "padding-free", "RED", "red", "two-bank")),
+        folds,
+        st.sampled_from(MIX_TECHS),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
 class TestBitIdentityProperty:
     @given(spec=deconv_specs(max_input=6, max_kernel=6, max_stride=4),
            fold=folds, tech=techs)
@@ -73,6 +134,28 @@ class TestBitIdentityProperty:
         assert _bytes(evaluate_design_jobs_batch([job])) == _bytes(
             [evaluate_design_job(job)]
         )
+
+    @given(draws=mixed_jobs)
+    @example(draws=[
+        (SMALL_SPECS[0], "two-bank", None, MIX_TECHS[0]),
+        (SMALL_SPECS[1], "RED", 2, MIX_TECHS[0]),
+        (SMALL_SPECS[2], "padding-free", None, MIX_TECHS[1]),
+    ])
+    @settings(**_SETTINGS)
+    def test_results_do_not_depend_on_batch_company(self, draws):
+        """Each job of one fused call equals the job alone and the oracle,
+        across designs, folds, two technologies and a two-bank plugin
+        (whose batches pad the built-ins' single decoder bank)."""
+        with two_bank_design():
+            jobs = [
+                DesignJob(design, spec, tech, fold=fold, layer_name=f"L{index}")
+                for index, (spec, design, fold, tech) in enumerate(draws)
+            ]
+            together = evaluate_design_jobs_batch(jobs)
+            alone = [evaluate_design_jobs_batch([job])[0] for job in jobs]
+            oracle = [evaluate_design_job(job) for job in jobs]
+        assert _bytes(together) == _bytes(alone)
+        assert _bytes(together) == _bytes(oracle)
 
     def test_run_design_jobs_routes_match_over_the_spec_zoo(self):
         tech = default_tech()
@@ -139,6 +222,21 @@ class TestPlaneSemantics:
         with pytest.raises(ParameterError):
             evaluate_design_job(job)
 
+    @pytest.mark.parametrize("vectorized", (True, False))
+    def test_bool_fold_raises_parameter_error(self, vectorized):
+        """fold=True is not fold 1 on either route: it would file the
+        same result under a second store key."""
+        tech = default_tech()
+        bad = DesignJob("RED", SMALL_SPECS[0], tech, fold=True, layer_name="bad")
+        with pytest.raises(ParameterError, match="fold must be"):
+            if vectorized:
+                evaluate_design_jobs_batch([bad])
+            else:
+                evaluate_design_job(bad)
+        jobs = [DesignJob("RED", SMALL_SPECS[0], tech, fold=1, layer_name="ok"), bad]
+        with pytest.raises(ParameterError, match="fold must be"):
+            run_design_jobs(jobs, vectorized=vectorized)
+
     @pytest.mark.parametrize("use_cache", (False, True))
     def test_float_fold_never_borrows_an_int_twin_result(self, use_cache, tmp_path):
         """fold=2.0 is invalid; being value-equal to a valid fold=2 job
@@ -156,10 +254,69 @@ class TestPlaneSemantics:
             run_design_jobs(jobs, cache=cache, vectorized=False)
 
 
+class TestFusedCalls:
+    def test_one_evaluation_per_tech_and_one_hook_per_design(self, monkeypatch):
+        """3 designs x 2 techs: 2 evaluate_perf_batch calls, 6 hook calls."""
+        evaluations = []
+        hook_calls = []
+        evaluate = vectorized_plane.evaluate_perf_batch
+
+        def counting_evaluate(batch, tech):
+            evaluations.append((len(batch), tech))
+            return evaluate(batch, tech)
+
+        def counting(name, hook):
+            def spy(arrays, folds, tech, layer_names):
+                hook_calls.append((name, tech, len(arrays)))
+                return hook(arrays, folds, tech, layer_names)
+
+            return spy
+
+        monkeypatch.setattr(vectorized_plane, "evaluate_perf_batch", counting_evaluate)
+        for name in available_designs():
+            entry = get_design(name)
+            monkeypatch.setitem(
+                registry._REGISTRY, name,
+                dataclasses.replace(entry, perf_batch=counting(name, entry.perf_batch)),
+            )
+        jobs = [
+            DesignJob(design, spec, tech, layer_name=f"{design}-{index}")
+            for tech in MIX_TECHS
+            for index, spec in enumerate(SMALL_SPECS[:3])
+            for design in available_designs()
+        ]
+        results = evaluate_design_jobs_batch(jobs[::-1])
+        assert evaluations == [(9, MIX_TECHS[1]), (9, MIX_TECHS[0])]
+        assert sorted(
+            (name, MIX_TECHS.index(tech), rows) for name, tech, rows in hook_calls
+        ) == sorted(
+            (name, tech, 3) for name in available_designs() for tech in (0, 1)
+        )
+        assert _bytes(results) == _bytes(
+            [evaluate_design_job(job) for job in jobs[::-1]]
+        )
+
+    def test_hook_returning_the_wrong_row_count_is_refused(self):
+        """A short plugin batch would shift every later design's rows."""
+
+        def short_hook(arrays, folds, tech, layer_names):
+            return PerfInputBatch.from_perf_inputs([])
+
+        register_design("short-batch", perf_batch=short_hook)(TwoBankDesign)
+        try:
+            jobs = [
+                DesignJob("short-batch", SMALL_SPECS[0], default_tech()),
+                DesignJob("RED", SMALL_SPECS[0], default_tech()),
+            ]
+            with pytest.raises(ParameterError, match="returned 0 rows for 1 jobs"):
+                evaluate_design_jobs_batch(jobs)
+        finally:
+            unregister_design("short-batch")
+
+
 class TestScalarFallback:
     def test_design_without_hook_falls_back_to_scalar_path(self):
         """A plugin design with no perf_batch hook still evaluates."""
-        from repro.designs.zero_padding_design import ZeroPaddingDesign
 
         @register_design("no-batch-design")
         class NoBatchDesign(ZeroPaddingDesign):
