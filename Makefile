@@ -67,12 +67,14 @@ bench:
 
 # Repo-benchmark smoke (perfbench/README.md): each workload for 2 s
 # with its answer checks, including served answers byte-identical to
-# the in-process ones, then one traced interactive run, which fails if
-# a boundary the per-layer tracer wraps was renamed or removed.  Fails
-# unless every result line (the last line of a run) reports
-# correct: true and failed: 0.
+# the in-process ones, then one traced interactive and one traced
+# served run, which fail if a boundary the per-layer tracer wraps (an
+# evaluation layer, or a serving hop such as ShardedRunner.__call__ or
+# ShardSupervisor.call) was renamed or removed.  Fails unless every
+# result line (the last line of a run) reports correct: true and
+# failed: 0.
 perf-smoke:
-	@for run in "interactive 0" "served 0" "bulk 0" "interactive 1"; do \
+	@for run in "interactive 0" "served 0" "bulk 0" "interactive 1" "served 1"; do \
 		set -- $$run; \
 		python3 perfbench/run.py --workload $$1 --seed 1 --seconds 2 --trace $$2 \
 		| python3 -c 'import json, sys; lines = sys.stdin.read().splitlines(); \

@@ -14,7 +14,7 @@ Four rows, one process:
    the gate is jobs/s >= ``THROUGHPUT_FLOOR`` x the in-process rate,
    with p50/p99 latency recorded.
 3. **Served, cold shard path** (informational) — every request unique,
-   so each one crosses the admission gate, the scatter pool and a
+   so each one crosses the admission gate, the shard runner and a
    shard pipe.  Reported so the overhead of the full vertical stays
    visible next to the warm rate.
 4. **Served under chaos** (byte-exactness gate, not time-gated) —

@@ -330,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--cache", default=None,
-        help="per-shard packed store root (shard-<i> subdirectories)",
+        help="packed store directory every shard shares (same layout as "
+        "`repro sweep --cache`)",
     )
     ping = sub.add_parser(
         "ping", help="probe a serving plane: exit 0 ready, 1 degraded, 2 down"

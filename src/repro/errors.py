@@ -26,9 +26,9 @@ Error                        Handling   Rationale
 ``ShardUnavailableError``    retried    a serving shard is down, mid-restart
                                         or circuit-broken; the supervisor
                                         respawns it and the front door
-                                        reroutes its key range to the
-                                        degraded in-process fallback — a
-                                        later attempt can succeed
+                                        reroutes calls that reach it to
+                                        the degraded in-process fallback
+                                        — a later attempt can succeed
 ``OverloadedError``          retried    the admission queue shed the request
                                         deterministically; the envelope
                                         carries a ``retry_after_s`` hint the
@@ -144,8 +144,8 @@ class ShardUnavailableError(ServingError):
 
     Transient by taxonomy: the shard supervisor respawns crashed
     workers (respawn-budget, frozen backoff) and the front door
-    reroutes the shard's key range to the degraded in-process fallback
-    while its circuit is open — a retried request can succeed.
+    reroutes calls that reach the shard to the degraded in-process
+    fallback while its circuit is open — a retried request can succeed.
     """
 
 

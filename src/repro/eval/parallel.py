@@ -582,6 +582,7 @@ def run_design_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
     num_workers: int = 1,
     cache: "PackedSweepStore | str | os.PathLike | None" = None,
+    *,
     vectorized: bool = True,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,

@@ -2,15 +2,14 @@
 
 Composition, bottom up:
 
-* :mod:`~repro.serving.ring` — consistent-hash routing of
-  :func:`~repro.eval.parallel.job_keys` ranges to shards;
 * :mod:`~repro.serving.shard` / :mod:`~repro.serving.supervisor` —
-  supervised worker processes with respawn-budget-then-degrade;
+  supervised worker processes over one shared packed store, with
+  respawn-budget-then-degrade;
 * :mod:`~repro.serving.breaker` — per-shard circuit breaking over the
   transient/permanent taxonomy;
 * :mod:`~repro.serving.runner` — the ``run_design_jobs``-shaped
-  scatter/gather substrate injected into
-  :class:`~repro.api.service.RedService`;
+  substrate injected into :class:`~repro.api.service.RedService`,
+  which sends each call's whole job list to one shard, round-robin;
 * :mod:`~repro.serving.admission` — bounded admission with
   deterministic load shedding and the drain latch;
 * :mod:`~repro.serving.server` / :mod:`~repro.serving.client` — the
@@ -25,7 +24,6 @@ bodies (RED008).
 from repro.serving.admission import AdmissionGate
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serving.client import ServingCallError, ServingClient
-from repro.serving.ring import HashRing
 from repro.serving.runner import ShardedRunner
 from repro.serving.server import ServingServer
 from repro.serving.supervisor import (
@@ -42,7 +40,6 @@ __all__ = [
     "CircuitBreaker",
     "DEGRADED",
     "HALF_OPEN",
-    "HashRing",
     "OPEN",
     "RESTARTING",
     "RUNNING",

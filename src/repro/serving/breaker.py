@@ -4,7 +4,7 @@ The breaker protects the rest of the plane from a shard that keeps
 failing: after ``failure_threshold`` *consecutive* transient failures
 (only failures :func:`~repro.reliability.policy.is_retryable` classifies
 as transient are recorded) the circuit opens and the runner stops
-calling the shard — its key range reroutes to the degraded in-process
+calling the shard — calls routed to it go to the degraded in-process
 fallback.  After ``cooldown_s`` the circuit half-opens and exactly one
 probe call is let through: success closes the circuit, failure re-opens
 it for another cooldown.

@@ -6,7 +6,7 @@ replay byte-identical metrics, failpoint recovery is byte-identical,
 the RNG plane is seed-addressed).  The serving plane exploits it:
 successful ``POST /v1/payload`` responses are memoized by their exact
 request body bytes, so a repeated request is answered from memory
-without touching the admission gate, the scatter pool, or a shard
+without touching the admission gate, the shard runner, or a shard
 pipe.
 
 Design points:

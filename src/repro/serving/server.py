@@ -95,12 +95,12 @@ class ServingServer:
         host / port: bind address (``port=0`` picks a free port;
             :attr:`port` reports the bound one after :meth:`start`).
         num_shards: supervised worker processes.
-        cache_dir: parent directory for the per-shard packed stores.
-        vectorized: substrate plane selection, forwarded everywhere.
+        cache_dir: the packed store directory every shard shares
+            (``None`` -> shards run uncached).
         max_inflight / max_queue / retry_after_base_s: admission gate
             tuning (:class:`~repro.serving.admission.AdmissionGate`).
-        fallback: reroute circuit-broken/dead shard partitions to the
-            degraded in-process tier (:class:`ShardedRunner`).
+        fallback: reroute calls that reach a circuit-broken/dead shard
+            to the degraded in-process tier (:class:`ShardedRunner`).
         failure_threshold / cooldown_s: per-shard circuit breaker.
         respawn_budget / sleeper: shard supervisor restart contract.
         call_timeout_s: hard per-shard-call budget when a request
@@ -120,7 +120,6 @@ class ServingServer:
         port: int = 0,
         num_shards: int = 2,
         cache_dir=None,
-        vectorized: bool = True,
         max_inflight: int = 8,
         max_queue: int = 32,
         retry_after_base_s: float = 0.05,
@@ -148,7 +147,6 @@ class ServingServer:
         self.supervisor = ShardSupervisor(
             num_shards=num_shards,
             cache_dir=cache_dir,
-            vectorized=vectorized,
             respawn_budget=respawn_budget,
             sleeper=sleeper,
             call_timeout_s=call_timeout_s,
@@ -158,7 +156,6 @@ class ServingServer:
             "failure_threshold": failure_threshold,
             "cooldown_s": cooldown_s,
         }
-        self._vectorized = vectorized
         self.respcache = (
             ResponseCache(response_cache_entries)
             if response_cache_entries
@@ -199,9 +196,7 @@ class ServingServer:
         self._loop = loop
         await loop.run_in_executor(self._pool, self.supervisor.start)
         self.runner = ShardedRunner(self.supervisor, **self._runner_kwargs)
-        self.service = RedService(
-            vectorized=self._vectorized, design_runner=self.runner
-        )
+        self.service = RedService(design_runner=self.runner)
         self._lsock = self._bind_socket()
         self._accept_task = loop.create_task(self._accept_loop(loop))
         self.ready.set()
@@ -325,12 +320,10 @@ class ServingServer:
                     transport.abort()
 
     def _close_backends(self) -> None:
-        # Blocking teardown, executor-side: service thread pool, scatter
-        # pool, shard processes and their stores.
+        # Blocking teardown, executor-side: service thread pool, shard
+        # processes and their store handles.
         if self.service is not None:
             self.service.close()
-        if self.runner is not None:
-            self.runner.close()
         self.supervisor.stop()
 
     def run(self, install_signals: bool = True) -> int:

@@ -1,12 +1,12 @@
-"""Shard worker process: one supervised evaluator per key range.
+"""Shard worker process: one supervised evaluator of whole job lists.
 
 Each shard is a forked child running :func:`shard_worker_main`: a
-blocking request/response loop over a :mod:`multiprocessing` pipe.  The
-shard owns a private :class:`~repro.eval.store.PackedSweepStore` under
-``<cache_dir>/shard-<index>`` — shared-nothing by construction, so the
-store's offset index, mmaps and LRU hit tier stay hot for exactly the
-key range the consistent-hash ring routes here, and no cross-process
-lock ever serializes the planes.
+blocking request/response loop over a :mod:`multiprocessing` pipe.
+Every shard opens the same :class:`~repro.eval.store.PackedSweepStore`
+directory (the ``cache_dir`` root, the layout ``repro sweep --cache``
+uses): publishes serialise on the store's ``flock`` and a lookup that
+misses refreshes the index, so a result any shard publishes is a hit
+for every other shard, and the runner can send any call to any shard.
 
 Wire protocol (pickled tuples, sequence-numbered)::
 
@@ -26,8 +26,6 @@ real ``os._exit``).
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import ReproError
 from repro.eval.parallel import run_design_jobs
 from repro.eval.store import PackedSweepStore
@@ -38,29 +36,14 @@ from repro.reliability.failpoints import mark_worker_process
 SHARD_CALL_SITE = "serving.shard_call"
 
 
-def shard_store_path(cache_dir, shard_index: int) -> str | None:
-    """The private store directory of one shard (``None`` -> no store)."""
-    if cache_dir is None:
-        return None
-    return os.path.join(os.fspath(cache_dir), f"shard-{shard_index}")
-
-
-def shard_worker_main(
-    conn,
-    shard_index: int,
-    cache_dir=None,
-    vectorized: bool = True,
-) -> None:
+def shard_worker_main(conn, shard_index: int, cache_dir=None) -> None:
     """Blocking request loop of one shard process (fork target)."""
     # ErrorInfo pulls the schema layer in; import here so the parent's
     # import graph decides nothing about the child.
     from repro.api.schema import ErrorInfo
 
     mark_worker_process()  # crash-mode failpoints hard-exit this process
-    store = None
-    store_path = shard_store_path(cache_dir, shard_index)
-    if store_path is not None:
-        store = PackedSweepStore(store_path)
+    store = None if cache_dir is None else PackedSweepStore(cache_dir)
     jobs_done = 0
     try:
         while True:
@@ -91,12 +74,7 @@ def shard_worker_main(
                 # travels back as a retryable envelope; crash mode kills
                 # this process for real and the supervisor respawns it.
                 failpoints.inject(SHARD_CALL_SITE, shard_index, seq, attempt)
-                metrics = run_design_jobs(
-                    list(jobs),
-                    cache=store,
-                    vectorized=vectorized,
-                    timeout=timeout_s,
-                )
+                metrics = run_design_jobs(list(jobs), cache=store, timeout=timeout_s)
             except (ReproError, OSError) as exc:
                 conn.send(
                     (

@@ -50,6 +50,10 @@ DEFAULT_RESPAWN_POLICY = RetryPolicy(
     max_attempts=4, base_delay_s=0.05, multiplier=2.0, max_delay_s=1.0
 )
 
+#: Held from a shard's ``Pipe()`` until the parent closes the child end,
+#: process-wide, so no fork ever copies another shard's child end.
+_SPAWN_LOCK = threading.Lock()
+
 
 def _rebuild_error(info: dict, shard_id: int):
     """A raisable exception equivalent to a shard's error envelope.
@@ -92,9 +96,8 @@ class ShardSupervisor:
 
     Args:
         num_shards: shard processes to run (>= 1).
-        cache_dir: parent directory for the per-shard packed stores
+        cache_dir: the packed store directory every shard shares
             (``None`` -> shards run uncached).
-        vectorized: forwarded to each shard's runner calls.
         respawn_budget: process restarts allowed per shard before it is
             permanently degraded.
         respawn_policy: backoff schedule between restarts.
@@ -110,7 +113,6 @@ class ShardSupervisor:
         self,
         num_shards: int = 2,
         cache_dir=None,
-        vectorized: bool = True,
         respawn_budget: int = 2,
         respawn_policy: RetryPolicy = DEFAULT_RESPAWN_POLICY,
         sleeper=None,
@@ -128,7 +130,6 @@ class ShardSupervisor:
             )
         self.num_shards = num_shards
         self.cache_dir = cache_dir
-        self.vectorized = vectorized
         self.respawn_budget = respawn_budget
         self.respawn_policy = respawn_policy
         self._sleeper = sleeper if sleeper is not None else respawn_policy.sleeper
@@ -155,15 +156,20 @@ class ShardSupervisor:
         return self
 
     def _spawn(self, shard: _Shard) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=shard_worker_main,
-            args=(child_conn, shard.shard_id, self.cache_dir, self.vectorized),
-            name=f"red-shard-{shard.shard_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        # A fork copies every open descriptor.  Were another shard forked
+        # while this shard's child end is still open here, that sibling
+        # would hold the end too, and this shard's death would never
+        # read as EOF: the parent would wait out the whole call budget.
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            process = self._ctx.Process(
+                target=shard_worker_main,
+                args=(child_conn, shard.shard_id, self.cache_dir),
+                name=f"red-shard-{shard.shard_id}",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
         shard.process = process
         shard.conn = parent_conn
         shard.state = RUNNING

@@ -229,6 +229,10 @@ class TestRunnerValidation:
         (metrics,) = run_design_jobs([make_job()], 1)
         assert metrics.layer == "L"
 
+    def test_options_after_cache_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            run_design_jobs([make_job()], 1, None, False)
+
     def test_unknown_design_raises(self):
         with pytest.raises(KeyError):
             evaluate_design_job(make_job(design="systolic"))

@@ -22,7 +22,9 @@ from repro.errors import ShardUnavailableError
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.client import ServingCallError
+from repro.serving.runner import ShardedRunner
 from repro.serving.testing import ServerThread
+from tests.serving.conftest import kill_shard
 
 SWEEP = SweepRequest(strides=(1, 2, 4))
 #: Generous attempts, no real sleeping — chaos rounds retry a lot.
@@ -48,6 +50,10 @@ def in_process_reference(request):
             return service.sweep(request)
     finally:
         service.close()
+
+
+def digest(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 class TestWireProtocol:
@@ -268,3 +274,97 @@ class TestChaos:
                     ready_status, _ = client.readyz()
                 assert ready_status == 200
         assert plane.exit_code == 0
+
+
+class TestDeadShards:
+    def test_fallback_answers_byte_identical_and_counts_every_call(
+        self, monkeypatch
+    ):
+        requests = [
+            SweepRequest(strides=(1, 2, 4), channels=16 + i) for i in range(3)
+        ]
+        expected = [digest(in_process_reference(r)) for r in requests]
+        calls = []
+        runner_call = ShardedRunner.__call__
+
+        def counted(runner, jobs, **kwargs):
+            calls.append(len(jobs))
+            return runner_call(runner, jobs, **kwargs)
+
+        monkeypatch.setattr(ShardedRunner, "__call__", counted)
+        # Every shard dies on its first call and may not respawn, so
+        # every runner call lands on the in-process fallback.
+        with configured_failpoints("serving.shard_call:crash@1.0", seed=3):
+            with ServerThread(
+                num_shards=2, respawn_budget=0, response_cache_entries=0
+            ) as plane:
+                with plane.client(timeout=60.0) as client:
+                    got = [digest(client.call(r)) for r in requests]
+                    _, health = client.healthz()
+        assert got == expected
+        assert len(calls) == len(requests)
+        assert health["degraded_calls"] == len(calls)
+        assert set(health["shards"].values()) == {"degraded"}
+        assert plane.exit_code == 0
+
+    def test_without_fallback_a_dead_shard_gives_a_partial_sweep(self):
+        request = SweepRequest(strides=(1, 2, 4, 8))
+        expected = {p.stride: p for p in in_process_reference(request).points}
+        with configured_failpoints(None):
+            with ServerThread(
+                num_shards=2,
+                respawn_budget=0,
+                fallback=False,
+                response_cache_entries=0,
+            ) as plane:
+                kill_shard(plane.server.supervisor, 0)
+                with plane.client(timeout=60.0) as client:
+                    result = client.call(request)
+        points = {p.stride: p for p in result.points}
+        failed = {}
+        for info in result.failures:
+            assert info.retryable
+            assert info.error_type == "ShardUnavailableError"
+            failed[int(info.source.removeprefix("stride="))] = info
+        # Round-robin alternates the per-stride salvage calls between
+        # the live shard and the dead one.
+        assert points and failed
+        assert sorted([*points, *failed]) == list(request.strides)
+        for stride, point in points.items():
+            assert point == expected[stride]
+        assert plane.exit_code == 0
+
+
+class TestSharedStore:
+    def test_every_shard_reads_what_any_shard_published(self, tmp_path):
+        request = EvaluationRequest(layer="FCN_Deconv2")
+        with configured_failpoints(None):
+            with ServerThread(
+                num_shards=2, cache_dir=tmp_path, response_cache_entries=0
+            ) as plane:
+                with plane.client() as client:
+                    first = client.call(request)  # shard 0: cold, publishes
+                    segments = sorted(tmp_path.glob("seg-*.seg"))
+                    index = (tmp_path / "index.bin").read_bytes()
+                    second = client.call(request)  # shard 1: store hit
+                    _, ready = client.readyz()
+                    assert sorted(tmp_path.glob("seg-*.seg")) == segments
+                    assert (tmp_path / "index.bin").read_bytes() == index
+            with RedService() as uncached:
+                expected = uncached.evaluate(request)
+        assert segments
+        assert digest(first) == digest(second) == digest(expected)
+        jobs = len(expected.metrics)
+        assert {
+            shard: beat["stats"]["jobs_done"]
+            for shard, beat in ready["heartbeats"].items()
+        } == {"0": jobs, "1": jobs}
+        assert not list(tmp_path.glob("shard-*"))
+        # After drain the root index serves every entry to an in-process
+        # service, byte-identical to the served answers.
+        with RedService(cache=tmp_path) as service:
+            local = service.evaluate(request)
+            stats = service.cache.stats()
+        assert digest(local) == digest(first)
+        assert stats["misses"] == 0
+        assert stats["hits"] == stats["indexed_entries"] == jobs

@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.eval.parallel import DesignJob, run_design_jobs
+from repro.eval.store import PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import no_sleep
 from repro.serving.runner import ShardedRunner
@@ -24,6 +27,7 @@ from repro.serving.supervisor import (
     ShardSupervisor,
     _rebuild_error,
 )
+from tests.serving.conftest import kill_shard
 
 TECH = default_tech()
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
@@ -37,6 +41,19 @@ def make_supervisor(**kwargs):
     kwargs.setdefault("num_shards", 1)
     kwargs.setdefault("sleeper", no_sleep)
     return ShardSupervisor(**kwargs)
+
+
+def spy_on_calls(sup) -> list:
+    """Record ``(shard_id, len(jobs))`` for every ``sup.call``."""
+    routed = []
+    call = sup.call
+
+    def spy(shard_id, jobs, **kwargs):
+        routed.append((shard_id, len(jobs)))
+        return call(shard_id, jobs, **kwargs)
+
+    sup.call = spy
+    return routed
 
 
 class TestSupervisorCalls:
@@ -73,9 +90,9 @@ class TestSupervisorCalls:
 class TestShardedRunner:
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_shard_count_is_irrelevant(self, num_shards):
-        # Process parallelism lives in the serving plane: however the
-        # ring partitions the list, the merge returns the in-process
-        # results in request order, byte for byte.
+        # Process parallelism lives in the serving plane: whichever
+        # shard a call reaches, it returns the in-process results in
+        # request order, byte for byte.
         jobs = [
             DesignJob(
                 design,
@@ -92,15 +109,91 @@ class TestShardedRunner:
             expected = run_design_jobs(jobs)
             with make_supervisor(num_shards=num_shards) as sup:
                 runner = ShardedRunner(sup)
-                try:
-                    merged = runner(jobs)
-                finally:
-                    runner.close()
+                merged = runner(jobs)
         digest = [pickle.dumps(m, pickle.HIGHEST_PROTOCOL) for m in merged]
         assert digest == [
             pickle.dumps(m, pickle.HIGHEST_PROTOCOL) for m in expected
         ]
         assert runner.degraded_calls == 0
+
+    def test_each_call_goes_whole_to_the_next_shard(self):
+        sizes = (3, 1, 2, 3)
+        with configured_failpoints(None):
+            expected = [run_design_jobs(list(JOBS[:n])) for n in sizes]
+            with make_supervisor(num_shards=3) as sup:
+                routed = spy_on_calls(sup)
+                runner = ShardedRunner(sup)
+                assert runner([]) == []
+                got = [runner(JOBS[:n]) for n in sizes]
+        assert got == expected
+        # One shard call per non-empty runner call, rotating over shards.
+        assert routed == [(0, 3), (1, 1), (2, 2), (0, 3)]
+
+    def test_concurrent_calls_take_turns_over_every_shard(self):
+        with configured_failpoints(None):
+            expected = run_design_jobs(list(JOBS))
+            with make_supervisor(num_shards=2) as sup:
+                routed = spy_on_calls(sup)
+                runner = ShardedRunner(sup)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(lambda _: runner(JOBS), range(8)))
+        assert got == [expected] * 8
+        # Every call drew its own turn: the shards split the calls evenly.
+        assert sorted(routed) == [(0, 3)] * 4 + [(1, 3)] * 4
+        assert runner.degraded_calls == 0
+
+    def test_open_breaker_sends_its_turn_to_the_fallback(self):
+        with configured_failpoints(None):
+            expected = run_design_jobs(list(JOBS))
+            with make_supervisor(num_shards=2) as sup:
+                routed = spy_on_calls(sup)
+                # A frozen clock keeps shard 0's breaker open.
+                runner = ShardedRunner(sup, failure_threshold=1, clock=lambda: 0.0)
+                runner.breakers[0].record_failure()
+                got = [runner(JOBS), runner(JOBS)]
+        assert got == [expected, expected]
+        # Shard 0's turn ran in process; it was not moved to shard 1.
+        assert routed == [(1, 3)]
+        assert runner.degraded_calls == 1
+
+    def test_open_breaker_without_fallback_is_shard_unavailable(self):
+        with configured_failpoints(None):
+            expected = run_design_jobs(list(JOBS))
+            with make_supervisor(num_shards=2) as sup:
+                routed = spy_on_calls(sup)
+                runner = ShardedRunner(
+                    sup, fallback=False, failure_threshold=1, clock=lambda: 0.0
+                )
+                runner.breakers[0].record_failure()
+                with pytest.raises(
+                    ShardUnavailableError, match="shard-0 circuit is open"
+                ):
+                    runner(JOBS)
+                assert runner(JOBS) == expected
+        assert routed == [(1, 3)]
+        assert runner.degraded_calls == 0
+
+
+class TestSharedStore:
+    def test_old_shard_directories_are_never_read(self, tmp_path):
+        # A store in the old per-shard layout already holding these jobs.
+        legacy = tmp_path / "shard-0"
+        with configured_failpoints(None):
+            expected = run_design_jobs(list(JOBS))
+            store = PackedSweepStore(legacy)
+            try:
+                assert run_design_jobs(list(JOBS), cache=store) == expected
+            finally:
+                store.close()
+            before = {p.name: p.read_bytes() for p in legacy.iterdir()}
+            with make_supervisor(cache_dir=tmp_path) as sup:
+                got = sup.call(0, JOBS)
+        assert got == expected
+        # Shard 0 missed in the root store and published there ...
+        assert list(tmp_path.glob("seg-*.seg"))
+        assert (tmp_path / "index.bin").is_file()
+        # ... and left the old directory exactly as it was.
+        assert {p.name: p.read_bytes() for p in legacy.iterdir()} == before
 
 
 class TestRespawnBudget:
@@ -136,6 +229,69 @@ class TestRespawnBudget:
                 assert sup.call(0, JOBS) == expected
         finally:
             sup.stop()
+
+
+class _RacingContext:
+    """Fork context forcing the spawn interleaving that leaks pipe ends.
+
+    Shard-0's ``start()`` (its pipe already open) waits until shard-1
+    has forked, and shard-1's waits until shard-0 reached ``start()``:
+    unserialised spawns always fork shard-1 while shard-0's child end
+    is still open in the parent.  Both waits are bounded, so serialised
+    spawns merely time out of them.
+    """
+
+    WAIT_S = 2.0
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.shard0_starting = threading.Event()
+        self.shard1_forked = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def Process(self, **kwargs):
+        process = self._ctx.Process(**kwargs)
+        start = process.start
+
+        def shard0_start():
+            self.shard0_starting.set()
+            self.shard1_forked.wait(self.WAIT_S)
+            start()
+
+        def shard1_start():
+            self.shard0_starting.wait(self.WAIT_S)
+            start()
+            self.shard1_forked.set()
+
+        process.start = shard0_start if kwargs["args"][1] == 0 else shard1_start
+        return process
+
+
+class TestSpawnRace:
+    def test_concurrent_respawns_keep_crashes_visible(self):
+        # A sibling forked mid-spawn would hold shard-0's child end, so
+        # shard-0's death would read as silence (a timeout), not EOF.
+        with configured_failpoints(None):
+            with make_supervisor(num_shards=2, call_timeout_s=10.0) as sup:
+                for shard_id in sup.shard_ids:
+                    kill_shard(sup, shard_id)
+                sup._ctx = _RacingContext(sup._ctx)
+                # Each heartbeat finds its shard dead and respawns it.
+                beats = [
+                    threading.Thread(target=sup.heartbeat, args=(shard_id,))
+                    for shard_id in sup.shard_ids
+                ]
+                for beat in beats:
+                    beat.start()
+                for beat in beats:
+                    beat.join(timeout=30.0)
+                    assert not beat.is_alive()
+                assert sup.states() == {0: RUNNING, 1: RUNNING}
+                kill_shard(sup, 0)
+                with pytest.raises(ShardUnavailableError, match="died mid-call"):
+                    sup.call(0, JOBS)
 
 
 class TestErrorRebuild:
