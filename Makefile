@@ -7,12 +7,13 @@
 #   make bench-smoke - quick-mode batch-engine benchmark (ISSUE-1 gate)
 #   make bench       - full benchmark suite with reproduced paper tables
 #   make perf-smoke  - every repo-benchmark workload briefly, answers checked
+#   make ledger      - append this commit's row to benchmarks/history/quick.jsonl
 #   make verify      - what CI runs
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test lint chaos serve-chaos bench-smoke bench perf-smoke verify
+.PHONY: test lint chaos serve-chaos bench-smoke bench perf-smoke ledger verify
 
 test:
 	python -m pytest -x -q
@@ -67,14 +68,14 @@ bench:
 
 # Repo-benchmark smoke (perfbench/README.md): each workload for 2 s
 # with its answer checks, including served answers byte-identical to
-# the in-process ones, then one traced interactive and one traced
-# served run, which fail if a boundary the per-layer tracer wraps (an
-# evaluation layer, or a serving hop such as ShardedRunner.__call__ or
-# ShardSupervisor.call) was renamed or removed.  Fails unless every
-# result line (the last line of a run) reports correct: true and
-# failed: 0.
+# the in-process ones, then one traced run of each workload, which
+# fails if a boundary the per-layer tracer wraps (an evaluation layer,
+# a store call, the paper pass's cycle, fidelity and network layers, or
+# a serving hop such as ShardedRunner.__call__ or ShardSupervisor.call)
+# was renamed or removed.  Fails unless every result line (the last
+# line of a run) reports correct: true and failed: 0.
 perf-smoke:
-	@for run in "interactive 0" "served 0" "bulk 0" "interactive 1" "served 1"; do \
+	@for run in "interactive 0" "served 0" "bulk 0" "interactive 1" "served 1" "bulk 1"; do \
 		set -- $$run; \
 		python3 perfbench/run.py --workload $$1 --seed 1 --seconds 2 --trace $$2 \
 		| python3 -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
@@ -83,5 +84,12 @@ perf-smoke:
 			sys.exit(0 if ok else f"perf-smoke: {sys.argv[1]} is not correct with 0 failed")' \
 			"$$1 --trace $$2" || exit 1; \
 	done
+
+# Performance ledger (benchmarks/ledger.py): the three repo-benchmark
+# workloads for 20 s each at seed 1, then bench-smoke, appended as one
+# JSON line tagged with the commit, nproc and the Python and numpy
+# versions.  Takes about 4 minutes on a 2-vCPU host; commit the row.
+ledger:
+	python3 benchmarks/ledger.py
 
 verify: lint test chaos bench-smoke perf-smoke

@@ -27,8 +27,9 @@ Module map (the request -> service -> engine flow)
   :class:`~repro.eval.parallel.DesignJob` lists and executed by
   :func:`~repro.eval.parallel.run_design_jobs` (vectorized plane +
   on-disk :class:`~repro.eval.store.PackedSweepStore`); ``trace=True``
-  adds cycle-level :class:`~repro.eval.parallel.CycleStats` via the
-  :class:`~repro.sim.batch.BatchEngine`, persisted in the same cache.
+  adds cycle-level :class:`~repro.eval.parallel.CycleStats` read off
+  each job's compiled schedule (:mod:`repro.sim.compiler`), persisted
+  in the same cache.
   ``submit()``/``gather()`` run any request on a service thread pool.
 
 Every pre-API entry point (`repro.eval.harness.run_grid`,

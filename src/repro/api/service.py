@@ -23,9 +23,13 @@ and routes them through :func:`~repro.eval.parallel.run_design_jobs`,
 the single in-process evaluation substrate (vectorized plane + batched
 on-disk :class:`~repro.eval.store.PackedSweepStore`).  ``trace=True``
 requests additionally run :func:`~repro.eval.parallel.run_cycle_jobs`,
-whose cycle-level :class:`~repro.eval.parallel.CycleStats` persist in
-the same cache under the ``"cycles"`` kind.  Process parallelism is the
-serving plane's job: it injects a sharded ``design_runner``.
+which reads each RED job's cycle-level
+:class:`~repro.eval.parallel.CycleStats` off its compiled schedule
+(nothing executes) and persists them in the same cache under the
+``"cycles"`` kind.  :meth:`~RedService.evaluate_network` walks the
+layer shapes of a network whose weights are never drawn
+(:func:`repro.workloads.networks.build_network`).  Process parallelism
+is the serving plane's job: it injects a sharded ``design_runner``.
 
 Concurrency
 -----------
@@ -83,10 +87,9 @@ class RedService:
             (default: :func:`default_tech`).
         service_threads: thread-pool width for :meth:`submit`.
         max_sub_crossbars: SC budget used to resolve ``fold='auto'`` on
-            cycle-level (trace) runs.
-        cycle_dtype: execution dtype of the fused cycle-level batch
-            executor (``"float64"`` — bit-identical to per-job engine
-            runs — or ``"float32"`` for throughput-bound sweeps).
+            cycle-level (trace) runs, whose
+            :class:`~repro.eval.parallel.CycleStats` are read off the
+            compiled schedule rather than executed.
         vectorized: route analytic cache misses through the
             struct-of-arrays evaluation plane
             (:mod:`repro.eval.vectorized`, the default).  ``False``
@@ -115,7 +118,6 @@ class RedService:
         tech: TechnologyParams | None = None,
         service_threads: int = 4,
         max_sub_crossbars: int = 128,
-        cycle_dtype: str = "float64",
         vectorized: bool = True,
         timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -133,7 +135,6 @@ class RedService:
         self.tech = tech
         self.service_threads = service_threads
         self.max_sub_crossbars = max_sub_crossbars
-        self.cycle_dtype = cycle_dtype
         self.vectorized = vectorized
         if timeout is not None and not timeout > 0:
             raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
@@ -187,7 +188,6 @@ class RedService:
                     jobs,
                     cache=self.cache,
                     max_sub_crossbars=self.max_sub_crossbars,
-                    dtype=self.cycle_dtype,
                     timeout=self.timeout if timeout is None else timeout,
                     retry_policy=self.retry_policy,
                 )

@@ -27,10 +27,10 @@ in-process execution substrate for those lists:
 3. The runners supply their compute step: :func:`run_design_jobs`
    (the vectorized analytic plane, :mod:`repro.eval.vectorized`, with
    the scalar per-job oracle inline for hookless designs and
-   ``vectorized=False``), :func:`run_cycle_jobs` (the fused
-   :class:`~repro.sim.batch.BatchEngine`, ``"cycles"`` kind) and
-   :func:`run_fidelity_jobs` (the batched Monte-Carlo sampler,
-   :mod:`repro.reram.batch`, ``"fidelity"`` kind).
+   ``vectorized=False``), :func:`run_cycle_jobs` (cycles and activity
+   counters read off each compiled schedule, :mod:`repro.sim.compiler`,
+   ``"cycles"`` kind) and :func:`run_fidelity_jobs` (the batched
+   Monte-Carlo sampler, :mod:`repro.reram.batch`, ``"fidelity"`` kind).
 
 Everything runs in the calling process; process parallelism belongs to
 the serving plane (``repro serve --shards N``, :mod:`repro.serving`).
@@ -133,10 +133,11 @@ def _canonical_fold(job: DesignJob) -> int | str | None:
 class CycleStats:
     """Cycle-level measurement of one job, as persisted in the cache.
 
-    The counters come from the :class:`~repro.sim.engine.CycleEngine`
-    run the :class:`~repro.sim.batch.BatchEngine` performs; the output
-    tensor itself is deliberately not stored (it is operand-dependent
-    and large — the cache holds the schedule-level observables).
+    Schedule-level observables only: the cycle count and activity
+    counters of the job's compiled schedule
+    (:func:`~repro.sim.engine.counters_from_schedule`), which a
+    :class:`~repro.sim.batch.BatchEngine` run of the job reproduces for
+    any operands.  No output tensor is computed or stored.
 
     Attributes:
         design: canonical design name.
@@ -627,52 +628,62 @@ def run_design_jobs(
     )
 
 
+def _cycle_stats(
+    jobs: list[DesignJob], deadline: Deadline, max_sub_crossbars: int
+) -> list[CycleStats]:
+    """Cycle stats of unique jobs, read off each compiled schedule.
+
+    ``cycles`` and the activity counters depend on the schedule alone,
+    never on operand values, so nothing executes: they are exactly what
+    the functional :class:`~repro.sim.batch.BatchEngine` measures
+    running the job (``tests/eval/test_cycle_stats.py``).
+    """
+    # Imported per call, not at import: profilers and fault tests
+    # rebind compile_schedule.
+    from repro.core.fold import resolve_fold
+    from repro.sim.compiler import compile_schedule
+    from repro.sim.engine import counters_from_schedule
+
+    stats = []
+    for job in jobs:
+        deadline.check("run_cycle_jobs (job)")
+        fold = resolve_fold(
+            job.spec, "auto" if job.fold is None else job.fold, max_sub_crossbars
+        )
+        compiled = compile_schedule(job.spec, fold)
+        counters = counters_from_schedule(compiled).as_dict()
+        stats.append(
+            CycleStats(
+                design=resolve_design(job.design),
+                layer=job.layer_name,
+                fold=fold,
+                cycles=compiled.cycles,
+                counters=tuple(sorted(counters.items())),
+            )
+        )
+    return stats
+
+
 def run_cycle_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
     cache: "PackedSweepStore | str | os.PathLike | None" = None,
     max_sub_crossbars: int = 128,
-    dtype: str = "float64",
+    *,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[CycleStats | None]:
     """Cycle-level companion to :func:`run_design_jobs`.
 
-    Runs every trace-capable job (``supports_trace`` in its registry
-    entry — RED) through the :class:`~repro.sim.batch.BatchEngine` and
-    returns :class:`CycleStats` per job, in job order; jobs whose design
-    has no cycle engine yield ``None``.  All misses execute as one
-    fused batch — jobs sharing a ``(spec, fold)`` pair run stacked over
-    a single analytically compiled schedule — and ``dtype="float32"``
-    opts throughput-bound sweeps into single-precision execution (the
-    persisted :class:`CycleStats` are operand-independent either way).
+    Returns :class:`CycleStats` per job, in job order, for every
+    trace-capable job (``supports_trace`` in its registry entry — RED);
+    jobs whose design has no cycle engine yield ``None``.  Each miss
+    resolves its fold against ``max_sub_crossbars`` and reads its cycles
+    and activity counters off the analytically compiled schedule
+    (:func:`~repro.sim.compiler.compile_schedule`), with the deadline
+    checked between jobs; no operand is synthesized or multiplied.
     Results persist under the ``"cycles"`` kind through the same
     pipeline as :func:`run_design_jobs`.
     """
-
-    def compute(unique: list[DesignJob], deadline: Deadline) -> list[CycleStats]:
-        from repro.sim.batch import BatchEngine, BatchJob
-
-        batch = BatchEngine(max_sub_crossbars=max_sub_crossbars, dtype=dtype).run(
-            [
-                BatchJob(
-                    spec=job.spec,
-                    fold="auto" if job.fold is None else job.fold,
-                    label=job.layer_name,
-                )
-                for job in unique
-            ]
-        )
-        return [
-            CycleStats(
-                design=resolve_design(job.design),
-                layer=job.layer_name,
-                fold=job_result.fold,
-                cycles=job_result.cycles,
-                counters=tuple(sorted(job_result.counters.items())),
-            )
-            for job, job_result in zip(unique, batch.results)
-        ]
-
     jobs = list(jobs)
     traceable = [
         index
@@ -681,7 +692,9 @@ def run_cycle_jobs(
     ]
     stats = _run_pipeline(
         "run_cycle_jobs", [jobs[index] for index in traceable], CYCLES_KIND,
-        cache, job_keys, _design_tokens, compute, timeout, retry_policy,
+        cache, job_keys, _design_tokens,
+        lambda unique, deadline: _cycle_stats(unique, deadline, max_sub_crossbars),
+        timeout, retry_policy,
     )
     results: list[CycleStats | None] = [None] * len(jobs)
     for index, value in zip(traceable, stats):

@@ -15,14 +15,22 @@ from repro.nn.modules import Module
 
 
 def normal_init(module: Module, std: float = 0.02, rng: np.random.Generator | None = None) -> Module:
-    """Re-draw every weight parameter from N(0, std); zero the biases."""
+    """Re-draw every weight parameter from N(0, std); zero the biases.
+
+    Rebinds each parameter rather than writing into it, so it also runs
+    over the read-only stand-in weights of a tree built with
+    :data:`~repro.nn.modules.SHAPES_ONLY`.
+    """
     rng = rng or np.random.default_rng(0)
-    for name, param in module.named_parameters():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "weight":
-            param[...] = rng.normal(0.0, std, size=param.shape)
-        elif leaf == "beta" or leaf == "bias":
-            param[...] = 0.0
+    for owner in module.modules():
+        params = owner._parameters
+        for name, param in list(params.items()):
+            if name == "weight":
+                params[name] = rng.normal(0.0, std, size=param.shape).astype(
+                    param.dtype, copy=False
+                )
+            elif name == "beta" or name == "bias":
+                params[name] = np.zeros_like(param)
     return module
 
 

@@ -3,11 +3,17 @@
 A :class:`Module` owns named parameters (NumPy arrays) and child modules,
 supports ``state_dict`` round-trips, and is callable.  Only the layers the
 paper's workloads need are provided; everything runs on ``(N, C, H, W)``.
+
+A tree whose weights nobody may read can be built from the
+:data:`SHAPES_ONLY` stand-in Generator and handed to
+:func:`defer_weights`: it then draws its real weights on the first read
+of any parameter, and never if only its layer shapes are walked.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import threading
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,9 +25,27 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 class Module:
     """Base class: parameter/children registry plus ``forward`` dispatch."""
 
+    #: ``(deferral, position)`` while this module's parameters wait for a
+    #: :func:`defer_weights` draw; ``None`` once taken, or if never deferred.
+    _deferred: "tuple[_Deferral, int] | None" = None
+
     def __init__(self) -> None:
-        self._parameters: dict[str, np.ndarray] = {}
+        self._own_parameters: dict[str, np.ndarray] = {}
         self._children: dict[str, "Module"] = {}
+
+    @property
+    def _parameters(self) -> dict[str, np.ndarray]:
+        """This module's named parameter arrays, drawn first if deferred."""
+        deferred = self._deferred
+        if deferred is not None:
+            deferral, position = deferred
+            self._own_parameters = deferral.parameters(position)
+            self._deferred = None
+        return self._own_parameters
+
+    def __getstate__(self) -> dict:
+        self._parameters  # the read draws deferred weights into the copy
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Registry
@@ -45,6 +69,12 @@ class Module:
                 self._children[name] = value
             return
         object.__setattr__(self, name, value)
+
+    def modules(self) -> Iterator["Module"]:
+        """Yield this module and every descendant, depth-first."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
 
     def parameters(self) -> Iterator[np.ndarray]:
         """Yield all parameter arrays, depth-first."""
@@ -284,3 +314,59 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
+
+
+class _ShapesOnly:
+    """A Generator stand-in that draws nothing.
+
+    ``normal`` returns a read-only broadcast view of ``loc``: the shape
+    a layer constructor asks for, without memory or a draw.
+    """
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
+        return np.broadcast_to(np.float64(loc), size)
+
+
+#: Pass as ``rng`` to build a module tree's layer shapes without drawing
+#: its weights; see :func:`defer_weights`.
+SHAPES_ONLY = _ShapesOnly()
+
+
+class _Deferral:
+    """One tree's pending weight draw, run once by the first reader.
+
+    It holds the drawn parameter dicts by depth-first position and never
+    the deferred modules, so a tree nobody reads frees by reference
+    counting, like an eagerly built one.
+    """
+
+    def __init__(self, draw: Callable[[], Module]) -> None:
+        self._lock = threading.Lock()
+        self._draw: Callable[[], Module] | None = draw
+        self._drawn: list[dict[str, np.ndarray]] = []
+
+    def parameters(self, position: int) -> dict[str, np.ndarray]:
+        """The drawn parameters of the module at ``position``."""
+        with self._lock:
+            if self._draw is not None:
+                self._drawn = [module._own_parameters for module in self._draw().modules()]
+                self._draw = None
+            return self._drawn[position]
+
+
+def defer_weights(tree: Module, draw: Callable[[], Module]) -> Module:
+    """``tree``, whose parameters come from ``draw()`` on first read.
+
+    ``tree`` carries the layer shapes (built with ``rng=SHAPES_ONLY``);
+    ``draw`` builds the same tree eagerly, real weights included.  The
+    first read of any parameter anywhere in the tree — ``_parameters``,
+    ``weight``, ``parameters()``, ``state_dict()``, a forward pass — runs
+    ``draw`` once under a lock; each module then reads the parameters of
+    the drawn module at its depth-first position.  Concurrent first
+    readers wait for that one draw.  Walking the tree's children and
+    layer attributes reads no parameter, so it draws nothing.
+    """
+    deferral = _Deferral(draw)
+    for position, module in enumerate(tree.modules()):
+        module._deferred = (deferral, position)
+    return tree

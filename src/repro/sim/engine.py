@@ -57,8 +57,9 @@ def counters_from_schedule(compiled: CompiledSchedule) -> CounterSet:
 
     Only counters that fired are materialized, matching the event-driven
     accounting (a key exists iff at least one event occurred).  Shared by
-    :class:`CycleEngine` and the fused
-    :class:`~repro.sim.batch.BatchEngine` executor.
+    :class:`CycleEngine`, the fused :class:`~repro.sim.batch.BatchEngine`
+    executor and :func:`repro.eval.parallel.run_cycle_jobs`, which reads
+    a job's counters off its schedule without executing it.
     """
     c = compiled.spec.in_channels
     counters = CounterSet()

@@ -66,7 +66,7 @@ class FCN8s(Module):
         self.upscore4 = ConvTranspose2d(n, n, 4, stride=2, padding=1, bias=False, rng=rng)
         self.upscore_final = ConvTranspose2d(n, n, 4, stride=2, padding=1, bias=False, rng=rng)
         for deconv in (self.upscore2, self.upscore4, self.upscore_final):
-            deconv._parameters["weight"][...] = bilinear_upsampling_kernel(4, n, n)
+            deconv.register_parameter("weight", bilinear_upsampling_kernel(4, n, n))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[2] % 8 or x.shape[3] % 8:

@@ -15,6 +15,10 @@ deconvolution layers the paper benchmarks:
 
 Weights are synthetic (seeded DCGAN-style initialization) because trained
 checkpoints are irrelevant to accelerator behaviour; shapes are exact.
+:func:`build_network` defers the draw when it owns the Generator.
+Evaluating a whole network reads only its layer shapes, so it never pays
+for DCGAN's 18.9M weights; any read of a parameter still sees the
+weights an eager build of the same seed draws.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.errors import ParameterError
 from repro.nn import functional as F
 from repro.nn.init import bilinear_upsampling_kernel, dcgan_init
 from repro.nn.modules import (
+    SHAPES_ONLY,
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
@@ -32,6 +37,7 @@ from repro.nn.modules import (
     ReLU,
     Sequential,
     Tanh,
+    defer_weights,
 )
 
 
@@ -178,8 +184,8 @@ class FCN8sDecoder(Module):
         self.upscore_pool4 = ConvTranspose2d(n, n, 4, stride=2, padding=0, bias=False, rng=rng)
         self.upscore8 = ConvTranspose2d(n, n, 16, stride=8, padding=0, bias=False, rng=rng)
         for deconv in (self.upscore2, self.upscore_pool4):
-            deconv._parameters["weight"][...] = bilinear_upsampling_kernel(4, n, n)
-        self.upscore8._parameters["weight"][...] = bilinear_upsampling_kernel(16, n, n)
+            deconv.register_parameter("weight", bilinear_upsampling_kernel(4, n, n))
+        self.upscore8.register_parameter("weight", bilinear_upsampling_kernel(16, n, n))
 
     def forward_scores(
         self, score_fr: np.ndarray, score_pool4: np.ndarray, score_pool3: np.ndarray
@@ -216,6 +222,14 @@ NETWORK_BUILDERS = {
 }
 
 
+def _construct(name: str, rng) -> Module:
+    """The network ``name`` names, built from ``rng`` (class default if ``None``)."""
+    builder = NETWORK_BUILDERS[name]
+    if builder is SNGANGenerator:
+        return SNGANGenerator(base_size=4, rng=rng)
+    return builder(rng=rng)
+
+
 def build_network(
     name: str,
     rng: np.random.Generator | None = None,
@@ -229,14 +243,24 @@ def build_network(
     does this — generators never cross the API boundary), pass an
     explicit ``rng``, or pass neither to get each network's fixed
     default seed.  Passing both is a contract error.
+
+    A caller's ``rng`` is consumed here, exactly as the network class
+    consumes it.  Otherwise this function owns the Generator, so nobody
+    can tell when it draws: the tree comes back with its layer shapes
+    only and draws every weight on the first read of any parameter
+    (:func:`repro.nn.modules.defer_weights`) — the same bytes an eager
+    build draws.  Walking the layer shapes, as
+    :func:`repro.system.network_mapper.extract_deconv_layers` does,
+    draws nothing.
     """
     if name not in NETWORK_BUILDERS:
         raise KeyError(f"unknown network {name!r}; choose from {sorted(NETWORK_BUILDERS)}")
-    if seed is not None:
-        if rng is not None:
+    if rng is not None:
+        if seed is not None:
             raise ValueError("build_network() takes rng or seed, not both")
-        rng = np.random.default_rng(seed)
-    builder = NETWORK_BUILDERS[name]
-    if builder is SNGANGenerator:
-        return SNGANGenerator(base_size=4, rng=rng)
-    return builder(rng=rng)
+        return _construct(name, rng)
+
+    def draw() -> Module:
+        return _construct(name, None if seed is None else np.random.default_rng(seed))
+
+    return defer_weights(_construct(name, SHAPES_ONLY), draw)

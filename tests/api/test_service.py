@@ -313,13 +313,24 @@ class TestScheduleCacheLifecycle:
         service.close()
         assert schedule_cache_info().size == 0
 
-    def test_float32_cycle_stats_match_float64(self, tmp_path):
-        request = EvaluationRequest(spec=SPEC, trace=True)
-        exact = RedService().evaluate(request)
-        fast = RedService(cycle_dtype="float32").evaluate(request)
-        # CycleStats hold schedule-level observables only, so the
-        # execution dtype must not change them.
-        assert fast.cycle_stats == exact.cycle_stats
+    def test_traced_cycle_stats_match_any_execution(self):
+        # CycleStats hold schedule-level observables only, so executing
+        # the job with other operands, or in float32, measures the same
+        # fold, cycles and counters the trace reads off the schedule.
+        from repro.sim.batch import BatchEngine, BatchJob
+
+        result = RedService().evaluate(EvaluationRequest(spec=SPEC, trace=True))
+        (red,) = [stats for stats in result.cycle_stats if stats is not None]
+        for dtype, seed in (("float64", 0), ("float32", 9)):
+            executed = BatchEngine(dtype=dtype).run([BatchJob(SPEC, "auto", seed)])
+            run = executed.results[0]
+            assert (red.fold, red.cycles, red.counters) == (
+                run.fold,
+                run.cycles,
+                tuple(sorted(run.counters.items())),
+            )
+        with pytest.raises(TypeError):
+            RedService(cycle_dtype="float32")
 
 
 class TestVectorizedRouting:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.eval.vectorized as vectorized_plane
 import repro.reram.batch as reram_batch
+import repro.sim.compiler as schedule_compiler
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
 from repro.arch.tech import default_tech
@@ -37,7 +38,6 @@ from repro.eval.parallel import (
 from repro.eval.store import PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
-from repro.sim.batch import BatchEngine
 
 TECH = default_tech()
 SPECS = (
@@ -130,8 +130,8 @@ COMPUTE_STEPS = {
         fault_free_metrics,
     ),
     "cycles": (
-        BatchEngine,
-        "run",
+        schedule_compiler,
+        "compile_schedule",
         lambda policy: run_cycle_jobs(list(RED_JOBS), retry_policy=policy),
         fault_free_cycles,
     ),
