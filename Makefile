@@ -88,7 +88,7 @@ perf-smoke:
 # Performance ledger (benchmarks/ledger.py): the three repo-benchmark
 # workloads for 20 s each at seed 1, then bench-smoke, appended as one
 # JSON line tagged with the commit, nproc and the Python and numpy
-# versions.  Takes about 4 minutes on a 2-vCPU host; commit the row.
+# versions.  Takes about 2 minutes on a 2-vCPU host; commit the row.
 ledger:
 	python3 benchmarks/ledger.py
 
