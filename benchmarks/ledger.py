@@ -47,7 +47,7 @@ GATES = {
         "speedup_vs_scalar", "floors.scalar", "jobs_per_s_vectorized", "bit_identical",
     ),
     "BENCH_cache.json": (
-        "speedup_vs_cold", "floors.cold", "speedup_vs_legacy", "floors.legacy",
+        "speedup_vs_cold", "floors.cold",
         "jobs_per_s.cold_vectorized", "jobs_per_s.packed_warm_disk",
         "jobs_per_s.packed_warm_memory", "byte_identical",
     ),

@@ -7,8 +7,8 @@ defeats the in-memory hit tier, and (for writes) publishes one index
 generation per entry instead of one per batch.  Inside ``repro/eval/``:
 
 * no single-entry ``cache.get(...)`` / ``store.put(...)`` calls — the
-  scalar wrappers exist only as compatibility surface on the stores
-  themselves;
+  packed store offers none, and per-entry traffic must not come back
+  through another store-named object;
 * no ``get_many`` / ``put_many`` inside a ``for``/``while`` body or a
   comprehension — a batched call per loop iteration is per-entry
   traffic wearing a batch API.
@@ -30,7 +30,7 @@ _STORE_SUFFIXES = ("cache", "store")
 #: The batched store protocol surface.
 _BATCH_METHODS = frozenset({"get_many", "put_many"})
 
-#: The single-entry compatibility surface.
+#: Single-entry calls the batched store protocol does not have.
 _SCALAR_METHODS = frozenset({"get", "put"})
 
 

@@ -81,8 +81,8 @@ class RedService:
 
     Args:
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
-            directory path (constructs the packed store, migrating
-            legacy directory-of-pickles content), or ``None``.
+            directory path (constructs the packed store, which the
+            service owns and closes), or ``None``.
         tech: base technology the per-request overrides apply to
             (default: :func:`default_tech`).
         service_threads: thread-pool width for :meth:`submit`.

@@ -356,11 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         if name in ("report", "fig7", "fig8", "fig9", "network", "sweep"):
             cmd.add_argument(
                 "--cache", default=None,
-                help=(
-                    "sweep result store directory (packed segment/index "
-                    "layout; legacy per-pickle directories are migrated "
-                    "in place)"
-                ),
+                help="sweep result store directory (packed segment/index layout)",
             )
     args = parser.parse_args(argv)
 

@@ -83,8 +83,11 @@ def run_grid(
     :class:`~repro.eval.parallel.DesignJob` entries and routed through
     :func:`~repro.eval.parallel.run_design_jobs`, and ``cache`` persists
     it across runs (a directory path constructs the batched
-    :class:`~repro.eval.store.PackedSweepStore`).
+    :class:`~repro.eval.store.PackedSweepStore`).  The service is
+    scoped to the call, so a store it built from a path is closed
+    before returning.
     """
     from repro.api.service import RedService
 
-    return RedService(cache=cache).grid(layers=layers, tech=tech)
+    with RedService(cache=cache) as service:
+        return service.grid(layers=layers, tech=tech)

@@ -481,8 +481,7 @@ def _coerce_cache(cache: "PackedSweepStore | str | os.PathLike | None"):
     ``None`` and ready-made stores (anything speaking
     ``get_many``/``put_many`` — :class:`~repro.eval.store.PackedSweepStore`,
     test doubles) pass through; a directory path constructs the packed
-    store, migrating any legacy directory-of-pickles content it finds
-    there.
+    store there.
     """
     if cache is None:
         return None
@@ -595,8 +594,7 @@ def run_design_jobs(
         num_workers: must be ``1`` — evaluation runs in-process;
             ``repro serve --shards N`` is the process-parallel path.
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a
-            directory path (constructs the packed store, migrating
-            legacy directory-of-pickles content), or ``None``.
+            directory path (constructs the packed store), or ``None``.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
             plane (:mod:`repro.eval.vectorized`), one fused batch per

@@ -1,17 +1,10 @@
 """Packed sweep store: segment files, offset index, in-memory hit tier.
 
-Why the cache needed its own engineering pass
----------------------------------------------
-Once the cold analytic plane went vectorized (PR 4, ~tens of thousands
-of jobs per second), the original directory-of-pickles cache (one
-``<job key>.pkl`` per entry) became the warm-path bottleneck: every hit
-paid one ``open``/``read`` syscall pair, one ``pickle.loads`` and one
-dataclass relabel, and every store paid one ``os.replace``.  This module is the storage tier rebuilt for batch
+The storage tier behind every runner's ``cache=``, built for batch
 traffic:
 
-- **Sharded append-only segments.**  ``put_many`` groups its entries by
-  key shard and appends each shard's records to one new immutable
-  segment file (``seg-<shard>-<unique>.seg``).  Records are
+- **Append-only segments.**  ``put_many`` appends its whole batch to
+  one new immutable segment file (``seg-<unique>.seg``).  Records are
   self-describing (raw 32-byte key + payload length + pickled payload),
   so segments double as a recovery log.
 - **Compact offset index, one atomic publish per batch.**  A single
@@ -30,24 +23,24 @@ traffic:
   in an :class:`~collections.OrderedDict` capped at ``memory_entries``,
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.
-- **Legacy migration.**  Opening a directory that contains
-  ``<hex key>.pkl`` files written by the legacy directory-of-pickles
-  cache imports them (raw bytes, so reads stay byte-identical) into the
-  packed layout once; the legacy files are left in place for older
-  readers.
+
+Segment names are opaque to readers: the index manifest names every
+segment and an index rebuild scans every ``seg-*.seg`` file, so stores
+written with other segment names (``seg-<shard>-<unique>.seg``) read
+the same way (``tests/eval/test_store_fixture.py``).
 
 The layout is deliberately batch-oriented: each publish rewrites the
-(compact, 48-bytes-per-entry) index and appends new segment files, so
+(compact, 48-bytes-per-entry) index and appends one segment file, so
 one sweep's worth of entries per ``put_many`` is the intended traffic
 shape.  A workload of many tiny single-entry publishes pays an index
 rewrite each time and accretes small segments; segment compaction is
 future work (see ROADMAP).
 
-The store is key-addressed and payload-kind aware but job-agnostic at
-the batch layer: :func:`~repro.eval.parallel.job_keys` produces the
-keys, and the runners in :mod:`repro.eval.parallel` drive
-``get_many`` / ``put_many`` exactly once per call.  Job-level
-``get``/``put`` conveniences serve tests and interactive use.
+The store is key-addressed and payload-kind aware but job-agnostic:
+:func:`~repro.eval.parallel.job_keys` produces the keys, and the
+runners in :mod:`repro.eval.parallel` drive ``get_many`` /
+``put_many`` exactly once per call.  Those two calls are its whole
+read/write interface.
 """
 
 from __future__ import annotations
@@ -77,10 +70,7 @@ from repro.eval.parallel import (
     FIDELITY_KIND,
     METRICS_KIND,
     CycleStats,
-    DesignJob,
     FidelityStats,
-    job_key,
-    relabelled,
 )
 from repro.reliability import failpoints
 from repro.reliability.policy import RetryPolicy
@@ -133,11 +123,7 @@ class PackedSweepStore:
     """Batched on-disk sweep result store with an in-memory hit tier.
 
     Args:
-        directory: store root; created if missing.  Legacy
-            directory-of-pickles content found there is migrated into
-            the packed layout on open.
-        num_shards: how many logical shards ``put_many`` splits a batch
-            over (one segment file per touched shard per batch).
+        directory: store root; created if missing.
         memory_entries: LRU hit-tier capacity in entries (``0``
             disables the tier).
         retry_policy: how transient ``OSError`` during the index
@@ -152,33 +138,28 @@ class PackedSweepStore:
             directory recovers.
 
     Statistics (``hits = memory_hits + disk_hits``, plus ``misses``,
-    ``stores``, ``corrupt`` and ``migrated``) are plain attributes.
+    ``stores`` and ``corrupt``) are plain attributes.
     """
 
     def __init__(
         self,
         directory: str | os.PathLike,
         *,
-        num_shards: int = 16,
         memory_entries: int = 65536,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
         if memory_entries < 0:
             raise ParameterError(
                 f"memory_entries must be >= 0, got {memory_entries}"
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.num_shards = num_shards
         self.memory_entries = memory_entries
         self.retry_policy = retry_policy or RetryPolicy()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        self.migrated = 0
         self.memory_hits = 0
         self.disk_hits = 0
         self.quarantined = 0
@@ -200,7 +181,6 @@ class PackedSweepStore:
         self._dead: dict[bytes, tuple[int, int, int]] = {}
         with self._lock:
             self._reload_index_locked()
-        self._migrate_legacy()
 
     # ------------------------------------------------------------------
     # Batch protocol (what run_design_jobs / run_cycle_jobs speak)
@@ -304,10 +284,10 @@ class PackedSweepStore:
     ) -> int:
         """Persist ``(key, payload)`` pairs as one batch.
 
-        The whole batch becomes at most ``num_shards`` new segment
-        files and exactly one atomic index publish, serialized against
-        concurrent writers by the store's advisory file lock.  Returns
-        the number of entries written.
+        The whole batch becomes exactly one new segment file and one
+        atomic index publish, serialized against concurrent writers by
+        the store's advisory file lock.  Returns the number of entries
+        written.
         """
         expected = _KIND_PAYLOADS[kind]
         serialized: list[tuple[bytes, bytes]] = []
@@ -339,29 +319,6 @@ class PackedSweepStore:
         return len(cached)
 
     # ------------------------------------------------------------------
-    # Job-level convenience API
-    # ------------------------------------------------------------------
-    def get(
-        self, job: DesignJob, kind: str = METRICS_KIND, *, key: str | None = None
-    ):
-        """Cached payload for a job, relabelled to the job's layer name."""
-        value = self.get_many([key or job_key(job, kind)], kind)[0]
-        if value is None:
-            return None
-        return relabelled(value, job.layer_name)
-
-    def put(
-        self,
-        job: DesignJob,
-        value,
-        kind: str = METRICS_KIND,
-        *,
-        key: str | None = None,
-    ) -> None:
-        """Store one result under the job's key (a one-entry batch)."""
-        self.put_many([(key or job_key(job, kind), value)], kind)
-
-    # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -387,7 +344,6 @@ class PackedSweepStore:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "migrated": self.migrated,
             "quarantined": self.quarantined,
             "rebuilt_entries": self.rebuilt_entries,
             "degraded": int(self.degraded),
@@ -585,9 +541,8 @@ class PackedSweepStore:
         """One read-merge-publish cycle under the writer lock.
 
         The on-disk index is re-read (another process may have
-        published since), the batch is appended as one segment per
-        touched shard, and the merged index replaces ``index.bin``
-        atomically.
+        published since), the batch is appended as one segment, and the
+        merged index replaces ``index.bin`` atomically.
         """
         with self._lock:
             dead = dict(self._dead)
@@ -602,17 +557,11 @@ class PackedSweepStore:
             for raw, location in dead.items():
                 if entries.get(raw) == location:
                     del entries[raw]
-            by_shard: dict[int, list[tuple[bytes, bytes]]] = {}
-            for raw, payload in serialized:
-                by_shard.setdefault(raw[0] % self.num_shards, []).append(
-                    (raw, payload)
-                )
-            for shard in sorted(by_shard):
-                name, locations = self._write_segment(shard, by_shard[shard])
-                segments.append(name)
-                segment_id = len(segments) - 1
-                for raw, offset, length in locations:
-                    entries[raw] = (segment_id, offset, length)
+            name, locations = self._write_segment(serialized)
+            segments.append(name)
+            segment_id = len(segments) - 1
+            for raw, offset, length in locations:
+                entries[raw] = (segment_id, offset, length)
             failpoints.inject("store.index.publish", fail_token, attempt)
             self._write_index(segments, entries)
             try:
@@ -629,12 +578,10 @@ class PackedSweepStore:
                 self._dead.pop(raw, None)
 
     def _write_segment(
-        self, shard: int, records: list[tuple[bytes, bytes]]
+        self, records: list[tuple[bytes, bytes]]
     ) -> tuple[str, list[tuple[bytes, int, int]]]:
-        """One immutable segment holding a batch's records for a shard."""
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f"seg-{shard:02x}-", suffix=".part"
-        )
+        """One immutable segment holding a batch's records."""
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix="seg-", suffix=".part")
         locations: list[tuple[bytes, int, int]] = []
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -743,53 +690,3 @@ class PackedSweepStore:
         memory.move_to_end(key)
         while len(memory) > self.memory_entries:
             memory.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Legacy directory-of-pickles migration
-    # ------------------------------------------------------------------
-    #: Entries per migration publish — bounds peak memory to one chunk
-    #: of legacy payload bytes however large the directory is.
-    _MIGRATION_CHUNK = 4096
-
-    def _migrate_legacy(self) -> None:
-        """Import ``<64-hex-key>.pkl`` files of the legacy per-pickle layout.
-
-        Raw file bytes are appended verbatim (no re-pickling), so a
-        migrated entry reads back byte-identical to the legacy path.
-        Keys already present in the packed index are skipped, making
-        repeated opens idempotent; the legacy files are left in place
-        for older readers, and large directories are imported in
-        bounded chunks (one publish per :attr:`_MIGRATION_CHUNK`
-        entries).  Note that entries written under an *older*
-        ``CACHE_SCHEMA_VERSION`` migrate but can no longer be looked up
-        — their keys embed the old schema tag, which is exactly how a
-        schema bump invalidates stale results.
-        """
-        if self.degraded:
-            return
-        imported: list[tuple[bytes, bytes]] = []
-        migrated = 0
-        for path in sorted(self.directory.glob("*.pkl")):
-            stem = path.stem
-            if len(stem) != 64:
-                continue
-            try:
-                raw = bytes.fromhex(stem)
-            except ValueError:
-                continue
-            with self._lock:
-                if raw in self._index:
-                    continue
-            try:
-                imported.append((raw, path.read_bytes()))
-            except OSError:  # pragma: no cover - racing unlink
-                continue
-            if len(imported) >= self._MIGRATION_CHUNK:
-                if not self._publish(imported):
-                    self.migrated = migrated
-                    return
-                migrated += len(imported)
-                imported = []
-        if imported and self._publish(imported):
-            migrated += len(imported)
-        self.migrated = migrated

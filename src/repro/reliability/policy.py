@@ -132,28 +132,19 @@ class RetryPolicy:
             for attempt in range(1, self.max_attempts)
         )
 
-    def call(
-        self,
-        fn: Callable[[], object],
-        *,
-        retry_on: Callable[[BaseException], bool] = is_retryable,
-        on_retry: Callable[[int, BaseException], None] | None = None,
-    ):
+    def call(self, fn: Callable[[], object]):
         """Run ``fn`` with up to ``max_attempts`` tries.
 
-        Retries only failures ``retry_on`` accepts; the final failure
-        (or any permanent one) re-raises unchanged, preserving its
-        type.  ``on_retry(attempt, exc)`` observes each absorbed
-        failure (counters, logging).
+        Retries only failures :func:`is_retryable` accepts; the final
+        failure (or any permanent one) re-raises unchanged, preserving
+        its type.
         """
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
             except Exception as exc:
-                if attempt >= self.max_attempts or not retry_on(exc):
+                if attempt >= self.max_attempts or not is_retryable(exc):
                     raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
                 self.sleeper(self.delay_for(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 

@@ -99,11 +99,11 @@ class ShardSupervisor:
         cache_dir: the packed store directory every shard shares
             (``None`` -> shards run uncached).
         respawn_budget: process restarts allowed per shard before it is
-            permanently degraded.
-        respawn_policy: backoff schedule between restarts.
+            permanently degraded; restarts back off per
+            :data:`DEFAULT_RESPAWN_POLICY`.
         sleeper: injectable sleep (tests pass
             :func:`~repro.reliability.policy.no_sleep`); ``None`` uses
-            the policy's own sleeper.
+            :data:`DEFAULT_RESPAWN_POLICY`'s sleeper.
         call_timeout_s: hard per-call budget when the caller provides
             none — a shard that stops answering is killed and
             respawned, never waited on forever.
@@ -114,7 +114,6 @@ class ShardSupervisor:
         num_shards: int = 2,
         cache_dir=None,
         respawn_budget: int = 2,
-        respawn_policy: RetryPolicy = DEFAULT_RESPAWN_POLICY,
         sleeper=None,
         call_timeout_s: float = 60.0,
     ) -> None:
@@ -131,8 +130,7 @@ class ShardSupervisor:
         self.num_shards = num_shards
         self.cache_dir = cache_dir
         self.respawn_budget = respawn_budget
-        self.respawn_policy = respawn_policy
-        self._sleeper = sleeper if sleeper is not None else respawn_policy.sleeper
+        self._sleeper = sleeper if sleeper is not None else DEFAULT_RESPAWN_POLICY.sleeper
         self.call_timeout_s = call_timeout_s
         self._ctx = multiprocessing.get_context("fork")
         self._shards = {i: _Shard(i) for i in range(num_shards)}
@@ -195,7 +193,7 @@ class ShardSupervisor:
             return
         shard.restarts += 1
         shard.state = RESTARTING
-        self._sleeper(self.respawn_policy.delay_for(shard.restarts))
+        self._sleeper(DEFAULT_RESPAWN_POLICY.delay_for(shard.restarts))
         self._spawn(shard)
 
     def stop(self) -> None:

@@ -124,10 +124,12 @@ def evaluate_network(
     :class:`~repro.eval.parallel.DesignJob` routed through
     :func:`~repro.eval.parallel.run_design_jobs`.  ``designs=None``
     evaluates every registered design; a ``cache`` directory path
-    constructs the batched :class:`~repro.eval.store.PackedSweepStore`.
+    constructs the batched :class:`~repro.eval.store.PackedSweepStore`,
+    which is closed with the call-scoped service before returning.
     """
     from repro.api.service import RedService
 
-    return RedService(cache=cache).network_evaluation(
-        network, input_height, input_width, tech=tech, designs=designs
-    )
+    with RedService(cache=cache) as service:
+        return service.network_evaluation(
+            network, input_height, input_width, tech=tech, designs=designs
+        )

@@ -111,28 +111,6 @@ class TestTrace:
         stats = store.get_many([key], kind=CYCLES_KIND)[0]
         assert stats.cycles == cold.metrics_for("RED").cycles
 
-    def test_legacy_sweep_cache_still_accepted(self, tmp_path):
-        # A directory in the legacy one-pickle-per-entry layout warms a
-        # service: the store migrates metrics and cycle entries on open.
-        request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
-        cold = RedService().evaluate(request)
-        jobs = [
-            DesignJob(design, SPEC, default_tech(), layer_name="L")
-            for design in cold.designs
-        ]
-        entries = [(job_key(job), m) for job, m in zip(jobs, cold.metrics)]
-        entries.append((job_key(jobs[-1], kind=CYCLES_KIND), cold.cycle_stats[-1]))
-        for key, value in entries:
-            (tmp_path / f"{key}.pkl").write_bytes(
-                pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-            )
-        store = PackedSweepStore(tmp_path)
-        assert store.migrated == 4
-        warm = RedService(cache=store).evaluate(request)
-        assert warm == cold
-        assert store.hits == 4
-        assert store.misses == 0
-
     def test_cached_cycle_stats_relabelled(self, tmp_path):
         RedService(cache=tmp_path).evaluate(
             EvaluationRequest(spec=SPEC, trace=True, layer_name="first")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eval.harness import DESIGN_ORDER, build_design, run_grid
+from repro.eval.store import PackedSweepStore
 from repro.workloads.specs import TABLE_I_LAYERS, get_layer
 
 
@@ -26,6 +27,17 @@ class TestGrid:
 
     def test_self_saving_is_zero(self, grid):
         assert grid.energy_saving("GAN_Deconv3", "zero-padding") == pytest.approx(0.0)
+
+    def test_store_built_from_a_path_is_closed(self, tmp_path, monkeypatch):
+        closed = []
+        original = PackedSweepStore.close
+        monkeypatch.setattr(
+            PackedSweepStore, "close", lambda self: (closed.append(self), original(self))
+        )
+        sub = run_grid(layers=(get_layer("GAN_Deconv3"),), cache=tmp_path)
+        assert list(sub.metrics) == ["GAN_Deconv3"]
+        assert [store.directory for store in closed] == [tmp_path]
+        assert (tmp_path / "index.bin").exists()
 
     def test_subset_of_layers(self):
         sub = run_grid(layers=(get_layer("GAN_Deconv3"),))

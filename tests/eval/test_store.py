@@ -6,8 +6,8 @@ Covers the ISSUE-5 contracts:
   ``[job_key(j) for j in jobs]`` across designs, folds, techs and kinds
   (hypothesis property).
 - ``PackedSweepStore`` round-trips payloads, survives concurrent
-  ``put_many`` writers sharing one directory, migrates the legacy
-  directory-of-pickles layout byte-identically, and bounds its
+  ``put_many`` writers sharing one directory, appends one segment per
+  ``put_many``, leaves files of other layouts alone, and bounds its
   in-memory LRU hit tier.
 - ``run_design_jobs`` / ``run_cycle_jobs`` issue *zero* per-job cache
   calls — one batched probe plus one batched publish per run
@@ -32,7 +32,6 @@ from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
     FidelityStats,
-    evaluate_design_job,
     fidelity_job_keys,
     job_key,
     job_keys,
@@ -218,18 +217,7 @@ class TestPackedStoreRoundTrip:
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            PackedSweepStore(tmp_path, num_shards=0)
-        with pytest.raises(ParameterError):
             PackedSweepStore(tmp_path, memory_entries=-1)
-
-    def test_job_level_compat_api(self, tmp_path):
-        store = PackedSweepStore(tmp_path)
-        job = make_job(layer_name="first")
-        store.put(job, evaluate_design_job(job))
-        relabelled = store.get(make_job(layer_name="second"))
-        assert relabelled is not None and relabelled.layer == "second"
-        same_label = store.get(make_job(layer_name="first"))
-        assert same_label.layer == "first"
 
     def test_cross_process_publish_visible_after_miss(self, tmp_path):
         # A reader refreshes its index (one stat) when a lookup misses,
@@ -292,6 +280,11 @@ class TestCorruptHandling:
         fresh = PackedSweepStore(tmp_path)  # LRU cold: forces the disk path
         assert fresh.get_many([key]) == [None]  # metrics kind: wrong class
         assert fresh.corrupt == 1
+        # The payload's bytes are kept for post-mortems.
+        quarantined = tmp_path / "quarantine" / f"{key}.bin"
+        assert quarantined.read_bytes() == pickle.dumps(
+            stats_payload(6), pickle.HIGHEST_PROTOCOL
+        )
 
 
 # ----------------------------------------------------------------------
@@ -392,48 +385,43 @@ class TestConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
-# Legacy directory-of-pickles migration
+# One on-disk layout
 # ----------------------------------------------------------------------
-def write_legacy(directory, entries) -> None:
-    """Write ``(key, payload)`` pairs in the legacy one-pickle-per-key layout."""
-    for key, value in entries:
-        (directory / f"{key}.pkl").write_bytes(
-            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        )
+class TestOneLayout:
+    def test_one_put_many_appends_one_segment(self, tmp_path):
+        store = PackedSweepStore(tmp_path)
+        store.put_many([(synthetic_key(0), stats_payload(0))], kind=CYCLES_KIND)
+        before = set(tmp_path.glob("seg-*.seg"))
+        entries = [(synthetic_key(i), stats_payload(i)) for i in range(1, 65)]
+        assert len({key[:2] for key, _ in entries}) > 16  # many first bytes
+        assert store.put_many(entries, kind=CYCLES_KIND) == len(entries)
+        assert len(set(tmp_path.glob("seg-*.seg")) - before) == 1
+        fresh = PackedSweepStore(tmp_path)
+        assert fresh.get_many([k for k, _ in entries], kind=CYCLES_KIND) == [
+            value for _, value in entries
+        ]
 
-
-class TestLegacyMigration:
-    def test_legacy_entries_read_back_byte_identical(self, tmp_path):
+    def test_pickle_files_are_neither_read_nor_rewritten(self, tmp_path):
+        # ``<key>.pkl`` files holding valid payloads under their real
+        # keys open like any other files: the store never reads them.
         jobs = [
             make_job(design=design, layer_name=design)
             for design in ("RED", "zero-padding", "padding-free")
         ]
-        legacy_results = run_design_jobs(jobs)
-        write_legacy(tmp_path, zip(job_keys(jobs), legacy_results))
-        migrated = PackedSweepStore(tmp_path)
-        assert migrated.migrated == len(jobs)
-        packed_results = run_design_jobs(jobs, cache=migrated)
-        assert migrated.misses == 0
-        assert [pickle.dumps(m) for m in packed_results] == [
-            pickle.dumps(m) for m in legacy_results
-        ]
-        # The legacy files stay in place for older readers.
-        assert len(list(tmp_path.glob("*.pkl"))) == len(jobs)
-
-    def test_migration_is_idempotent(self, tmp_path):
-        job = make_job()
-        write_legacy(tmp_path, [(job_key(job), evaluate_design_job(job))])
-        first = PackedSweepStore(tmp_path)
-        assert first.migrated == 1
-        second = PackedSweepStore(tmp_path)
-        assert second.migrated == 0  # already indexed, nothing re-imported
-        assert len(second) == 1
-
-    def test_non_key_pickles_ignored(self, tmp_path):
-        (tmp_path / "notes.pkl").write_bytes(pickle.dumps({"x": 1}))
-        (tmp_path / ("z" * 64 + ".pkl")).write_bytes(b"junk")  # non-hex stem
+        keys = job_keys(jobs)
+        for key, metrics in zip(keys, run_design_jobs(jobs)):
+            (tmp_path / f"{key}.pkl").write_bytes(
+                pickle.dumps(metrics, pickle.HIGHEST_PROTOCOL)
+            )
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         store = PackedSweepStore(tmp_path)
-        assert store.migrated == 0 and len(store) == 0
+        assert len(store) == 0
+        assert store.get_many(keys) == [None] * len(keys)
+        assert store.misses == len(keys)
+        store.close()
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert not (tmp_path / "index.bin").exists()
+        assert not list(tmp_path.glob("seg-*.seg"))
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +434,6 @@ class CountingStore(PackedSweepStore):
         super().__init__(*args, **kwargs)
         self.get_many_calls = 0
         self.put_many_calls = 0
-        self.get_calls = 0
-        self.put_calls = 0
 
     def get_many(self, keys, kind=METRICS_KIND):
         self.get_many_calls += 1
@@ -456,14 +442,6 @@ class CountingStore(PackedSweepStore):
     def put_many(self, entries, kind=METRICS_KIND):
         self.put_many_calls += 1
         return super().put_many(entries, kind)
-
-    def get(self, job, kind=METRICS_KIND, *, key=None):
-        self.get_calls += 1
-        return super().get(job, kind, key=key)
-
-    def put(self, job, value, kind=METRICS_KIND, *, key=None):
-        self.put_calls += 1
-        super().put(job, value, kind=kind, key=key)
 
 
 class TestRunnerBatchDiscipline:
@@ -481,20 +459,16 @@ class TestRunnerBatchDiscipline:
         jobs = self._grid()
         run_design_jobs(jobs, cache=store)  # cold: probe + publish
         assert (store.get_many_calls, store.put_many_calls) == (1, 1)
-        assert (store.get_calls, store.put_calls) == (0, 0)
         run_design_jobs(jobs, cache=store)  # warm: probe only
         assert (store.get_many_calls, store.put_many_calls) == (2, 1)
-        assert (store.get_calls, store.put_calls) == (0, 0)
 
     def test_run_cycle_jobs_zero_per_job_calls(self, tmp_path):
         store = CountingStore(tmp_path)
         jobs = self._grid()  # only RED is trace-capable
         run_cycle_jobs(jobs, cache=store)
         assert (store.get_many_calls, store.put_many_calls) == (1, 1)
-        assert (store.get_calls, store.put_calls) == (0, 0)
         run_cycle_jobs(jobs, cache=store)
         assert (store.get_many_calls, store.put_many_calls) == (2, 1)
-        assert (store.get_calls, store.put_calls) == (0, 0)
 
     def test_counting_store_passes_coercion_untouched(self, tmp_path):
         # Duck-typed stores flow through _coerce_cache unchanged, so the

@@ -86,14 +86,9 @@ class TestRetryPolicy:
                 raise OSError("transient")
             return "done"
 
-        observed = []
-        assert (
-            policy.call(flaky, on_retry=lambda a, e: observed.append(a))
-            == "done"
-        )
+        assert policy.call(flaky) == "done"
         assert attempts == [1, 2, 3]
         assert slept == [0.5, 1.0]
-        assert observed == [1, 2]
 
     def test_call_exhaustion_reraises_original(self):
         policy = RetryPolicy(max_attempts=2, sleeper=no_sleep)

@@ -8,8 +8,6 @@ state, and corrupt payloads move to ``quarantine/`` rather than being
 destroyed.
 """
 
-import pickle
-
 import pytest
 
 from repro.arch.tech import default_tech
@@ -232,38 +230,6 @@ class TestQuarantine:
             assert scrubbed.get_many(keys) == payloads
             reopened = PackedSweepStore(tmp_path, memory_entries=0)
             assert reopened.get_many(keys) == payloads
-
-    def test_legacy_sweep_cache_quarantines(self, tmp_path):
-        # A corrupt file of the legacy one-pickle-per-entry layout
-        # migrates verbatim, reads as a miss, and keeps its bytes in
-        # quarantine; the legacy file itself stays for older readers.
-        from repro.eval.parallel import run_design_jobs
-
-        key = job_key(JOBS[0])
-        bad = tmp_path / f"{key}.pkl"
-        bad.write_bytes(b"\x80\x04 definitely not a pickle")
-        store = PackedSweepStore(tmp_path)
-        assert store.migrated == 1
-        assert store.get_many([key]) == [None]
-        assert store.corrupt == 1
-        assert bad.exists()
-        quarantined = tmp_path / "quarantine" / f"{key}.bin"
-        assert quarantined.read_bytes() == bad.read_bytes()
-        # The runner rewrites the slot, and a reopen serves the rewrite
-        # instead of importing the stale legacy file again.
-        (metrics,) = run_design_jobs([JOBS[0]], cache=store)
-        reopened = PackedSweepStore(tmp_path, memory_entries=0)
-        assert reopened.migrated == 0
-        assert reopened.get_many([key]) == [metrics]
-        assert reopened.corrupt == 0
-
-    def test_legacy_sweep_cache_quarantines_wrong_type(self, tmp_path):
-        key = job_key(JOBS[0])
-        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps({"not": "metrics"}))
-        store = PackedSweepStore(tmp_path)
-        assert store.get_many([key]) == [None]
-        assert store.corrupt == 1
-        assert (tmp_path / "quarantine" / f"{key}.bin").exists()
 
     def test_degraded_store_skips_quarantine_writes(self, tmp_path):
         _, keys = populated(tmp_path)
