@@ -5,11 +5,12 @@ hottest substrate paths — every store publish and every store read
 goes through ``check``/``inject``/``corrupted``.  The
 contract that made that acceptable is that *disarmed* hooks are a
 dictionary miss and nothing more.  This module gates that contract on
-the stride-sweep grid the cache and sweep planes use
-(``bench_sweep_vectorized.build_grid``), measured on the route where
-the hooks actually fire per entry: warm **disk-tier** reads
-(``memory_entries=0``), where ``corrupted()`` runs once per key ahead
-of every ``pickle.loads`` (memory-tier hits bypass the hook by
+the fidelity grid the cache plane's disk tier uses
+(``bench_cache_plane.build_fidelity_grid``; fidelity samples are a
+kind the store writes to disk, analytic metrics are not), measured on
+the route where the hooks actually fire per entry: warm **disk-tier**
+reads (``memory_entries=0``), where ``corrupted()`` runs once per key
+ahead of every ``pickle.loads`` (memory-tier hits bypass the hook by
 construction, so timing them would gate nothing).
 
 1. **Hooks bypassed** (``failpoints.hooks_bypassed()``): the hook
@@ -23,10 +24,10 @@ construction, so timing them would gate nothing).
    contention epoch can still bias a whole round, so up to ``ROUNDS``
    rounds run and the first one within the ceiling passes (a genuine
    hook regression inflates every round).
-3. **Chaos recovery** (informational, not time-gated): a grid slice on
-   the inline scalar path, cold then reopened through a packed store
-   under an armed ``store.put_many:io_error;store.get_many:corrupt``
-   matrix, must still produce *byte-identical* results — the headline
+3. **Chaos recovery** (informational, not time-gated): a slice of the
+   fidelity grid, cold then reopened through a packed store under an
+   armed ``store.put_many:io_error;store.get_many:corrupt`` matrix,
+   must still produce *byte-identical* results — the headline
    invariant of ``tests/reliability/`` measured at benchmark scale.
 
 Measurements land in ``BENCH_resilience.json`` (path override:
@@ -42,9 +43,9 @@ import pickle
 import statistics
 import time
 
-from benchmarks.bench_sweep_vectorized import build_grid
+from benchmarks.bench_cache_plane import build_fidelity_grid
 from benchmarks.conftest import emit
-from repro.eval.parallel import run_design_jobs
+from repro.eval.parallel import run_fidelity_jobs
 from repro.eval.store import PackedSweepStore
 from repro.reliability import failpoints
 from repro.reliability.failpoints import configured_failpoints
@@ -66,9 +67,9 @@ PAIRS = 9
 ROUNDS = 4
 #: Warm sweeps per timed sample — sized so each timed leg runs long
 #: enough (~200 ms+) that scheduler jitter cannot swamp a 2% signal.
-LOOP = 50 if QUICK else 3
-#: Chaos slice: the scalar path is the expensive route, so the
-#: informational recovery row runs on a bounded prefix of the grid.
+LOOP = 100 if QUICK else 10
+#: Chaos slice: the informational recovery row runs on a bounded
+#: prefix of the grid.
 CHAOS_JOBS = 60 if QUICK else 240
 CHAOS_SPEC = "store.put_many:io_error@0.3;store.get_many:corrupt@0.3"
 
@@ -81,18 +82,18 @@ def _digest(results) -> list[bytes]:
 
 
 def test_disarmed_hooks_within_overhead_budget(tmp_path):
-    jobs = build_grid()
+    jobs = build_fidelity_grid()
 
     with configured_failpoints(None):
         populate = PackedSweepStore(tmp_path / "grid")
-        baseline_results = run_design_jobs(jobs, cache=populate)
+        baseline_results = run_fidelity_jobs(jobs, cache=populate)
         # Disk tier only: every read re-enters corrupted() + unpickle,
         # which is exactly the per-entry surface the hooks add to.
         disk = PackedSweepStore(tmp_path / "grid", memory_entries=0)
 
         def warm_sweep():
             for _ in range(LOOP):
-                results = run_design_jobs(jobs, cache=disk)
+                results = run_fidelity_jobs(jobs, cache=disk)
             return results
 
         warm_sweep()  # untimed: page cache, mmaps, compiled schedules
@@ -101,11 +102,12 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
         disarmed_results = warm_sweep()
 
         assert _digest(disarmed_results) == _digest(baseline_results), (
-            "disarmed hooks changed the served metrics"
+            "disarmed hooks changed the served samples"
         )
         assert _digest(bypassed_results) == _digest(baseline_results), (
-            "bypassed hooks changed the served metrics"
+            "bypassed hooks changed the served samples"
         )
+        assert disk.misses == 0, "a warm disk-tier read recomputed"
 
         def timed_bypassed():
             with failpoints.hooks_bypassed():
@@ -161,18 +163,18 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
 
         # --- informational chaos-recovery row -------------------------
         chaos_jobs = jobs[:CHAOS_JOBS]
-        fault_free = run_design_jobs(chaos_jobs, vectorized=False)
+        fault_free = run_fidelity_jobs(chaos_jobs)
         t_start = time.perf_counter()
-        run_design_jobs(chaos_jobs, vectorized=False)
+        run_fidelity_jobs(chaos_jobs)
         t_clean = time.perf_counter() - t_start
         store_policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
         with configured_failpoints(CHAOS_SPEC, seed=0):
             t_start = time.perf_counter()
             cold_store = PackedSweepStore(tmp_path / "chaos", retry_policy=store_policy)
-            chaos_cold = run_design_jobs(chaos_jobs, cache=cold_store, vectorized=False)
+            chaos_cold = run_fidelity_jobs(chaos_jobs, cache=cold_store)
             cold_store.close()
             store = PackedSweepStore(tmp_path / "chaos", retry_policy=store_policy)
-            chaos_results = run_design_jobs(chaos_jobs, cache=store, vectorized=False)
+            chaos_results = run_fidelity_jobs(chaos_jobs, cache=store)
             t_chaos = time.perf_counter() - t_start
         assert _digest(chaos_cold) == _digest(fault_free), (
             "cold chaos run diverged from the fault-free results"
@@ -195,7 +197,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             f"{1.0 + overhead:.3f}x (paired median)",
         ),
         (
-            f"chaos matrix, {len(chaos_jobs)} scalar jobs, cold + reopened",
+            f"chaos matrix, {len(chaos_jobs)} fidelity jobs, cold + reopened",
             f"{t_chaos * 1e3:.1f}",
             f"{2 * len(chaos_jobs) / t_chaos:.0f}",
             f"{t_chaos / t_clean:.3f}x vs one clean pass",
@@ -206,7 +208,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             ("resilience route", "wall-clock (ms)", "jobs/s", "ratio"),
             rows,
             title=(
-                f"ISSUE-8 resilience plane: {len(jobs)} jobs warm disk tier, "
+                f"Resilience plane: {len(jobs)} fidelity jobs warm disk tier, "
                 f"overhead {overhead * 100:+.2f}% "
                 f"(ceiling {OVERHEAD_CEILING * 100:.0f}%, quick={QUICK})"
             ),
@@ -214,8 +216,9 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
     )
 
     document = {
-        "schema": 1,
+        "schema": 2,
         "quick": QUICK,
+        "kind": "fidelity",
         "jobs": len(jobs),
         "pairs": PAIRS,
         "loop": LOOP,

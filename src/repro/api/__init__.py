@@ -26,10 +26,11 @@ Module map (the request -> service -> engine flow)
   substrate: requests are flattened into
   :class:`~repro.eval.parallel.DesignJob` lists and executed by
   :func:`~repro.eval.parallel.run_design_jobs` (vectorized plane +
-  on-disk :class:`~repro.eval.store.PackedSweepStore`); ``trace=True``
-  adds cycle-level :class:`~repro.eval.parallel.CycleStats` read off
-  each job's compiled schedule (:mod:`repro.sim.compiler`), persisted
-  in the same cache.
+  the memory tier of a :class:`~repro.eval.store.PackedSweepStore`);
+  ``trace=True`` adds cycle-level
+  :class:`~repro.eval.parallel.CycleStats` read off each job's compiled
+  schedule (:mod:`repro.sim.compiler`), persisted on disk in the same
+  store.
   ``submit()``/``gather()`` run any request on a service thread pool.
 
 Every pre-API entry point (`repro.eval.harness.run_grid`,

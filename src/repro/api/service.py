@@ -8,8 +8,13 @@ a :class:`RedService`, and get a frozen result back::
     from repro.api import EvaluationRequest, RedService
 
     with RedService(cache="~/.cache/red") as service:
-        result = service.evaluate(EvaluationRequest(layer="GAN_Deconv1"))
+        result = service.evaluate(EvaluationRequest(layer="GAN_Deconv1", trace=True))
         print(result.metrics_for("RED").latency.total)
+
+A store persists only what a read beats recomputing: the RED cycle
+trace above and fidelity-sweep samples reach ``~/.cache/red``, while
+the analytic metrics stay in the store's memory tier and are
+recomputed by the next process.
 
 Internally every path — :meth:`~RedService.evaluate`,
 :meth:`~RedService.sweep`, :meth:`~RedService.evaluate_network`, plus
@@ -20,13 +25,13 @@ the library-level helpers :meth:`~RedService.grid`,
 :func:`repro.system.network_mapper.evaluate_network` delegate to —
 flattens the work into :class:`~repro.eval.parallel.DesignJob` entries
 and routes them through :func:`~repro.eval.parallel.run_design_jobs`,
-the single in-process evaluation substrate (vectorized plane + batched
-on-disk :class:`~repro.eval.store.PackedSweepStore`).  ``trace=True``
-requests additionally run :func:`~repro.eval.parallel.run_cycle_jobs`,
-which reads each RED job's cycle-level
-:class:`~repro.eval.parallel.CycleStats` off its compiled schedule
-(nothing executes) and persists them in the same cache under the
-``"cycles"`` kind.  :meth:`~RedService.evaluate_network` walks the
+the single in-process evaluation substrate (vectorized plane + the
+:class:`~repro.eval.store.PackedSweepStore`'s memory tier).
+``trace=True`` requests additionally run
+:func:`~repro.eval.parallel.run_cycle_jobs`, which reads each RED job's
+cycle-level :class:`~repro.eval.parallel.CycleStats` off its compiled
+schedule (nothing executes) and persists them in the same store under
+the ``"cycles"`` kind.  :meth:`~RedService.evaluate_network` walks the
 layer shapes of a network whose weights are never drawn
 (:func:`repro.workloads.networks.build_network`).  Process parallelism
 is the serving plane's job: it injects a sharded ``design_runner``.
@@ -82,7 +87,10 @@ class RedService:
     Args:
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
             directory path (constructs the packed store, which the
-            service owns and closes), or ``None``.
+            service owns and closes), or ``None``.  Cycle traces and
+            fidelity samples persist on disk; analytic metrics only
+            serve repeats from the store's memory tier for as long as
+            the store lives.
         tech: base technology the per-request overrides apply to
             (default: :func:`default_tech`).
         service_threads: thread-pool width for :meth:`submit`.
@@ -143,6 +151,9 @@ class RedService:
         self._design_runner = design_runner or run_design_jobs
         self._executor: ThreadPoolExecutor | None = None
         self._closed = False
+        #: Set by the first traced request: only then did this service
+        #: fill the process-wide compiled-schedule LRU close() empties.
+        self._traced = False
         self._lock = threading.Lock()
 
     def _runner_kwargs(self, timeout: float | None = None) -> dict:
@@ -183,6 +194,7 @@ class RedService:
         metrics = self._design_runner(jobs, **self._runner_kwargs(timeout))
         cycle_stats: tuple = ()
         if request.trace:
+            self._traced = True
             cycle_stats = tuple(
                 run_cycle_jobs(
                     jobs,
@@ -453,10 +465,13 @@ class RedService:
         A long-lived service that traced many distinct large layer
         shapes holds their compiled-schedule index arrays in the
         process-wide LRU (:func:`repro.sim.compiler.schedule_cache_info`);
-        closing the service returns that memory.  A cache store the
-        service constructed from a path is owned and closed too (its
-        mmaps and LRU tier are released; caller-provided stores are the
-        caller's to close).  After ``close()`` the service is retired:
+        closing a service that ran a traced request returns that
+        memory.  A service that traced nothing leaves the LRU alone, so
+        call-scoped services (:func:`~repro.eval.harness.run_grid` and
+        friends) never evict schedules other callers compiled.  A cache
+        store the service constructed from a path is owned and closed
+        too (its mmaps and LRU tier are released; caller-provided stores
+        are the caller's to close).  After ``close()`` the service is retired:
         :meth:`submit` raises
         :class:`~repro.errors.ServiceClosedError` instead of silently
         spinning up a fresh thread pool nothing will ever shut down.
@@ -473,7 +488,8 @@ class RedService:
             return
         if self._owns_cache:
             self.cache.close()
-        clear_compiled_schedules()
+        if self._traced:
+            clear_compiled_schedules()
 
     def __enter__(self) -> "RedService":
         return self

@@ -17,8 +17,8 @@ Usage::
     python -m repro fig9              # area comparison
     python -m repro tradeoff          # Sec. III-C fold sweep (FCN_Deconv2)
     python -m repro network SNGAN     # whole-generator evaluation
-    python -m repro sweep --cache ~/.cache/red-sweeps
-                                      # stride sweep through the result store
+    python -m repro sweep --strides 1,2,4,8,16
+                                      # stride-speedup sweep
     python -m repro serve --shards 2  # sharded serving plane (SIGTERM drains)
     python -m repro ping              # health/readiness probe (exit 0/1/2)
     python -m repro report --json     # any subcommand, machine-readable
@@ -212,7 +212,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         num_shards=args.shards,
-        cache_dir=args.cache,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
     )
@@ -284,10 +283,6 @@ def _cmd_network(args, service: RedService) -> tuple[str, object]:
     return text, result
 
 
-def _make_service(args) -> RedService:
-    return RedService(cache=getattr(args, "cache", None))
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -328,11 +323,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-queue", type=int, default=32,
         help="queued requests before deterministic shedding (429)",
     )
-    serve.add_argument(
-        "--cache", default=None,
-        help="packed store directory every shard shares (same layout as "
-        "`repro sweep --cache`)",
-    )
     ping = sub.add_parser(
         "ping", help="probe a serving plane: exit 0 ready, 1 degraded, 2 down"
     )
@@ -345,19 +335,13 @@ def main(argv: list[str] | None = None) -> int:
     subparsers["sweep"] = sweep
     subparsers["serve"] = serve
     subparsers["ping"] = ping
-    # Every subcommand gets machine-readable output; the evaluation-grid
-    # commands additionally accept a result store directory.
-    for name, cmd in subparsers.items():
+    # Every subcommand gets machine-readable output.
+    for cmd in subparsers.values():
         cmd.add_argument(
             "--json",
             action="store_true",
             help="emit a schema_version-tagged JSON payload instead of a table",
         )
-        if name in ("report", "fig7", "fig8", "fig9", "network", "sweep"):
-            cmd.add_argument(
-                "--cache", default=None,
-                help="sweep result store directory (packed segment/index layout)",
-            )
     args = parser.parse_args(argv)
 
     service = None
@@ -376,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "fig4":
             text, payload = _cmd_fig4()
         elif args.command in ("fig7", "fig8", "fig9", "report"):
-            service = _make_service(args)
+            service = RedService()
             text, payload = _cmd_grid_figure(args.command, service)
         elif args.command == "tradeoff":
             text, payload = _cmd_tradeoff()
@@ -385,10 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "mechanism":
             text, payload = _cmd_mechanism()
         elif args.command == "sweep":
-            service = _make_service(args)
+            service = RedService()
             text, payload = _cmd_sweep(args, service)
         else:  # network
-            service = _make_service(args)
+            service = RedService()
             text, payload = _cmd_network(args, service)
     except ReproError as exc:
         # Error boundary: library failures are user-facing outcomes,

@@ -81,11 +81,11 @@ def run_grid(
     Delegates to :meth:`repro.api.service.RedService.grid`, the single
     evaluation path: the grid is flattened into
     :class:`~repro.eval.parallel.DesignJob` entries and routed through
-    :func:`~repro.eval.parallel.run_design_jobs`, and ``cache`` persists
-    it across runs (a directory path constructs the batched
-    :class:`~repro.eval.store.PackedSweepStore`).  The service is
-    scoped to the call, so a store it built from a path is closed
-    before returning.
+    :func:`~repro.eval.parallel.run_design_jobs`.  A ``cache`` store the
+    caller holds serves a repeated grid from its memory tier; analytic
+    metrics never reach disk, so a directory path builds a
+    :class:`~repro.eval.store.PackedSweepStore` that lives only as long
+    as the call-scoped service and is closed before returning.
     """
     from repro.api.service import RedService
 

@@ -481,7 +481,10 @@ def _coerce_cache(cache: "PackedSweepStore | str | os.PathLike | None"):
     ``None`` and ready-made stores (anything speaking
     ``get_many``/``put_many`` — :class:`~repro.eval.store.PackedSweepStore`,
     test doubles) pass through; a directory path constructs the packed
-    store there.
+    store there.  That store persists cycle traces and fidelity samples;
+    analytic metrics only reach its memory tier, which lives as long as
+    the store object, so a path gives :func:`run_design_jobs` nothing
+    beyond the call.
     """
     if cache is None:
         return None
@@ -530,20 +533,27 @@ def _run_pipeline(
     else:
         pending = range(len(jobs))
         group_keys = tokens(jobs)
-    groups: dict[object, list[int]] = {}
+    # Dedupe into one key -> slot dict and a flat slot per pending job:
+    # no per-key list survives into the compute step to be walked by
+    # the garbage collector.
+    slot_of: dict[object, int] = {}
+    slots: list[int] = []
+    unique = []
     for index, key in zip(pending, group_keys):
-        groups.setdefault(key, []).append(index)
-    unique = [jobs[indices[0]] for indices in groups.values()]
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(unique)
+            unique.append(jobs[index])
+        slots.append(slot)
     deadline.check(name)
     policy = retry_policy or DEFAULT_RETRY_POLICY
     computed = policy.call(lambda: compute(unique, deadline))
     if cache is not None:
         # One batched publish: a single put_many (one atomic index
         # publish on the packed store) instead of one write per job.
-        cache.put_many(list(zip(groups, computed)), kind)
-    for indices, value in zip(groups.values(), computed):
-        for index in indices:
-            results[index] = relabelled(value, jobs[index].layer_name)
+        cache.put_many(zip(slot_of, computed), kind)
+    for index, slot in zip(pending, slots):
+        results[index] = relabelled(computed[slot], jobs[index].layer_name)
     return results
 
 
@@ -595,6 +605,10 @@ def run_design_jobs(
             ``repro serve --shards N`` is the process-parallel path.
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a
             directory path (constructs the packed store), or ``None``.
+            Metrics enter the store's memory tier only (recomputing one
+            is cheaper than reading it back from disk), so a store the
+            caller holds serves in-process repeats without
+            recomputing, and a reopened store recomputes.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
             plane (:mod:`repro.eval.vectorized`), one fused batch per

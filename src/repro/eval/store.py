@@ -1,7 +1,9 @@
 """Packed sweep store: segment files, offset index, in-memory hit tier.
 
 The storage tier behind every runner's ``cache=``, built for batch
-traffic:
+traffic.  Only kinds that read back faster than they recompute reach
+disk (:data:`_PERSISTED_KINDS`: cycle traces and fidelity samples);
+analytic metrics live in the memory tier alone:
 
 - **Append-only segments.**  ``put_many`` appends its whole batch to
   one new immutable segment file (``seg-<unique>.seg``).  Records are
@@ -22,7 +24,11 @@ traffic:
 - **Bounded in-memory LRU hit tier.**  Deserialized payloads are kept
   in an :class:`~collections.OrderedDict` capped at ``memory_entries``,
   so a repeated sweep never touches disk twice; ``memory_entries=0``
-  disables the tier for pure disk measurements.
+  disables the tier for pure disk measurements.  Every ``put_many``
+  fills it, and for analytic metrics it is the whole store: a metrics
+  batch is never pickled, written or indexed, so it serves repeats for
+  as long as the store object lives.  Metrics an older store wrote to
+  disk still read back as hits.
 
 Segment names are opaque to readers: the index manifest names every
 segment and an index rebuild scans every ``seg-*.seg`` file, so stores
@@ -82,6 +88,17 @@ _KIND_PAYLOADS: dict[str, type] = {
     FIDELITY_KIND: FidelityStats,
 }
 
+#: Kinds written to the disk tier: only those a warm read beats
+#: recomputing.  A fidelity sample reads back ~14x faster than the
+#: Monte-Carlo sampler draws it and a cycle trace ~30x faster than
+#: compiling its schedule, but an analytic ``DesignMetrics`` is
+#: closed-form arithmetic that recomputes faster than a disk read
+#: decodes it (the 9,888-job grid on a 2-vCPU host: 178 ms to
+#: recompute, 369 ms through a reopened store), so metrics live in the
+#: memory tier only.  ``bench_cache_plane.py`` gates each persisted
+#: kind's warm read at >= 5x its recompute.
+_PERSISTED_KINDS = frozenset({CYCLES_KIND, FIDELITY_KIND})
+
 #: What ``pickle.loads`` of a truncated/corrupt/shape-skewed entry can
 #: raise.  Deliberately narrower than ``Exception`` so programming
 #: errors (NameError, ParameterError, ...) surface instead of being
@@ -120,7 +137,8 @@ def _key_bytes(key: str) -> bytes:
 
 
 class PackedSweepStore:
-    """Batched on-disk sweep result store with an in-memory hit tier.
+    """Batched sweep result store: on-disk segments for the kinds worth
+    persisting, an in-memory hit tier for every kind.
 
     Args:
         directory: store root; created if missing.
@@ -282,14 +300,27 @@ class PackedSweepStore:
     def put_many(
         self, entries: Iterable[tuple[str, object]], kind: str = METRICS_KIND
     ) -> int:
-        """Persist ``(key, payload)`` pairs as one batch.
+        """Store ``(key, payload)`` pairs as one batch.
 
-        The whole batch becomes exactly one new segment file and one
-        atomic index publish, serialized against concurrent writers by
-        the store's advisory file lock.  Returns the number of entries
-        written.
+        Every payload enters the memory tier.  A persisted kind
+        (cycles, fidelity) also becomes exactly one new segment file and
+        one atomic index publish, serialized against concurrent writers
+        by the store's advisory file lock.  Analytic metrics stay in
+        memory: nothing is pickled or written for them
+        (:data:`_PERSISTED_KINDS`).  Returns the number of entries
+        written to disk.
         """
         expected = _KIND_PAYLOADS[kind]
+        if kind not in _PERSISTED_KINDS:
+            with self._lock:
+                for key, value in entries:
+                    if not isinstance(value, expected):
+                        raise TypeError(
+                            f"cache kind {kind!r} stores {expected.__name__}, "
+                            f"got {type(value).__name__}"
+                        )
+                    self._memory_insert_locked(key, value)
+            return 0
         serialized: list[tuple[bytes, bytes]] = []
         cached: list[tuple[str, object]] = []
         for key, value in entries:

@@ -37,11 +37,11 @@ def stride_speedup_sweep(
     folded, area-capped variant).
 
     Delegates to :meth:`repro.api.service.RedService.sweep_points`, the
-    single evaluation path: ``cache`` makes repeated sweeps near-free (a
-    directory path constructs the batched
-    :class:`~repro.eval.store.PackedSweepStore`).  The
+    single evaluation path: a ``cache`` store the caller holds serves
+    repeated sweeps from its memory tier (analytic metrics never reach
+    disk, so a directory path only builds a store for this call).  The
     service is scoped to the call (context-managed) so its thread pool
-    and compiled-schedule cache are released before returning.
+    is released before returning.
     """
     from repro.api.service import RedService
 

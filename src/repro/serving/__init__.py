@@ -3,8 +3,7 @@
 Composition, bottom up:
 
 * :mod:`~repro.serving.shard` / :mod:`~repro.serving.supervisor` —
-  supervised worker processes over one shared packed store, with
-  respawn-budget-then-degrade;
+  supervised worker processes with respawn-budget-then-degrade;
 * :mod:`~repro.serving.breaker` — per-shard circuit breaking over the
   transient/permanent taxonomy;
 * :mod:`~repro.serving.runner` — the ``run_design_jobs``-shaped

@@ -12,9 +12,8 @@ one supervised shard process:
 3. the shard's reply is returned as is (``serving.merge`` failpoint
    armed where the reply is handed back).
 
-Every shard opens the same :class:`~repro.eval.store.PackedSweepStore`
-directory, so no routing affinity is needed to keep a store warm: a
-result one shard publishes is a hit for all of them.
+Shards hold no store (analytic metrics recompute faster than a store
+reads them back), so no routing affinity is needed.
 
 Robustness: a transient shard failure
 (:func:`~repro.reliability.policy.is_retryable`) feeds the breaker and
@@ -110,9 +109,8 @@ class ShardedRunner:
         """Evaluate every job, in order, on the next shard in turn.
 
         ``cache``/``vectorized``/``retry_policy`` are accepted for
-        signature compatibility: the store is the one every shard opens
-        under the server's ``cache_dir``, and the shards and the
-        fallback run the default plane (answers are route-independent).
+        signature compatibility: the shards and the fallback run the
+        default plane with no store (answers are route-independent).
         """
         jobs = list(jobs)
         if not jobs:

@@ -5,7 +5,7 @@ request thread pool -> :class:`~repro.api.service.RedService` (with a
 :class:`~repro.serving.runner.ShardedRunner` injected as its
 ``design_runner``) -> shard supervisor -> worker processes.  The event
 loop only parses bytes and routes; every blocking step (schema
-validation, evaluation, shard pipes, store IO) runs on the executor —
+validation, evaluation, shard pipes) runs on the executor —
 enforced by the RED008 lint rule, which bans blocking calls inside
 ``async def`` bodies in this package.
 
@@ -32,7 +32,7 @@ that spoke ``schema_version: 1`` are rewritten through
 parsing.
 
 Graceful drain (SIGTERM): stop admitting (new requests -> 503
-draining), flush in-flight work, close stores and shards, exit 0.
+draining), flush in-flight work, close the service and shards, exit 0.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ class ServingServer:
         host / port: bind address (``port=0`` picks a free port;
             :attr:`port` reports the bound one after :meth:`start`).
         num_shards: supervised worker processes.
-        cache_dir: the packed store directory every shard shares
-            (``None`` -> shards run uncached).
         max_inflight / max_queue / retry_after_base_s: admission gate
             tuning (:class:`~repro.serving.admission.AdmissionGate`).
         fallback: reroute calls that reach a circuit-broken/dead shard
@@ -119,7 +117,6 @@ class ServingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         num_shards: int = 2,
-        cache_dir=None,
         max_inflight: int = 8,
         max_queue: int = 32,
         retry_after_base_s: float = 0.05,
@@ -146,7 +143,6 @@ class ServingServer:
         )
         self.supervisor = ShardSupervisor(
             num_shards=num_shards,
-            cache_dir=cache_dir,
             respawn_budget=respawn_budget,
             sleeper=sleeper,
             call_timeout_s=call_timeout_s,
@@ -320,8 +316,8 @@ class ServingServer:
                     transport.abort()
 
     def _close_backends(self) -> None:
-        # Blocking teardown, executor-side: service thread pool, shard
-        # processes and their store handles.
+        # Blocking teardown, executor-side: service thread pool and
+        # shard processes.
         if self.service is not None:
             self.service.close()
         self.supervisor.stop()

@@ -2,18 +2,16 @@
 
 Each shard is a forked child running :func:`shard_worker_main`: a
 blocking request/response loop over a :mod:`multiprocessing` pipe.
-Every shard opens the same :class:`~repro.eval.store.PackedSweepStore`
-directory (the ``cache_dir`` root, the layout ``repro sweep --cache``
-uses): publishes serialise on the store's ``flock`` and a lookup that
-misses refreshes the index, so a result any shard publishes is a hit
-for every other shard, and the runner can send any call to any shard.
+Shards evaluate analytic metrics only, which recompute faster than a
+store could read them back, so a shard opens no store and the runner
+can send any call to any shard.
 
 Wire protocol (pickled tuples, sequence-numbered)::
 
     ("ping",        seq)                          -> ("pong", seq, stats)
     ("design_jobs", seq, jobs, timeout_s, attempt) -> ("ok", seq, metrics)
                                                   |  ("error", seq, info_dict)
-    ("shutdown",)                                 -> (loop exits, store closed)
+    ("shutdown",)                                 -> (loop exits)
 
 Failure contract: expected failures — anything in the
 :class:`~repro.errors.ReproError` taxonomy plus ``OSError`` — travel
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 from repro.eval.parallel import run_design_jobs
-from repro.eval.store import PackedSweepStore
 from repro.reliability import failpoints
 from repro.reliability.failpoints import mark_worker_process
 
@@ -36,14 +33,13 @@ from repro.reliability.failpoints import mark_worker_process
 SHARD_CALL_SITE = "serving.shard_call"
 
 
-def shard_worker_main(conn, shard_index: int, cache_dir=None) -> None:
+def shard_worker_main(conn, shard_index: int) -> None:
     """Blocking request loop of one shard process (fork target)."""
     # ErrorInfo pulls the schema layer in; import here so the parent's
     # import graph decides nothing about the child.
     from repro.api.schema import ErrorInfo
 
     mark_worker_process()  # crash-mode failpoints hard-exit this process
-    store = None if cache_dir is None else PackedSweepStore(cache_dir)
     jobs_done = 0
     try:
         while True:
@@ -74,7 +70,7 @@ def shard_worker_main(conn, shard_index: int, cache_dir=None) -> None:
                 # travels back as a retryable envelope; crash mode kills
                 # this process for real and the supervisor respawns it.
                 failpoints.inject(SHARD_CALL_SITE, shard_index, seq, attempt)
-                metrics = run_design_jobs(list(jobs), cache=store, timeout=timeout_s)
+                metrics = run_design_jobs(list(jobs), timeout=timeout_s)
             except (ReproError, OSError) as exc:
                 conn.send(
                     (
@@ -91,6 +87,3 @@ def shard_worker_main(conn, shard_index: int, cache_dir=None) -> None:
     except (EOFError, OSError, KeyboardInterrupt):
         # Parent went away (or is tearing us down): exit quietly.
         return
-    finally:
-        if store is not None:
-            store.close()

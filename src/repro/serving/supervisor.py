@@ -96,8 +96,6 @@ class ShardSupervisor:
 
     Args:
         num_shards: shard processes to run (>= 1).
-        cache_dir: the packed store directory every shard shares
-            (``None`` -> shards run uncached).
         respawn_budget: process restarts allowed per shard before it is
             permanently degraded; restarts back off per
             :data:`DEFAULT_RESPAWN_POLICY`.
@@ -112,7 +110,6 @@ class ShardSupervisor:
     def __init__(
         self,
         num_shards: int = 2,
-        cache_dir=None,
         respawn_budget: int = 2,
         sleeper=None,
         call_timeout_s: float = 60.0,
@@ -128,7 +125,6 @@ class ShardSupervisor:
                 f"call_timeout_s must be > 0, got {call_timeout_s!r}"
             )
         self.num_shards = num_shards
-        self.cache_dir = cache_dir
         self.respawn_budget = respawn_budget
         self._sleeper = sleeper if sleeper is not None else DEFAULT_RESPAWN_POLICY.sleeper
         self.call_timeout_s = call_timeout_s
@@ -162,7 +158,7 @@ class ShardSupervisor:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=shard_worker_main,
-                args=(child_conn, shard.shard_id, self.cache_dir),
+                args=(child_conn, shard.shard_id),
                 name=f"red-shard-{shard.shard_id}",
                 daemon=True,
             )

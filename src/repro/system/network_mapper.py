@@ -123,9 +123,11 @@ def evaluate_network(
     evaluation path: each (design, layer) pair becomes one
     :class:`~repro.eval.parallel.DesignJob` routed through
     :func:`~repro.eval.parallel.run_design_jobs`.  ``designs=None``
-    evaluates every registered design; a ``cache`` directory path
-    constructs the batched :class:`~repro.eval.store.PackedSweepStore`,
-    which is closed with the call-scoped service before returning.
+    evaluates every registered design.  A ``cache`` store the caller
+    holds serves repeats from its memory tier; analytic metrics never
+    reach disk, so a directory path builds a
+    :class:`~repro.eval.store.PackedSweepStore` for this call only,
+    closed with the call-scoped service before returning.
     """
     from repro.api.service import RedService
 

@@ -102,8 +102,8 @@ def pipeline_network_sweep(
 
     The per-(design, layer) evaluations route through the service's
     single evaluation path (:func:`~repro.eval.parallel.run_design_jobs`,
-    optional on-disk ``cache``); the reports themselves are cheap
-    roll-ups.  Returns ``{design: PipelineReport}`` in design
+    optional ``cache`` store, whose memory tier serves repeats); the
+    reports themselves are cheap roll-ups.  Returns ``{design: PipelineReport}`` in design
     order (default: every registered design).
     """
     from repro.api.registry import available_designs

@@ -97,19 +97,51 @@ class TestTrace:
         request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
         cold = RedService(cache=tmp_path).evaluate(request)
         # A path constructs the packed store; a fresh open sees the
-        # entries the cold service published.
+        # cycles entry the cold service published.
         store = PackedSweepStore(tmp_path)
         warm_service = RedService(cache=store)
         warm = warm_service.evaluate(request)
         assert warm == cold
-        # Every entry was served from the store: three metrics + one cycles.
-        assert store.hits == 4
-        assert store.misses == 0
+        # The cycles entry came from disk; the three metrics never
+        # reached it (they stay in the memory tier) and were recomputed.
+        assert (store.disk_hits, store.misses) == (1, 3)
+        assert len(store) == 1
         job = DesignJob("RED", SPEC, default_tech(), layer_name="L")
         key = job_key(job, kind=CYCLES_KIND)
         assert key in store
         stats = store.get_many([key], kind=CYCLES_KIND)[0]
         assert stats.cycles == cold.metrics_for("RED").cycles
+
+    def test_reopened_service_reads_cycles_and_recomputes_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.eval.vectorized as vectorized_plane
+        import repro.sim.compiler as schedule_compiler
+
+        request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
+        with RedService(cache=tmp_path) as cold_service:
+            cold = cold_service.evaluate(request)
+        evaluated, compiled = [], []
+        batch = vectorized_plane.evaluate_design_jobs_batch
+        compile_schedule = schedule_compiler.compile_schedule
+
+        def counting_batch(jobs):
+            evaluated.append(len(jobs))
+            return batch(jobs)
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile_schedule(*args)
+
+        monkeypatch.setattr(vectorized_plane, "evaluate_design_jobs_batch", counting_batch)
+        monkeypatch.setattr(schedule_compiler, "compile_schedule", counting_compile)
+        with RedService(cache=tmp_path) as reopened:
+            warm = reopened.evaluate(request)
+            stats = reopened.cache.stats()
+        assert warm == cold
+        assert evaluated == [3]  # every metric recomputed, in one batch
+        assert compiled == []  # the cycles entry was read from disk
+        assert (stats["disk_hits"], stats["misses"]) == (1, 3)
 
     def test_cached_cycle_stats_relabelled(self, tmp_path):
         RedService(cache=tmp_path).evaluate(
@@ -281,6 +313,29 @@ class TestConcurrency:
 
 
 class TestScheduleCacheLifecycle:
+    def test_untraced_service_keeps_other_callers_schedules(self):
+        from repro.eval.harness import run_grid
+        from repro.eval.parallel import run_cycle_jobs
+        from repro.sim.compiler import clear_compiled_schedules, schedule_cache_info
+        from repro.workloads.specs import TABLE_I_LAYERS, get_layer
+
+        jobs = [
+            DesignJob("RED", layer.spec, default_tech(), layer_name=layer.name)
+            for layer in TABLE_I_LAYERS
+        ]
+        clear_compiled_schedules()
+        run_cycle_jobs(jobs)
+        compiled = schedule_cache_info().size
+        assert compiled == len(jobs)
+        # run_grid evaluates through a call-scoped service that traces
+        # nothing; closing it must not evict the schedules compiled above.
+        run_grid(layers=(get_layer("GAN_Deconv3"),))
+        assert schedule_cache_info().size == compiled
+        run_cycle_jobs(jobs)
+        info = schedule_cache_info()
+        assert (info.hits, info.misses) == (compiled, compiled)
+        clear_compiled_schedules()
+
     def test_close_releases_compiled_schedules(self):
         from repro.sim.compiler import clear_compiled_schedules, schedule_cache_info
 

@@ -37,7 +37,8 @@ class TestGrid:
         sub = run_grid(layers=(get_layer("GAN_Deconv3"),), cache=tmp_path)
         assert list(sub.metrics) == ["GAN_Deconv3"]
         assert [store.directory for store in closed] == [tmp_path]
-        assert (tmp_path / "index.bin").exists()
+        # Analytic metrics stay in the memory tier: nothing reached disk.
+        assert list(tmp_path.iterdir()) == []
 
     def test_subset_of_layers(self):
         sub = run_grid(layers=(get_layer("GAN_Deconv3"),))

@@ -1,4 +1,9 @@
-"""Hit/miss/invalidation coverage for the on-disk sweep store."""
+"""Hit/miss/invalidation coverage for the sweep store.
+
+Store mechanics run on cycle stats, a kind the store writes to disk;
+analytic metrics live in its memory tier only, and the runner tests
+assert that policy.
+"""
 
 import dataclasses
 import pickle
@@ -9,9 +14,11 @@ from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError
 from repro.eval.parallel import (
+    CYCLES_KIND,
     DesignJob,
     evaluate_design_job,
     job_key,
+    run_cycle_jobs,
     run_design_jobs,
 )
 from repro.eval.store import PackedSweepStore
@@ -19,10 +26,10 @@ from repro.eval.store import PackedSweepStore
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 
 
-def stored_bytes(store: PackedSweepStore, job: DesignJob) -> bytes:
-    """The raw pickled payload a packed store holds for ``job``."""
+def memory_bytes(store: PackedSweepStore, job: DesignJob) -> bytes:
+    """The pickled payload a store's memory tier holds for ``job``."""
     with store._lock:
-        return store._read_locked(store._index[bytes.fromhex(job_key(job))])
+        return pickle.dumps(store._memory[job_key(job)], pickle.HIGHEST_PROTOCOL)
 
 
 def make_job(**overrides) -> DesignJob:
@@ -90,16 +97,16 @@ class TestCacheLifecycle:
     def test_miss_then_store_then_hit(self, tmp_path):
         cache = PackedSweepStore(tmp_path)
         job = make_job()
-        key = job_key(job)
-        assert cache.get_many([key]) == [None]
+        key = job_key(job, CYCLES_KIND)
+        assert cache.get_many([key], CYCLES_KIND) == [None]
         assert (cache.hits, cache.misses) == (0, 1)
-        metrics = evaluate_design_job(job)
-        cache.put_many([(key, metrics)])
+        (stats,) = run_cycle_jobs([job])
+        cache.put_many([(key, stats)], CYCLES_KIND)
         assert cache.stores == 1
         assert key in cache
-        (cached,) = cache.get_many([key])
+        (cached,) = cache.get_many([key], CYCLES_KIND)
         assert cache.hits == 1
-        assert cached == metrics
+        assert cached == stats
 
     def test_tech_change_invalidates_previous_results(self, tmp_path):
         cache = PackedSweepStore(tmp_path)
@@ -111,21 +118,51 @@ class TestCacheLifecycle:
         stale, = run_design_jobs([job], cache=cache)
         assert fresh.latency.total != stale.latency.total
 
+    def test_metrics_only_run_writes_nothing_to_disk(self, tmp_path):
+        cache = PackedSweepStore(tmp_path)
+        jobs = [make_job(design=d, layer_name=d) for d in ("RED", "zero-padding")]
+        run_design_jobs(jobs, cache=cache)
+        assert not list(tmp_path.glob("seg-*.seg"))
+        assert not (tmp_path / "index.bin").exists()
+        assert (cache.stores, len(cache), cache.memory_size()) == (0, 0, 2)
+        keys = [job_key(job) for job in jobs]
+        assert PackedSweepStore(tmp_path).get_many(keys) == [None, None]
+
+    def test_repeat_on_the_same_store_is_all_memory_hits(self, tmp_path, monkeypatch):
+        import repro.eval.vectorized as vectorized_plane
+
+        cache = PackedSweepStore(tmp_path)
+        jobs = [make_job(design=d, layer_name=d) for d in ("RED", "zero-padding")]
+        cold = run_design_jobs(jobs, cache=cache)
+        evaluated = []
+        batch = vectorized_plane.evaluate_design_jobs_batch
+
+        def counting_batch(unique):
+            evaluated.append(len(unique))
+            return batch(unique)
+
+        monkeypatch.setattr(vectorized_plane, "evaluate_design_jobs_batch", counting_batch)
+        warm = run_design_jobs(jobs, cache=cache)
+        assert evaluated == []
+        assert warm == cold
+        assert (cache.memory_hits, cache.disk_hits) == (len(jobs), 0)
+        assert (cache.stores, len(cache)) == (0, 0)
+
     def test_directory_path_coercion_builds_packed_store(self, tmp_path):
         job = make_job()
-        first = run_design_jobs([job], cache=str(tmp_path))
-        second = run_design_jobs([job], cache=tmp_path)
+        first = run_cycle_jobs([job], cache=str(tmp_path))
+        second = run_cycle_jobs([job], cache=tmp_path)
         assert pickle.dumps(first) == pickle.dumps(second)
         # A path constructs the packed store, not the per-pickle layout.
         assert (tmp_path / "index.bin").exists()
-        assert len(list(tmp_path.glob("*.seg"))) >= 1
+        assert len(list(tmp_path.glob("*.seg"))) == 1  # the second call hit
         assert len(list(tmp_path.glob("*.pkl"))) == 0
 
     def test_duplicate_jobs_computed_once_with_labels_preserved(self, tmp_path):
         cache = PackedSweepStore(tmp_path)
         jobs = [make_job(layer_name="A"), make_job(layer_name="B")]
         results = run_design_jobs(jobs, cache=cache)
-        assert cache.stores == 1  # one evaluation served both jobs
+        assert cache.memory_size() == 1  # one evaluation served both jobs
         assert [m.layer for m in results] == ["A", "B"]
         assert results[0].latency == results[1].latency
 
@@ -161,8 +198,8 @@ class TestCacheWithVectorizedRoute:
         run_design_jobs(jobs, cache=vec_cache, vectorized=True)
         run_design_jobs(jobs, cache=scalar_cache, vectorized=False)
         for job in jobs:
-            vec_bytes = stored_bytes(vec_cache, job)
-            scalar_bytes = stored_bytes(scalar_cache, job)
+            vec_bytes = memory_bytes(vec_cache, job)
+            scalar_bytes = memory_bytes(scalar_cache, job)
             assert vec_bytes == scalar_bytes
 
     def test_warm_reads_match_cold_results_regardless_of_writer(self, tmp_path):
@@ -175,9 +212,9 @@ class TestCacheWithVectorizedRoute:
         # memoization even when every element is byte-identical.
         digest = lambda results: [pickle.dumps(m) for m in results]  # noqa: E731
         assert digest(cold) == digest(warm_scalar) == digest(warm_vec)
-        # Every warm read was a pure hit: nothing was recomputed/stored.
-        assert cache.stores == len(jobs)
-        assert cache.hits == 2 * len(jobs)
+        # Every warm read was a pure memory hit: nothing was recomputed.
+        assert cache.memory_size() == len(jobs)
+        assert cache.memory_hits == 2 * len(jobs)
 
     def test_vectorized_misses_computed_once_per_unique_key(self, tmp_path):
         cache = PackedSweepStore(tmp_path)
@@ -186,7 +223,7 @@ class TestCacheWithVectorizedRoute:
         results = run_design_jobs(jobs, cache=cache, vectorized=True)
         # Three RED jobs share one key; the aliased zero-padding job has
         # its own.  Misses are stored exactly once per unique key.
-        assert cache.stores == 2
+        assert cache.memory_size() == 2
         assert [m.layer for m in results] == ["A", "B", "C", "D"]
         assert results[0].latency == results[1].latency == results[2].latency
 
@@ -199,7 +236,7 @@ class TestCacheWithVectorizedRoute:
             vectorized=True,
         )
         assert [m.layer for m in relabelled] == ["hit-1", "hit-2"]
-        assert cache.hits == 2 and cache.stores == 1
+        assert cache.hits == 2 and cache.memory_size() == 1
 
     def test_dedup_identical_without_cache_on_both_routes(self):
         jobs = [make_job(layer_name="X"), make_job(layer_name="Y")]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import DesignJob, run_design_jobs
+from repro.eval.parallel import DesignJob, run_cycle_jobs, run_design_jobs
 from repro.eval.store import PackedSweepStore
 from repro.eval.sweeps import stride_speedup_sweep
 
@@ -69,11 +69,36 @@ class TestCacheInvariance:
         with tempfile.TemporaryDirectory() as directory:
             cache = PackedSweepStore(directory)
             cold = run_design_jobs(jobs, cache=cache)
-            assert cache.stores == len(jobs)
+            # Metrics enter the memory tier only: nothing reaches disk.
+            assert cache.memory_size() == len(jobs)
+            assert cache.stores == 0 and len(cache) == 0
             warm = run_design_jobs(jobs, cache=cache)
-            assert cache.hits >= len(jobs)
+            assert cache.memory_hits >= len(jobs)
+            reopened = run_design_jobs(jobs, cache=PackedSweepStore(directory))
             uncached = run_design_jobs(jobs)
-            assert _digest(cold) == _digest(warm) == _digest(uncached)
+            assert (
+                _digest(cold) == _digest(warm) == _digest(reopened)
+                == _digest(uncached)
+            )
+
+    @given(design_job_lists())
+    @settings(**_SETTINGS)
+    def test_cycle_stats_identical_cold_warm_reopened_uncached(self, jobs):
+        with tempfile.TemporaryDirectory() as directory:
+            cache = PackedSweepStore(directory)
+            cold = run_cycle_jobs(jobs, cache=cache)
+            traced = sum(stats is not None for stats in cold)
+            assert cache.stores == traced
+            warm = run_cycle_jobs(jobs, cache=cache)
+            assert cache.memory_hits == traced
+            reopened_store = PackedSweepStore(directory)
+            reopened = run_cycle_jobs(jobs, cache=reopened_store)
+            assert reopened_store.disk_hits == traced
+            uncached = run_cycle_jobs(jobs)
+            assert (
+                _digest(cold) == _digest(warm) == _digest(reopened)
+                == _digest(uncached)
+            )
 
 
 class TestSweepLevelDeterminism:

@@ -36,7 +36,7 @@ from repro.eval.parallel import (
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
-from repro.reliability import configured_failpoints
+from repro.reliability import active_failpoints, configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()
@@ -69,7 +69,7 @@ def fault_free_cycles() -> tuple:
         return tuple(run_cycle_jobs(list(RED_JOBS)))
 
 
-def fidelity_jobs() -> list[FidelityJob]:
+def fidelity_jobs(seeds=(0, 1, 2)) -> list[FidelityJob]:
     return [
         FidelityJob(
             design="RED",
@@ -82,7 +82,7 @@ def fidelity_jobs() -> list[FidelityJob]:
             max_cols=16,
             layer_name=f"fid{seed}",
         )
-        for seed in (0, 1, 2)
+        for seed in seeds
     ]
 
 
@@ -173,6 +173,9 @@ class TestPipelineRetry:
 
 
 class TestStoreChaos:
+    """Store faults on the kinds the store writes to disk (analytic
+    metrics stay in its memory tier, where no store fault can reach)."""
+
     def test_publish_faults_degrade_not_corrupt(self, tmp_path):
         # Publish I/O faults at rate 1.0 exhaust the store's retries and
         # flip it into degraded mode — the sweep results are unaffected
@@ -181,26 +184,24 @@ class TestStoreChaos:
             tmp_path, retry_policy=RetryPolicy(max_attempts=2, sleeper=no_sleep)
         )
         with configured_failpoints("store.put_many:io_error@1.0"):
-            first = run_design_jobs(list(JOBS), cache=store, vectorized=False)
-            assert tuple(first) == fault_free_metrics()
+            first = run_fidelity_jobs(fidelity_jobs(), cache=store)
+            assert tuple(first) == fault_free_fidelity()
             assert store.degraded
-            assert store.degraded_puts == len(JOBS)
-            warm = run_design_jobs(list(JOBS), cache=store, vectorized=False)
-        assert tuple(warm) == fault_free_metrics()
+            assert store.degraded_puts == len(fidelity_jobs())
+            warm = run_fidelity_jobs(fidelity_jobs(), cache=store)
+        assert tuple(warm) == fault_free_fidelity()
         assert store.memory_hits > 0
 
     def test_corrupt_reads_quarantine_and_recompute(self, tmp_path):
         store = PackedSweepStore(tmp_path)
         with configured_failpoints(None):
-            run_design_jobs(list(JOBS), cache=store, vectorized=False)
+            run_cycle_jobs(list(RED_JOBS), cache=store)
         with configured_failpoints("store.get_many:corrupt@1.0"):
             fresh = PackedSweepStore(tmp_path)  # cold memory tier
-            result = run_design_jobs(
-                list(JOBS), cache=fresh, vectorized=False
-            )
-        assert tuple(result) == fault_free_metrics()
-        assert fresh.corrupt == len(JOBS)
-        assert fresh.quarantined == len(JOBS)
+            result = run_cycle_jobs(list(RED_JOBS), cache=fresh)
+        assert tuple(result) == fault_free_cycles()
+        assert fresh.corrupt == len(RED_JOBS)
+        assert fresh.quarantined == len(RED_JOBS)
         assert sorted((tmp_path / "quarantine").glob("*.bin"))
 
     @settings(max_examples=5, deadline=None)
@@ -230,8 +231,20 @@ class TestStoreChaos:
                     vectorized=False,
                     retry_policy=LENIENT,
                 )
+                cold_cycles = run_cycle_jobs(
+                    list(RED_JOBS), cache=store, retry_policy=LENIENT
+                )
+                reopened = PackedSweepStore(
+                    directory,
+                    retry_policy=RetryPolicy(max_attempts=4, sleeper=no_sleep),
+                )
+                warm_cycles = run_cycle_jobs(
+                    list(RED_JOBS), cache=reopened, retry_policy=LENIENT
+                )
         assert tuple(cold) == fault_free_metrics()
         assert tuple(warm) == fault_free_metrics()
+        assert tuple(cold_cycles) == fault_free_cycles()
+        assert tuple(warm_cycles) == fault_free_cycles()
 
 
 class TestRunnerCompanionsChaos:
@@ -324,18 +337,33 @@ class TestServicePartialResults:
 class TestAmbientEnvironment:
     def test_ambient_env_matrix_recovers(self, tmp_path):
         # Under `make chaos` this module imports with RED_FAILPOINTS
-        # armed from the environment, so the cold run publishes and the
-        # reopened run reads under the ambient store-fault matrix;
-        # unarmed it is a plain determinism check.
+        # armed from the environment, so the cold runs publish and the
+        # reopened runs read under the ambient store-fault matrix;
+        # unarmed it is a plain determinism check.  Metrics stay in the
+        # memory tier, so the fidelity leg is what store faults reach.
         store_policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
+        samples = fidelity_jobs(seeds=range(16))
+        with configured_failpoints(None):
+            expected = tuple(run_fidelity_jobs(samples))
         store = PackedSweepStore(tmp_path, retry_policy=store_policy)
         cold = run_design_jobs(
             list(JOBS), cache=store, vectorized=False, retry_policy=LENIENT
         )
+        cold_samples = run_fidelity_jobs(samples, cache=store, retry_policy=LENIENT)
         store.close()
         reopened = PackedSweepStore(tmp_path, retry_policy=store_policy)
         warm = run_design_jobs(
             list(JOBS), cache=reopened, vectorized=False, retry_policy=LENIENT
         )
+        warm_samples = run_fidelity_jobs(
+            samples, cache=reopened, retry_policy=LENIENT
+        )
         assert tuple(cold) == fault_free_metrics()
         assert tuple(warm) == fault_free_metrics()
+        assert tuple(cold_samples) == expected
+        assert tuple(warm_samples) == expected
+        if any(
+            point.site == "store.get_many" and point.mode == "corrupt"
+            for point in active_failpoints()
+        ):
+            assert reopened.quarantined > 0

@@ -5,21 +5,23 @@ self-describing segments make ``index.bin`` disposable (missing,
 truncated or corrupt indexes rebuild by scanning segments), publish
 failures degrade to a counted read-only mode instead of corrupting
 state, and corrupt payloads move to ``quarantine/`` rather than being
-destroyed.
+destroyed.  Every scenario runs on fidelity samples, a kind the store
+writes to disk (analytic metrics stay in its memory tier).
 """
 
 import pytest
 
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import DesignJob, job_key
+from repro.eval.parallel import FIDELITY_KIND, FidelityJob, fidelity_job_key
 from repro.eval.store import _INDEX_MAGIC, _ROW, PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()
+KIND = FIDELITY_KIND
 JOBS = tuple(
-    DesignJob(
+    FidelityJob(
         design,
         DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1),
         TECH,
@@ -44,19 +46,19 @@ def _disarmed():
 
 
 def populated(tmp_path):
-    """A store holding one metrics entry per job, plus the key list."""
-    from repro.eval.parallel import run_design_jobs
+    """A store holding one fidelity entry per job, plus the key list."""
+    from repro.eval.parallel import run_fidelity_jobs
 
     store = PackedSweepStore(tmp_path)
     with configured_failpoints(None):
-        run_design_jobs(list(JOBS), cache=store, vectorized=False)
-    keys = [job_key(job) for job in JOBS]
+        run_fidelity_jobs(list(JOBS), cache=store)
+    keys = [fidelity_job_key(job) for job in JOBS]
     return store, keys
 
 
 def reference_payloads(tmp_path, keys):
     fresh = PackedSweepStore(tmp_path, memory_entries=0)
-    return fresh.get_many(keys)
+    return fresh.get_many(keys, KIND)
 
 
 class TestIndexRecovery:
@@ -66,7 +68,7 @@ class TestIndexRecovery:
         (tmp_path / "index.bin").unlink()
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
+            assert recovered.get_many(keys, KIND) == expected
         assert recovered.rebuilt_entries == len(keys)
         assert recovered.stats()["rebuilt_entries"] == len(keys)
 
@@ -76,7 +78,7 @@ class TestIndexRecovery:
         (tmp_path / "index.bin").write_bytes(b"NOTANIDX\ngarbage")
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
+            assert recovered.get_many(keys, KIND) == expected
         assert recovered.rebuilt_entries == len(keys)
 
     def test_corrupt_manifest_rebuilds_from_segments(self, tmp_path):
@@ -85,7 +87,7 @@ class TestIndexRecovery:
         (tmp_path / "index.bin").write_bytes(_INDEX_MAGIC + b"{not json\n")
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
+            assert recovered.get_many(keys, KIND) == expected
 
     def test_truncated_rows_serve_complete_entries(self, tmp_path):
         _, keys = populated(tmp_path)
@@ -95,7 +97,7 @@ class TestIndexRecovery:
         index.write_bytes(data[: len(data) - _ROW.size // 2])
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            values = recovered.get_many(keys)
+            values = recovered.get_many(keys, KIND)
         assert sum(value is not None for value in values) == len(keys) - 1
         # No rebuild happened — truncation is tolerated row-wise.
         assert recovered.rebuilt_entries == 0
@@ -106,18 +108,18 @@ class TestIndexRecovery:
         (tmp_path / "index.bin").unlink()
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
+            assert recovered.get_many(keys, KIND) == expected
             # The rebuilt index lives in memory until the next publish
             # rewrites index.bin; publish one fresh entry and reopen.
-            extra_job = DesignJob(
+            extra_job = FidelityJob(
                 "RED",
                 DeconvSpec(3, 3, 2, 6, 6, 3, stride=3, padding=2,
                            output_padding=1),
                 TECH,
             )
-            recovered.put_many([(job_key(extra_job), expected[0])])
+            recovered.put_many([(fidelity_job_key(extra_job), expected[0])], KIND)
             reopened = PackedSweepStore(tmp_path, memory_entries=0)
-            assert reopened.get_many(keys) == expected
+            assert reopened.get_many(keys, KIND) == expected
         assert (tmp_path / "index.bin").exists()
         assert reopened.rebuilt_entries == 0
 
@@ -130,7 +132,7 @@ class TestIndexRecovery:
             segment.unlink()
         with configured_failpoints(None):
             skewed = PackedSweepStore(tmp_path, memory_entries=0)
-            values = skewed.get_many(keys)
+            values = skewed.get_many(keys, KIND)
         assert values == [None] * len(keys)
         assert skewed.corrupt == 0
         assert skewed.misses == len(keys)
@@ -145,18 +147,17 @@ class TestDegradedMode:
         payloads = reference_payloads(tmp_path / "reference", keys)
         entries = list(zip(keys, payloads))
         with configured_failpoints("store.put_many:io_error@1.0"):
-            assert store.put_many(entries) == 0
+            assert store.put_many(entries, KIND) == 0
         assert store.degraded
         assert store.degraded_puts == len(entries)
         assert store.stats()["degraded"] == 1
         # The memory tier still serves this process...
-        assert store.get_many(keys) == payloads
+        assert store.get_many(keys, KIND) == payloads
         assert store.memory_hits == len(keys)
         # ...but nothing reached disk.
         with configured_failpoints(None):
-            assert PackedSweepStore(tmp_path).get_many(keys) == [None] * len(
-                keys
-            )
+            reopened = PackedSweepStore(tmp_path)
+            assert reopened.get_many(keys, KIND) == [None] * len(keys)
 
     def test_refresh_leaves_degraded_mode(self, tmp_path):
         store = PackedSweepStore(tmp_path, retry_policy=NO_SLEEP)
@@ -164,14 +165,14 @@ class TestDegradedMode:
         payloads = reference_payloads(tmp_path / "reference", keys)
         entries = list(zip(keys, payloads))
         with configured_failpoints("store.put_many:io_error@1.0"):
-            store.put_many(entries)
+            store.put_many(entries, KIND)
         assert store.degraded
         with configured_failpoints(None):
             store.refresh()
             assert not store.degraded
-            assert store.put_many(entries) == len(entries)
+            assert store.put_many(entries, KIND) == len(entries)
             assert PackedSweepStore(tmp_path, memory_entries=0).get_many(
-                keys
+                keys, KIND
             ) == payloads
 
     def test_publish_retry_eventually_succeeds(self, tmp_path):
@@ -184,12 +185,12 @@ class TestDegradedMode:
         payloads = reference_payloads(tmp_path / "reference", keys)
         entries = list(zip(keys, payloads))
         with configured_failpoints("store.put_many:io_error@0.5", seed=1):
-            written = store.put_many(entries)
+            written = store.put_many(entries, KIND)
         assert written == len(entries)
         assert not store.degraded
         with configured_failpoints(None):
             assert PackedSweepStore(tmp_path, memory_entries=0).get_many(
-                keys
+                keys, KIND
             ) == payloads
 
     def test_degraded_backoff_is_deterministic(self, tmp_path):
@@ -201,7 +202,7 @@ class TestDegradedMode:
         _, keys = populated(tmp_path / "reference")
         payloads = reference_payloads(tmp_path / "reference", keys)
         with configured_failpoints("store.put_many:io_error@1.0"):
-            store.put_many(list(zip(keys, payloads)))
+            store.put_many(list(zip(keys, payloads)), KIND)
         assert slept == [0.25, 0.5]
 
 
@@ -210,7 +211,7 @@ class TestQuarantine:
         _, keys = populated(tmp_path)
         with configured_failpoints("store.get_many:corrupt@1.0"):
             store = PackedSweepStore(tmp_path, memory_entries=0)
-            values = store.get_many(keys)
+            values = store.get_many(keys, KIND)
         assert values == [None] * len(keys)
         assert store.corrupt == len(keys)
         assert store.quarantined == len(keys)
@@ -222,14 +223,14 @@ class TestQuarantine:
         payloads = reference_payloads(tmp_path, keys)
         with configured_failpoints("store.get_many:corrupt@1.0"):
             scrubbed = PackedSweepStore(tmp_path, memory_entries=0)
-            assert scrubbed.get_many(keys) == [None] * len(keys)
+            assert scrubbed.get_many(keys, KIND) == [None] * len(keys)
         # The slots were scrubbed from the live index; rewriting them
         # publishes fresh entries that read back clean.
         with configured_failpoints(None):
-            scrubbed.put_many(list(zip(keys, payloads)))
-            assert scrubbed.get_many(keys) == payloads
+            scrubbed.put_many(list(zip(keys, payloads)), KIND)
+            assert scrubbed.get_many(keys, KIND) == payloads
             reopened = PackedSweepStore(tmp_path, memory_entries=0)
-            assert reopened.get_many(keys) == payloads
+            assert reopened.get_many(keys, KIND) == payloads
 
     def test_degraded_store_skips_quarantine_writes(self, tmp_path):
         _, keys = populated(tmp_path)
@@ -238,9 +239,9 @@ class TestQuarantine:
         ):
             store = PackedSweepStore(tmp_path, memory_entries=0,
                                      retry_policy=NO_SLEEP)
-            store.put_many([])  # no-op; degraded only flips on real puts
+            store.put_many([], KIND)  # no-op; degraded only flips on real puts
             store.degraded = True
-            store.get_many(keys)
+            store.get_many(keys, KIND)
         assert store.quarantined == len(keys)
         assert not (tmp_path / "quarantine").exists()
 
@@ -260,7 +261,7 @@ class TestOpenProbe:
         index.write_bytes(data.replace(b'"schema":', b'"schema":9', 1))
         with configured_failpoints(None):
             store = PackedSweepStore(tmp_path, memory_entries=0)
-            assert store.get_many(keys) == [None] * len(keys)
+            assert store.get_many(keys, KIND) == [None] * len(keys)
         assert store.rebuilt_entries == 0
         assert len(store) == 0
 
@@ -268,10 +269,10 @@ class TestOpenProbe:
 def test_quarantine_files_do_not_break_reopen(tmp_path):
     _, keys = populated(tmp_path)
     with configured_failpoints("store.get_many:corrupt@1.0"):
-        PackedSweepStore(tmp_path, memory_entries=0).get_many(keys)
+        PackedSweepStore(tmp_path, memory_entries=0).get_many(keys, KIND)
     with configured_failpoints(None):
         reopened = PackedSweepStore(tmp_path, memory_entries=0)
-        values = reopened.get_many(keys)
+        values = reopened.get_many(keys, KIND)
     # The scrub was process-local (no publish happened), so the entries
     # are still on disk and read back clean in a fresh store.
     assert all(value is not None for value in values)

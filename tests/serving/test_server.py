@@ -333,38 +333,3 @@ class TestDeadShards:
         for stride, point in points.items():
             assert point == expected[stride]
         assert plane.exit_code == 0
-
-
-class TestSharedStore:
-    def test_every_shard_reads_what_any_shard_published(self, tmp_path):
-        request = EvaluationRequest(layer="FCN_Deconv2")
-        with configured_failpoints(None):
-            with ServerThread(
-                num_shards=2, cache_dir=tmp_path, response_cache_entries=0
-            ) as plane:
-                with plane.client() as client:
-                    first = client.call(request)  # shard 0: cold, publishes
-                    segments = sorted(tmp_path.glob("seg-*.seg"))
-                    index = (tmp_path / "index.bin").read_bytes()
-                    second = client.call(request)  # shard 1: store hit
-                    _, ready = client.readyz()
-                    assert sorted(tmp_path.glob("seg-*.seg")) == segments
-                    assert (tmp_path / "index.bin").read_bytes() == index
-            with RedService() as uncached:
-                expected = uncached.evaluate(request)
-        assert segments
-        assert digest(first) == digest(second) == digest(expected)
-        jobs = len(expected.metrics)
-        assert {
-            shard: beat["stats"]["jobs_done"]
-            for shard, beat in ready["heartbeats"].items()
-        } == {"0": jobs, "1": jobs}
-        assert not list(tmp_path.glob("shard-*"))
-        # After drain the root index serves every entry to an in-process
-        # service, byte-identical to the served answers.
-        with RedService(cache=tmp_path) as service:
-            local = service.evaluate(request)
-            stats = service.cache.stats()
-        assert digest(local) == digest(first)
-        assert stats["misses"] == 0
-        assert stats["hits"] == stats["indexed_entries"] == jobs

@@ -17,7 +17,6 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.eval.parallel import DesignJob, run_design_jobs
-from repro.eval.store import PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import no_sleep
 from repro.serving.runner import ShardedRunner
@@ -172,28 +171,6 @@ class TestShardedRunner:
                 assert runner(JOBS) == expected
         assert routed == [(1, 3)]
         assert runner.degraded_calls == 0
-
-
-class TestSharedStore:
-    def test_old_shard_directories_are_never_read(self, tmp_path):
-        # A store in the old per-shard layout already holding these jobs.
-        legacy = tmp_path / "shard-0"
-        with configured_failpoints(None):
-            expected = run_design_jobs(list(JOBS))
-            store = PackedSweepStore(legacy)
-            try:
-                assert run_design_jobs(list(JOBS), cache=store) == expected
-            finally:
-                store.close()
-            before = {p.name: p.read_bytes() for p in legacy.iterdir()}
-            with make_supervisor(cache_dir=tmp_path) as sup:
-                got = sup.call(0, JOBS)
-        assert got == expected
-        # Shard 0 missed in the root store and published there ...
-        assert list(tmp_path.glob("seg-*.seg"))
-        assert (tmp_path / "index.bin").is_file()
-        # ... and left the old directory exactly as it was.
-        assert {p.name: p.read_bytes() for p in legacy.iterdir()} == before
 
 
 class TestRespawnBudget:

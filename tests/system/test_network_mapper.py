@@ -91,7 +91,8 @@ class TestEvaluation:
         evaluation = evaluate_network(gen, 1, 1, cache=tmp_path)
         assert set(evaluation.metrics) == {"zero-padding", "padding-free", "RED"}
         assert [store.directory for store in closed] == [tmp_path]
-        assert (tmp_path / "index.bin").exists()
+        # Analytic metrics stay in the memory tier: nothing reached disk.
+        assert list(tmp_path.iterdir()) == []
 
     def test_totals_are_sums(self, evaluation):
         total = sum(
