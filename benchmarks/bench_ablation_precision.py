@@ -1,7 +1,7 @@
 """Ablation: arithmetic fidelity of the ReRAM substrate.
 
-Not a paper figure, but the design-choice evidence DESIGN.md calls out:
-with losslessly-sized ADCs the crossbar pipeline is bit-exact, and
+Not a paper figure, but the design-choice evidence
+:mod:`repro.reram.pipeline` states: with losslessly-sized ADCs the crossbar pipeline is bit-exact, and
 accuracy degrades gracefully as ADC resolution shrinks or programming
 variation grows.  Times the bit-accurate pipeline on a crossbar-sized
 matmul.

@@ -24,13 +24,13 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit
+from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.core.red_design import REDDesign
 from repro.deconv.shapes import DeconvSpec
 from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.eval.parallel import DesignJob, run_design_jobs
 from repro.eval.store import PackedSweepStore
-from repro.eval.sweeps import stride_speedup_sweep
 from repro.sim.batch import BatchEngine, BatchJob
 from repro.utils.formatting import render_ascii_table
 
@@ -138,10 +138,14 @@ def test_batched_sweep_speedup(tmp_path):
 def test_warm_cache_makes_analytic_sweep_cheap(tmp_path):
     """The closed-form sweep itself: warm cache never slower than 2x cold."""
     strides = STRIDES
-    cold = _median_time(lambda: stride_speedup_sweep(strides=strides))
+    # Both legs run through a held service, so the store is the only
+    # difference between them.
+    with RedService() as uncached:
+        cold = _median_time(lambda: uncached.sweep_points(strides=strides))
     cache = PackedSweepStore(tmp_path)
-    stride_speedup_sweep(strides=strides, cache=cache)  # populate
-    warm = _median_time(lambda: stride_speedup_sweep(strides=strides, cache=cache))
+    with RedService(cache=cache) as service:
+        service.sweep_points(strides=strides)  # populate
+        warm = _median_time(lambda: service.sweep_points(strides=strides))
     emit(
         f"analytic stride sweep: cold {cold * 1e3:.2f} ms, "
         f"warm-cache {warm * 1e3:.2f} ms (hits={cache.hits})"

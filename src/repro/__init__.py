@@ -20,7 +20,7 @@ Quickstart::
     assert np.allclose(run.output, conv_transpose2d(x, w, spec))
     print(REDDesign(spec).evaluate("demo").latency.total)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+See README.md for the package map and EXPERIMENTS.md for the
 paper-vs-measured comparison.
 """
 

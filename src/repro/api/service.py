@@ -72,7 +72,7 @@ from repro.errors import ParameterError, SchemaError, ServiceClosedError
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
-    _coerce_cache,
+    _is_store,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
@@ -133,13 +133,14 @@ class RedService:
     ) -> None:
         if service_threads < 1:
             raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
-        # Coerce once: a path builds one PackedSweepStore for the
-        # service's whole lifetime, so every request shares its offset
-        # index, mmaps and in-memory LRU hit tier (re-coercing per call
-        # would reopen the store and defeat the memory tier).  A store
-        # the service constructed itself is owned — close() releases it.
-        self.cache = _coerce_cache(cache)
-        self._owns_cache = self.cache is not None and self.cache is not cache
+        # A path builds one PackedSweepStore for the service's whole
+        # lifetime, so every request shares its offset index, mmaps and
+        # in-memory LRU hit tier.  The service owns that store and
+        # close() releases it; the runners take store objects only.
+        self._owns_cache = cache is not None and not _is_store(cache)
+        if self._owns_cache:
+            cache = PackedSweepStore(os.path.expanduser(os.fspath(cache)))
+        self.cache = cache
         self.tech = tech
         self.service_threads = service_threads
         self.max_sub_crossbars = max_sub_crossbars

@@ -10,7 +10,8 @@ follows the paper's Table II:
 
 plus the padding-free design's extra overlap-adder and crop units.
 Constants live in :class:`repro.arch.tech.TechnologyParams`; they are
-*calibrated* to reproduce the paper's relative results (see DESIGN.md §3).
+*calibrated* to reproduce the paper's relative results (see
+:mod:`repro.arch.tech` and ``tests/arch/test_calibration.py``).
 """
 
 from repro.arch.breakdown import (
@@ -31,7 +32,6 @@ from repro.arch.metrics_batch import (
     latency_breakdown_batch,
 )
 from repro.arch.perf_input import DecoderBank, DesignPerfInput
-from repro.arch.subarray import SubarrayTiling, tile_logical_array
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.arch.wires import WireModel
 
@@ -54,6 +54,4 @@ __all__ = [
     "area_breakdown_batch",
     "evaluate_perf_batch",
     "WireModel",
-    "SubarrayTiling",
-    "tile_logical_array",
 ]

@@ -1,8 +1,9 @@
 """The analytical evaluator: DesignPerfInput -> latency/energy/area.
 
 Implements Eq. 3 and Eq. 4 of the paper over the Table II component set.
-All totals are per benchmark layer (one full deconvolution).  See
-DESIGN.md §3 for the modelling assumptions and the calibration notes.
+All totals are per benchmark layer (one full deconvolution).  Each
+breakdown function states its modelling assumptions; the calibration
+notes are in :mod:`repro.arch.tech` and ``tests/arch/test_calibration.py``.
 """
 
 from __future__ import annotations

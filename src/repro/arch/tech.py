@@ -3,11 +3,11 @@
 The latency/energy/area primitives below are first-order component models
 in the NeuroSim+ tradition.  Their absolute values are *calibrated*, not
 measured: the constants were fitted (see ``tests/arch/test_calibration.py``
-and DESIGN.md §3) so the model reproduces the paper's relative results —
-speedup bands, energy-saving bands, array/periphery splits and area
-overheads — across the Table I layers.  Absolute seconds/joules are
-plausible for 65 nm but carry no silicon pedigree, exactly like the
-original paper's simulator outputs.
+and the bands in :mod:`repro.eval.paper_targets`) so the model reproduces
+the paper's relative results — speedup bands, energy-saving bands,
+array/periphery splits and area overheads — across the Table I layers.
+Absolute seconds/joules are plausible for 65 nm but carry no silicon
+pedigree, exactly like the original paper's simulator outputs.
 
 Naming convention: ``t_*`` seconds, ``e_*`` joules, ``a_*`` square metres;
 ``_per_col`` / ``_per_row`` refer to *physical* columns/rows (a logical

@@ -10,7 +10,6 @@ all three share the :class:`DeconvDesign` interface defined here.
 """
 
 from repro.designs.base import DeconvDesign, FunctionalRun
-from repro.designs.conv_design import ConvolutionDesign, ConvSpec
 from repro.designs.padding_free_design import PaddingFreeDesign
 from repro.designs.zero_padding_design import ZeroPaddingDesign
 
@@ -19,6 +18,4 @@ __all__ = [
     "FunctionalRun",
     "ZeroPaddingDesign",
     "PaddingFreeDesign",
-    "ConvolutionDesign",
-    "ConvSpec",
 ]

@@ -8,15 +8,11 @@ reported relative to the zero-padding design.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.api.registry import available_designs, baseline_design
-from repro.api.registry import build_design as _registry_build_design
 from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
-from repro.designs.base import DeconvDesign
-from repro.eval.store import PackedSweepStore
 from repro.workloads.specs import BenchmarkLayer
 
 #: Presentation order used in every figure (baseline first).  A snapshot
@@ -24,17 +20,6 @@ from repro.workloads.specs import BenchmarkLayer
 #: for backwards compatibility — call ``available_designs()`` directly
 #: to observe designs registered after import.
 DESIGN_ORDER: tuple[str, ...] = available_designs()
-
-
-def build_design(
-    name: str, layer: BenchmarkLayer, tech: TechnologyParams | None = None
-) -> DeconvDesign:
-    """Instantiate a registered design for a benchmark layer.
-
-    Thin wrapper over :func:`repro.api.registry.build_design`, the
-    single name-to-design dispatch.
-    """
-    return _registry_build_design(name, layer.spec, tech)
 
 
 @dataclass
@@ -74,20 +59,17 @@ class EvaluationGrid:
 def run_grid(
     layers: tuple[BenchmarkLayer, ...] | None = None,
     tech: TechnologyParams | None = None,
-    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> EvaluationGrid:
     """Evaluate all registered designs over ``layers`` (default: Table I).
 
     Delegates to :meth:`repro.api.service.RedService.grid`, the single
     evaluation path: the grid is flattened into
     :class:`~repro.eval.parallel.DesignJob` entries and routed through
-    :func:`~repro.eval.parallel.run_design_jobs`.  A ``cache`` store the
-    caller holds serves a repeated grid from its memory tier; analytic
-    metrics never reach disk, so a directory path builds a
-    :class:`~repro.eval.store.PackedSweepStore` that lives only as long
-    as the call-scoped service and is closed before returning.
+    :func:`~repro.eval.parallel.run_design_jobs`.  A caller repeating
+    grids holds a ``RedService(cache=store)`` and calls its ``grid``
+    instead, so the store's memory tier serves the repeats.
     """
     from repro.api.service import RedService
 
-    with RedService(cache=cache) as service:
+    with RedService() as service:
         return service.grid(layers=layers, tech=tech)

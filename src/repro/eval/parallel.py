@@ -41,7 +41,6 @@ design dispatch here.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -50,11 +49,11 @@ from repro.api.registry import build_design as _registry_build_design
 from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams
 from repro.deconv.shapes import DeconvSpec, SpecArrays
-from repro.designs.base import DeconvDesign
 from repro.errors import ParameterError
 from repro.reliability.policy import Deadline, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
+    from repro.designs.base import DeconvDesign
     from repro.eval.store import PackedSweepStore
 
 #: Bump when the cached payload or key layout changes shape.
@@ -475,24 +474,13 @@ def relabelled(value, layer_name: str):
     return replace(value, layer=layer_name)
 
 
-def _coerce_cache(cache: "PackedSweepStore | str | os.PathLike | None"):
-    """Any accepted ``cache`` argument as a batch-protocol store.
+def _is_store(cache) -> bool:
+    """Whether ``cache`` speaks the store's batch protocol.
 
-    ``None`` and ready-made stores (anything speaking
-    ``get_many``/``put_many`` — :class:`~repro.eval.store.PackedSweepStore`,
-    test doubles) pass through; a directory path constructs the packed
-    store there.  That store persists cycle traces and fidelity samples;
-    analytic metrics only reach its memory tier, which lives as long as
-    the store object, so a path gives :func:`run_design_jobs` nothing
-    beyond the call.
+    Anything with ``get_many``/``put_many`` qualifies:
+    :class:`~repro.eval.store.PackedSweepStore` and test doubles.
     """
-    if cache is None:
-        return None
-    if hasattr(cache, "get_many") and hasattr(cache, "put_many"):
-        return cache
-    from repro.eval.store import PackedSweepStore
-
-    return PackedSweepStore(os.path.expanduser(os.fspath(cache)))
+    return hasattr(cache, "get_many") and hasattr(cache, "put_many")
 
 
 def _run_pipeline(
@@ -513,8 +501,16 @@ def _run_pipeline(
     relabelled per requesting job.  ``compute`` runs once, after a
     deadline check, under ``retry_policy``.
     """
+    if cache is not None and not _is_store(cache):
+        # A store built per call would hold no analytic metric beyond
+        # the call and be closed by nobody; RedService owns the one it
+        # builds from a path.
+        raise ParameterError(
+            f"{name}: cache must be a store object or None, got {cache!r}; "
+            "open a store directory with RedService(cache=path), which "
+            "closes the store it builds"
+        )
     deadline = Deadline(timeout)
-    cache = _coerce_cache(cache)
     jobs = list(jobs)
     results: list = [None] * len(jobs)
     if not jobs:
@@ -591,7 +587,7 @@ def _evaluate_metrics(
 def run_design_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
     num_workers: int = 1,
-    cache: "PackedSweepStore | str | os.PathLike | None" = None,
+    cache: PackedSweepStore | None = None,
     *,
     vectorized: bool = True,
     timeout: float | None = None,
@@ -603,12 +599,13 @@ def run_design_jobs(
         jobs: the flat work list.
         num_workers: must be ``1`` — evaluation runs in-process;
             ``repro serve --shards N`` is the process-parallel path.
-        cache: a :class:`~repro.eval.store.PackedSweepStore`, a
-            directory path (constructs the packed store), or ``None``.
-            Metrics enter the store's memory tier only (recomputing one
-            is cheaper than reading it back from disk), so a store the
-            caller holds serves in-process repeats without
-            recomputing, and a reopened store recomputes.
+        cache: a :class:`~repro.eval.store.PackedSweepStore` the caller
+            holds, or ``None``; a directory path raises
+            :class:`~repro.errors.ParameterError` (open one with
+            ``RedService(cache=path)``).  Metrics enter the store's
+            memory tier only (recomputing one is cheaper than reading
+            it back from disk), so the store serves in-process repeats
+            without recomputing, and a reopened store recomputes.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
             plane (:mod:`repro.eval.vectorized`), one fused batch per
@@ -678,7 +675,7 @@ def _cycle_stats(
 
 def run_cycle_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
-    cache: "PackedSweepStore | str | os.PathLike | None" = None,
+    cache: PackedSweepStore | None = None,
     max_sub_crossbars: int = 128,
     *,
     timeout: float | None = None,
@@ -694,7 +691,9 @@ def run_cycle_jobs(
     (:func:`~repro.sim.compiler.compile_schedule`), with the deadline
     checked between jobs; no operand is synthesized or multiplied.
     Results persist under the ``"cycles"`` kind through the same
-    pipeline as :func:`run_design_jobs`.
+    pipeline as :func:`run_design_jobs`, in the store passed as
+    ``cache`` (a store object or ``None``; a path raises
+    :class:`~repro.errors.ParameterError`).
     """
     jobs = list(jobs)
     traceable = [
@@ -748,7 +747,7 @@ def _sample_fidelity(jobs: list[FidelityJob], deadline: Deadline) -> list[Fideli
 
 def run_fidelity_jobs(
     jobs: list[FidelityJob] | tuple[FidelityJob, ...],
-    cache: "PackedSweepStore | str | os.PathLike | None" = None,
+    cache: PackedSweepStore | None = None,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[FidelityStats]:
@@ -766,8 +765,10 @@ def run_fidelity_jobs(
     never by batch position (``tests/reram/test_batch.py``).
 
     Results persist under the ``"fidelity"`` kind through the same
-    pipeline as the other runners; returns :class:`FidelityStats` in
-    job order.
+    pipeline as the other runners, in the store passed as ``cache`` (a
+    store object or ``None``; a path raises
+    :class:`~repro.errors.ParameterError`); returns
+    :class:`FidelityStats` in job order.
     """
     return _run_pipeline(
         "run_fidelity_jobs", jobs, FIDELITY_KIND, cache, fidelity_job_keys,

@@ -2,18 +2,15 @@
 
 Sec. III-C: "The number of computation modes is stride^2, indicating the
 speed-up brought by RED quadratically increases with the stride."
-:func:`stride_speedup_sweep` measures that curve; other sweeps support
-the ablation benchmarks.
+:func:`stride_speedup_sweep` measures that curve and
+:func:`quadratic_fit_exponent` fits its exponent.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.api.schema import SweepPoint
 from repro.arch.tech import TechnologyParams
 from repro.errors import ParameterError
-from repro.eval.store import PackedSweepStore
 
 #: Backwards-compatible name: the sweep's point type now lives in the
 #: versioned API schema (:class:`repro.api.schema.SweepPoint`).
@@ -27,7 +24,6 @@ def stride_speedup_sweep(
     filters: int = 32,
     tech: TechnologyParams | None = None,
     fold: int | str = 1,
-    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> list[StrideSweepPoint]:
     """Measure RED's speedup as the stride grows (FCN convention K=2s).
 
@@ -37,15 +33,15 @@ def stride_speedup_sweep(
     folded, area-capped variant).
 
     Delegates to :meth:`repro.api.service.RedService.sweep_points`, the
-    single evaluation path: a ``cache`` store the caller holds serves
-    repeated sweeps from its memory tier (analytic metrics never reach
-    disk, so a directory path only builds a store for this call).  The
-    service is scoped to the call (context-managed) so its thread pool
-    is released before returning.
+    single evaluation path.  The service is scoped to the call
+    (context-managed) so its thread pool is released before returning;
+    a caller repeating sweeps holds a ``RedService(cache=store)`` and
+    calls its ``sweep_points`` instead, so the store's memory tier
+    serves the repeats.
     """
     from repro.api.service import RedService
 
-    with RedService(cache=cache) as service:
+    with RedService() as service:
         return service.sweep_points(
             strides=tuple(strides),
             input_size=input_size,

@@ -9,7 +9,8 @@ activations are batched ``(N, C, H, W)``.
 
 Modules intentionally implement inference only: the accelerator study
 evaluates forward passes of pre-trained-shaped networks, and weights are
-seeded synthetically (see DESIGN.md, substitutions).
+seeded synthetically (see :mod:`repro.workloads.networks`;
+``tests/workloads/test_weight_golden.py`` pins every seeded weight).
 """
 
 from repro.nn import functional

@@ -8,7 +8,6 @@ single-layer Table I rows are sampled from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.api.registry import baseline_design
@@ -16,7 +15,6 @@ from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ShapeError
-from repro.eval.store import PackedSweepStore
 from repro.nn.modules import ConvTranspose2d, Module, Sequential
 
 
@@ -114,7 +112,6 @@ def evaluate_network(
     input_width: int = 1,
     tech: TechnologyParams | None = None,
     designs: tuple[str, ...] | None = None,
-    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> NetworkEvaluation:
     """Evaluate every design over every deconv layer of a network.
 
@@ -123,15 +120,14 @@ def evaluate_network(
     evaluation path: each (design, layer) pair becomes one
     :class:`~repro.eval.parallel.DesignJob` routed through
     :func:`~repro.eval.parallel.run_design_jobs`.  ``designs=None``
-    evaluates every registered design.  A ``cache`` store the caller
-    holds serves repeats from its memory tier; analytic metrics never
-    reach disk, so a directory path builds a
-    :class:`~repro.eval.store.PackedSweepStore` for this call only,
-    closed with the call-scoped service before returning.
+    evaluates every registered design.  A caller repeating evaluations
+    holds a ``RedService(cache=store)`` and calls its
+    ``network_evaluation`` instead, so the store's memory tier serves
+    the repeats.
     """
     from repro.api.service import RedService
 
-    with RedService(cache=cache) as service:
+    with RedService() as service:
         return service.network_evaluation(
             network, input_height, input_width, tech=tech, designs=designs
         )

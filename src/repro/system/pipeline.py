@@ -9,11 +9,9 @@ the fill latency by the stage sum; this module applies that model to a
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
-from repro.eval.store import PackedSweepStore
 from repro.system.network_mapper import NetworkEvaluation, evaluate_network
 from repro.utils.validation import check_positive_int
 
@@ -95,16 +93,15 @@ def pipeline_network_sweep(
     input_height: int = 1,
     input_width: int = 1,
     tech=None,
-    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> dict[str, PipelineReport]:
     """Pipeline reports for every design over one network, evaluated
     through the sweep runner.
 
     The per-(design, layer) evaluations route through the service's
-    single evaluation path (:func:`~repro.eval.parallel.run_design_jobs`,
-    optional ``cache`` store, whose memory tier serves repeats); the
-    reports themselves are cheap roll-ups.  Returns ``{design: PipelineReport}`` in design
-    order (default: every registered design).
+    single evaluation path (:func:`~repro.eval.parallel.run_design_jobs`);
+    the reports themselves are cheap roll-ups.  Returns
+    ``{design: PipelineReport}`` in design order (default: every
+    registered design).
     """
     from repro.api.registry import available_designs
 
@@ -115,7 +112,6 @@ def pipeline_network_sweep(
         input_width,
         tech=tech,
         designs=designs,
-        cache=cache,
     )
     return {
         design: pipeline_network(evaluation, design, batch=batch)

@@ -6,11 +6,6 @@ from repro.workloads.data import (
     layer_input,
     layer_kernel,
 )
-from repro.workloads.full_networks import (
-    DCGANDiscriminator,
-    FCN8s,
-    gan_round_trip,
-)
 from repro.workloads.networks import (
     NETWORK_BUILDERS,
     DCGANGenerator,
@@ -35,9 +30,6 @@ __all__ = [
     "ImprovedGANGenerator",
     "SNGANGenerator",
     "FCN8sDecoder",
-    "FCN8s",
-    "DCGANDiscriminator",
-    "gan_round_trip",
     "build_network",
     "NETWORK_BUILDERS",
     "latent_batch",

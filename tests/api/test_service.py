@@ -312,6 +312,43 @@ class TestConcurrency:
         assert len(set(reference)) == 1
 
 
+class TestStoreOwnership:
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        closed = []
+        original = PackedSweepStore.close
+        monkeypatch.setattr(
+            PackedSweepStore, "close", lambda self: (closed.append(self), original(self))
+        )
+        return closed
+
+    def test_store_built_from_a_path_is_closed_once(self, tmp_path, closed):
+        from repro.workloads.networks import SNGANGenerator
+        from repro.workloads.specs import get_layer
+
+        service = RedService(cache=tmp_path)
+        grid = service.grid(layers=(get_layer("GAN_Deconv3"),))
+        evaluation = service.network_evaluation(SNGANGenerator(base_size=4), 1, 1)
+        service.close()
+        service.close()
+        assert list(grid.metrics) == ["GAN_Deconv3"]
+        assert set(evaluation.metrics) == {"zero-padding", "padding-free", "RED"}
+        assert closed == [service.cache]
+        assert service.cache.directory == tmp_path
+        # Analytic metrics stay in the memory tier: nothing reached disk.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_callers_store_is_not_closed(self, tmp_path, closed):
+        store = PackedSweepStore(tmp_path)
+        with RedService(cache=store) as service:
+            service.sweep_points(strides=(1, 2))
+        assert closed == []
+        with RedService(cache=store) as service:
+            service.sweep_points(strides=(1, 2))
+        assert store.memory_hits == 4  # the store outlived the first service
+        store.close()
+
+
 class TestScheduleCacheLifecycle:
     def test_untraced_service_keeps_other_callers_schedules(self):
         from repro.eval.harness import run_grid

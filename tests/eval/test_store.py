@@ -470,13 +470,12 @@ class TestRunnerBatchDiscipline:
         run_cycle_jobs(jobs, cache=store)
         assert (store.get_many_calls, store.put_many_calls) == (2, 1)
 
-    def test_counting_store_passes_coercion_untouched(self, tmp_path):
-        # Duck-typed stores flow through _coerce_cache unchanged, so the
-        # counters above really observe the runner's traffic.
-        from repro.eval.parallel import _coerce_cache
+    def test_counting_store_passes_the_store_check(self, tmp_path):
+        # The runners take a duck-typed store as given and never build
+        # one, so the counters above really observe the runner's traffic.
+        from repro.eval.parallel import _is_store
 
-        store = CountingStore(tmp_path)
-        assert _coerce_cache(store) is store
+        assert _is_store(CountingStore(tmp_path))
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,20 @@ import pickle
 
 import pytest
 
+from repro.api.schema import EvaluationRequest
+from repro.api.service import RedService
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError
 from repro.eval.parallel import (
     CYCLES_KIND,
     DesignJob,
+    FidelityJob,
     evaluate_design_job,
     job_key,
     run_cycle_jobs,
     run_design_jobs,
+    run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
 
@@ -149,10 +153,21 @@ class TestCacheLifecycle:
         assert (cache.stores, len(cache)) == (0, 0)
 
     def test_directory_path_coercion_builds_packed_store(self, tmp_path):
-        job = make_job()
-        first = run_cycle_jobs([job], cache=str(tmp_path))
-        second = run_cycle_jobs([job], cache=tmp_path)
-        assert pickle.dumps(first) == pickle.dumps(second)
+        # Only RedService turns a path into a store, which it owns and
+        # closes; a traced request persists the RED cycle trace there.
+        request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
+        with RedService(cache=str(tmp_path)) as service:
+            first = service.evaluate(request)
+        with RedService(cache=tmp_path) as service:
+            second = service.evaluate(request)
+            disk_hits = service.cache.disk_hits
+        # Per-element digests: a result-level pickle differs by
+        # shared-object memoization even when every element matches.
+        digest = lambda result: [  # noqa: E731
+            pickle.dumps(value) for value in result.metrics + result.cycle_stats
+        ]
+        assert digest(first) == digest(second)
+        assert disk_hits == 1  # the second service read the trace back
         # A path constructs the packed store, not the per-pickle layout.
         assert (tmp_path / "index.bin").exists()
         assert len(list(tmp_path.glob("*.seg"))) == 1  # the second call hit
@@ -247,6 +262,24 @@ class TestCacheWithVectorizedRoute:
 
 
 class TestRunnerValidation:
+    @pytest.mark.parametrize(
+        "runner, job",
+        [
+            (run_design_jobs, make_job()),
+            (run_cycle_jobs, make_job()),
+            (run_fidelity_jobs, FidelityJob("RED", SPEC, default_tech())),
+        ],
+        ids=["design", "cycle", "fidelity"],
+    )
+    def test_runner_rejects_a_path_and_writes_nothing(self, tmp_path, runner, job):
+        # A store built per call would hold nothing afterwards and be
+        # closed by nobody: the error points at RedService instead.
+        directory = tmp_path / "store"
+        for cache in (directory, str(directory)):
+            with pytest.raises(ParameterError, match=r"RedService\(cache=path\)"):
+                runner([job], cache=cache)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ParameterError):
             run_design_jobs([make_job()], num_workers=0)

@@ -99,7 +99,8 @@ class TestCalibrationIsLoadBearing:
 
     def test_ungated_wordlines_break_red_similarity(self):
         """If zero-padding paid wordline energy on every selected row, its
-        array energy would far exceed RED's (cf. DESIGN.md §3)."""
+        array energy would far exceed RED's (cf. the wordline-gating note
+        in :func:`repro.arch.metrics.energy_breakdown`)."""
         from dataclasses import replace
 
         from repro.arch.metrics import energy_breakdown

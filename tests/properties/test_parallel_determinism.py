@@ -11,6 +11,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.eval.parallel import DesignJob, run_cycle_jobs, run_design_jobs
@@ -106,6 +107,9 @@ class TestSweepLevelDeterminism:
         strides = (1, 2, 4)
         baseline = stride_speedup_sweep(strides=strides)
         with tempfile.TemporaryDirectory() as directory:
-            cold = stride_speedup_sweep(strides=strides, cache=directory)
-            cached = stride_speedup_sweep(strides=strides, cache=directory)
+            with RedService(cache=directory) as service:
+                cold = service.sweep_points(strides=strides)
+                cached = service.sweep_points(strides=strides)
+                hits = service.cache.hits
+        assert hits == 2 * len(strides)
         assert _digest(baseline) == _digest(cold) == _digest(cached)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.eval.store import PackedSweepStore
 from repro.nn.modules import Conv2d, ConvTranspose2d, ReLU, Sequential
 from repro.system.network_mapper import evaluate_network, extract_deconv_layers
 from repro.workloads.networks import DCGANGenerator, FCN8sDecoder, SNGANGenerator
@@ -80,19 +79,6 @@ class TestEvaluation:
 
     def test_padding_free_costs_energy_on_gan(self, evaluation):
         assert evaluation.energy_saving("padding-free") < 0.0
-
-    def test_store_built_from_a_path_is_closed(self, tmp_path, monkeypatch):
-        closed = []
-        original = PackedSweepStore.close
-        monkeypatch.setattr(
-            PackedSweepStore, "close", lambda self: (closed.append(self), original(self))
-        )
-        gen = SNGANGenerator(base_size=4, rng=np.random.default_rng(0))
-        evaluation = evaluate_network(gen, 1, 1, cache=tmp_path)
-        assert set(evaluation.metrics) == {"zero-padding", "padding-free", "RED"}
-        assert [store.directory for store in closed] == [tmp_path]
-        # Analytic metrics stay in the memory tier: nothing reached disk.
-        assert list(tmp_path.iterdir()) == []
 
     def test_totals_are_sums(self, evaluation):
         total = sum(
