@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.engine import load_baseline, run_analysis, save_baseline
@@ -85,6 +86,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: cannot load baseline: {exc}", file=sys.stderr)
             return EXIT_ERROR
+
+    # The library walks a missing root as an empty tree; on the command
+    # line that would let a mistyped path pass as clean.
+    missing = [path for path in options.paths if not Path(path).exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return EXIT_ERROR
 
     try:
         report = run_analysis(options.paths, baseline=baseline)

@@ -133,6 +133,8 @@ class RedService:
     ) -> None:
         if service_threads < 1:
             raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
+        if timeout is not None and not timeout > 0:
+            raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
         # A path builds one PackedSweepStore for the service's whole
         # lifetime, so every request shares its offset index, mmaps and
         # in-memory LRU hit tier.  The service owns that store and
@@ -145,8 +147,6 @@ class RedService:
         self.service_threads = service_threads
         self.max_sub_crossbars = max_sub_crossbars
         self.vectorized = vectorized
-        if timeout is not None and not timeout > 0:
-            raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.timeout = timeout
         self.retry_policy = retry_policy
         self._design_runner = design_runner or run_design_jobs

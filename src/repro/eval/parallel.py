@@ -153,10 +153,6 @@ class CycleStats:
     cycles: int
     counters: tuple[tuple[str, int], ...]
 
-    def counters_dict(self) -> dict[str, int]:
-        """The activity counters as a plain mapping."""
-        return dict(self.counters)
-
 
 @dataclass(frozen=True)
 class FidelityStats:

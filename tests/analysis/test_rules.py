@@ -82,6 +82,58 @@ class TestSeedingRule:
             (tmp_path / "src/repro/lib.py").as_posix()
         ]
 
+    def test_stdlib_sampler_flagged_under_any_import_name(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/a.py": "import random\nx = random.random()\n",
+                "src/repro/b.py": "import random as rnd\nx = rnd.choice([1, 2])\n",
+            },
+        )
+        assert [f.rule for f in report.findings] == ["RED001", "RED001"]
+        assert [f.message.split(";")[0] for f in report.findings] == [
+            "stdlib global-state sampler random.random()",
+            "stdlib global-state sampler random.choice()",
+        ]
+
+    def test_seed_derived_through_a_cast_or_arithmetic_is_clean(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/lib.py": """\
+                import numpy as np
+
+                def sample(seed, layer_seed):
+                    a = np.random.default_rng(int(seed))
+                    b = np.random.default_rng(layer_seed + 1)
+                    return a, b
+                """
+            },
+        )
+        assert report.findings == []
+
+    def test_conditional_rng_default_idiom_is_clean(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/lib.py": """\
+                import numpy as np
+
+                def sample(rng=None):
+                    rng = np.random.default_rng(0) if rng is None else rng
+                    return rng
+                """
+            },
+        )
+        assert report.findings == []
+
+    def test_another_librarys_default_rng_is_out_of_scope(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {"src/repro/lib.py": "import otherlib\nr = otherlib.default_rng()\n"},
+        )
+        assert report.findings == []
+
     def test_docstring_demo_flagged(self, tmp_path):
         report = run_on(
             tmp_path,
@@ -274,6 +326,47 @@ class TestRegistryRule:
         )
         assert rules_hit(report) == {"RED003"}
         assert any("baseline" in f.message for f in report.findings)
+
+    def test_keyword_without_an_entry_field_flagged(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/api/registry.py": """\
+                from dataclasses import dataclass
+
+                @dataclass(frozen=True)
+                class DesignEntry:
+                    name: str
+                    factory: object
+                    aliases: tuple = ()
+
+                def register_design(name, *, aliases=(), colour=None):
+                    return DesignEntry(name=name, factory=None, aliases=aliases)
+                """
+            },
+        )
+        assert [f.message.split(";")[0] for f in report.findings] == [
+            "register_design keyword 'colour' has no DesignEntry field"
+        ]
+
+    def test_registry_without_register_design_flagged(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/api/registry.py": """\
+                from dataclasses import dataclass
+
+                @dataclass(frozen=True)
+                class DesignEntry:
+                    name: str
+                    factory: object
+                """
+            },
+        )
+        assert rules_hit(report) == {"RED003"}
+        assert "must define both DesignEntry and register_design" in (
+            report.findings[0].message
+        )
 
 
 class TestStoreDisciplineRule:

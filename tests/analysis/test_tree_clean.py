@@ -78,6 +78,18 @@ class TestCommandLine:
         assert main([str(tmp_path), "--baseline", str(bad_baseline)]) == 2
         assert "cannot load baseline" in capsys.readouterr().err
 
+    def test_cli_missing_path_exits_two(self, tmp_path, capsys):
+        assert main([str(tmp_path / "srcc")]) == 2
+        assert "srcc" in capsys.readouterr().err
+
+    def test_cli_usage_error_exits_two(self, capsys):
+        assert main(["--no-such-flag"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cli_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "RED001-RED007" in capsys.readouterr().out
+
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out

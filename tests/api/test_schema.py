@@ -670,6 +670,25 @@ MALFORMED = [
     (_EVAL_REQUEST, ("layer",), 5, "evaluation_request.layer"),
     (NetworkRequest(network="SNGAN"), ("network",), 5, "network_request.network"),
     (_FIDELITY_REQUEST, ("times",), [True], "fidelity_request.times[0]"),
+    (
+        EvaluationResult(layer="L", designs=("RED",), metrics=(_METRICS,)),
+        ("metrics", 0), 5, "evaluation_result.metrics[0]",
+    ),
+    (
+        EvaluationResult(
+            layer="L", designs=("RED",), metrics=(_METRICS,),
+            cycle_stats=(CycleStats("RED", "L", 1, 8, (("a", 1),)),),
+        ),
+        ("cycle_stats", 0, "counters"), [1, 2], "evaluation_result.cycle_stats[0].counters",
+    ),
+    (
+        EvaluationResult(
+            layer="L", designs=("RED",), metrics=(_METRICS,),
+            cycle_stats=(CycleStats("RED", "L", 1, 8, (("a", 1),)),),
+        ),
+        ("cycle_stats", 0, "counters", "a"), "x",
+        "evaluation_result.cycle_stats[0].counters['a']",
+    ),
 ]
 
 
@@ -700,6 +719,82 @@ class TestMalformedPayloads:
         wire = FidelityRequest(layer="GAN_Deconv1").to_dict()
         wire["nu"] = 1
         assert type(payload_from_dict(wire).nu) is float
+
+
+#: (payload class, constructor arguments, what the error says).  An
+#: in-process caller builds requests without the wire decoder, so each
+#: constructor validates its own fields.
+INVALID_CONSTRUCTIONS = [
+    (EvaluationRequest, {"spec": (4, 4, 2, 3, 3, 2)}, "spec must be a DeconvSpec"),
+    (
+        EvaluationRequest, {"layer": "GAN_Deconv1", "designs": "RED"},
+        "designs must be a sequence of names, got the string",
+    ),
+    (EvaluationRequest, {"layer": "GAN_Deconv1", "designs": 5}, "designs must be a sequence"),
+    (
+        EvaluationRequest, {"layer": "GAN_Deconv1", "tech_overrides": 5},
+        "tech_overrides must be a mapping or",
+    ),
+    (
+        EvaluationRequest, {"layer": "GAN_Deconv1", "tech_overrides": {"t_adc": "fast"}},
+        r"tech_overrides\['t_adc'\] must be a number",
+    ),
+    (SweepRequest, {"strides": ("2", "x")}, "strides must be integers"),
+    (SweepRequest, {"fold": None}, "not None"),
+    (SweepRequest, {"input_size": 0}, "input_size must be a positive int"),
+    (SweepRequest, {"channels": True}, "channels must be a positive int"),
+    (ErrorInfo, {"error_type": "OSError", "message": 5}, "message must be a string"),
+    (
+        ErrorInfo, {"error_type": "OSError", "message": "x", "source": 5},
+        "source must be a string",
+    ),
+    (NetworkRequest, {"network": ""}, "network must be a non-empty string"),
+    (NetworkRequest, {"network": "SNGAN", "seed": -1}, "seed must be a non-negative int"),
+    (FidelityRequest, {"spec": "GAN_Deconv1"}, "spec must be a DeconvSpec"),
+    (FidelityRequest, {"layer": "GAN_Deconv1", "seeds": ("a",)}, "seeds must be integers"),
+    (FidelityRequest, {"layer": "GAN_Deconv1", "times": ("soon",)}, "times must be numbers"),
+    (CommandPayload, {"command": ""}, "command must be a non-empty string"),
+    (
+        EvaluationResult,
+        {"layer": "L", "designs": ("RED",), "metrics": (_METRICS,), "cycle_stats": (None, None)},
+        "1 designs but 2 cycle stats",
+    ),
+]
+
+
+class TestDirectConstruction:
+    @pytest.mark.parametrize(
+        ("cls", "kwargs", "message"),
+        INVALID_CONSTRUCTIONS,
+        ids=[
+            f"{cls.__name__}-{'-'.join(sorted(kwargs))}-{i}"
+            for i, (cls, kwargs, _) in enumerate(INVALID_CONSTRUCTIONS)
+        ],
+    )
+    def test_invalid_field_rejected(self, cls, kwargs, message):
+        with pytest.raises(SchemaError, match=message):
+            cls(**kwargs)
+
+    def test_none_overrides_mean_none(self):
+        request = EvaluationRequest(layer="GAN_Deconv1", tech_overrides=None)
+        assert request.tech_overrides == ()
+        assert request == EvaluationRequest(layer="GAN_Deconv1")
+
+    def test_metrics_for_unknown_design_raises_key_error(self):
+        result = EvaluationResult(layer="L", designs=("RED",), metrics=(_METRICS,))
+        assert result.metrics_for("RED") is _METRICS
+        with pytest.raises(KeyError, match="zero-padding"):
+            result.metrics_for("zero-padding")
+
+    def test_summary_for_unknown_design_raises_key_error(self):
+        summary = NetworkDesignSummary("RED", 1.0, 2.0, 3.0, 0.5, 0.1, 0.05, 20.0, 1e-6)
+        result = NetworkResult(
+            network="SNGAN", batch=1, layers=(), designs=("RED",),
+            layer_results=(), summaries=(summary,),
+        )
+        assert result.summary_for("RED") is summary
+        with pytest.raises(KeyError, match="padding-free"):
+            result.summary_for("padding-free")
 
 
 class TestDowngradeOpaqueData:

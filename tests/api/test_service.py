@@ -18,7 +18,13 @@ from repro.api.schema import (
 from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import SchemaError, ServiceClosedError, UnknownDesignError
+from repro.errors import (
+    InjectedFaultError,
+    ParameterError,
+    SchemaError,
+    ServiceClosedError,
+    UnknownDesignError,
+)
 from repro.eval.parallel import CYCLES_KIND, DesignJob, job_key
 from repro.eval.store import PackedSweepStore
 
@@ -310,6 +316,68 @@ class TestConcurrency:
             results = service.gather(futures)
         reference = [r.metrics_for("RED").latency.total for r in results]
         assert len(set(reference)) == 1
+
+
+class TestValidation:
+    def test_service_threads_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="service_threads"):
+            RedService(service_threads=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ParameterError, match="timeout must be > 0"):
+            RedService(timeout=timeout)
+
+    def test_rejected_service_builds_no_store(self, tmp_path):
+        # Validation runs before a path becomes a store nobody would close.
+        with pytest.raises(ParameterError, match="timeout"):
+            RedService(cache=tmp_path / "store", timeout=0)
+        assert not (tmp_path / "store").exists()
+
+    def test_sweep_rejects_other_requests(self, service):
+        with pytest.raises(SchemaError, match="takes a SweepRequest"):
+            service.sweep(EvaluationRequest(spec=SPEC))
+
+    def test_evaluate_network_rejects_other_requests(self, service):
+        with pytest.raises(SchemaError, match="takes a NetworkRequest"):
+            service.evaluate_network(SweepRequest())
+
+
+class TestSweepFailures:
+    """A permanent error raises; only transient ones become partial results."""
+
+    @staticmethod
+    def _runner(fail):
+        from repro.eval.parallel import run_design_jobs
+
+        def runner(jobs, **kwargs):
+            error = fail(jobs)
+            if error is not None:
+                raise error
+            return run_design_jobs(jobs, **kwargs)
+
+        return runner
+
+    def test_permanent_error_in_the_batched_run_raises(self):
+        runner = self._runner(lambda jobs: ParameterError("bad substrate"))
+        with RedService(design_runner=runner) as service:
+            with pytest.raises(ParameterError, match="bad substrate"):
+                service.sweep(SweepRequest(strides=(1, 2)))
+
+    def test_permanent_error_in_the_per_stride_pass_raises(self):
+        # The batched run fails transiently, so the service retries stride
+        # by stride; stride 2 then fails permanently and must not be
+        # reported as a partial result.
+        def fail(jobs):
+            if len(jobs) > 2:
+                return InjectedFaultError("transient")
+            if jobs[0].spec.stride == 2:
+                return ParameterError("stride 2 is broken")
+            return None
+
+        with RedService(design_runner=self._runner(fail)) as service:
+            with pytest.raises(ParameterError, match="stride 2 is broken"):
+                service.sweep(SweepRequest(strides=(1, 2)))
 
 
 class TestStoreOwnership:

@@ -141,3 +141,33 @@ class TestValidation:
     def test_decoder_bank_validation(self):
         with pytest.raises(ParameterError):
             DecoderBank(rows=0, count=1)
+
+    def test_decoder_bank_rejects_zero_copies(self):
+        with pytest.raises(ParameterError, match="count>=1"):
+            DecoderBank(rows=128, count=0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "wordline_cols",
+            "bitline_rows",
+            "rows_selected_per_cycle",
+            "useful_macs",
+            "total_cells_logical",
+            "broadcast_instances",
+            "col_periphery_sets",
+            "row_bank_instances",
+        ],
+    )
+    def test_rejects_count_below_one(self, name):
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1, got 0"):
+            make_perf(**{name: 0})
+
+    @pytest.mark.parametrize("rate", [0, -0.5])
+    def test_rejects_non_positive_conversion_rate(self, rate):
+        with pytest.raises(ParameterError, match="conv_values_per_cycle"):
+            make_perf(conv_values_per_cycle=rate)
+
+    def test_rejects_negative_extra_sa_ops(self):
+        with pytest.raises(ParameterError, match="sa_extra_ops_per_value"):
+            make_perf(sa_extra_ops_per_value=-0.5)

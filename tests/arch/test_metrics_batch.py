@@ -1,5 +1,6 @@
 """Bit-identity and packing tests for the vectorized analytic plane."""
 
+import dataclasses
 import math
 import pickle
 
@@ -100,6 +101,26 @@ class TestPacking:
                     )},
                     "cycles": batch.cycles[:1],
                 }
+            )
+
+    def test_mismatched_layer_labels_rejected(self):
+        batch = PerfInputBatch.from_perf_inputs(perf_zoo(default_tech())[:2])
+        with pytest.raises(ParameterError, match="2 designs but 1 layer labels"):
+            dataclasses.replace(batch, layers=batch.layers[:1])
+
+    def test_decoder_tables_of_different_shapes_rejected(self):
+        batch = PerfInputBatch.from_perf_inputs(perf_zoo(default_tech())[:2])
+        padded = np.zeros((2, batch.decoder_counts.shape[1] + 1), dtype=np.int64)
+        with pytest.raises(ParameterError, match="decoder_rows/decoder_counts"):
+            dataclasses.replace(batch, decoder_counts=padded)
+
+    def test_flat_decoder_tables_rejected(self):
+        batch = PerfInputBatch.from_perf_inputs(perf_zoo(default_tech())[:2])
+        with pytest.raises(ParameterError, match=r"\(jobs, max_banks\)"):
+            dataclasses.replace(
+                batch,
+                decoder_rows=batch.decoder_rows[:, 0],
+                decoder_counts=batch.decoder_counts[:, 0],
             )
 
 

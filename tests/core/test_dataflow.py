@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.dataflow import ZeroSkippingSchedule, red_cycle_count
+from repro.deconv.analysis import useful_mac_count
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ScheduleError
 from tests.conftest import deconv_specs
@@ -89,6 +90,14 @@ class TestSchedule:
         schedule = ZeroSkippingSchedule(small_spec)
         for slot in schedule.cycles():
             assert len(slot.distinct_inputs) <= small_spec.num_kernel_taps
+
+    def test_active_sub_crossbars_perform_exactly_the_useful_macs(self, small_spec):
+        # Zero skipping: every sub-crossbar activation multiplies a live
+        # input, and every live (input, tap) product is scheduled once.
+        schedule = ZeroSkippingSchedule(small_spec)
+        activations = sum(slot.num_active_sub_crossbars for slot in schedule.cycles())
+        per_activation = small_spec.in_channels * small_spec.out_channels
+        assert activations * per_activation == useful_mac_count(small_spec)
 
     def test_outputs_per_cycle_at_most_stride_squared(self, small_spec):
         schedule = ZeroSkippingSchedule(small_spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.mapping import build_sct, kernel_from_sct
+from repro.core.mapping import SubCrossbarTensor, build_sct, kernel_from_sct
 from repro.errors import MappingError, ShapeError
 from tests.conftest import deconv_specs, random_operands
 
@@ -46,6 +46,12 @@ class TestEq1:
         _, w = random_operands(small_spec)
         with pytest.raises(ShapeError):
             build_sct(w[..., :1] if w.shape[-1] > 1 else w[:, :, :1, :], small_spec)
+
+    def test_tensor_of_the_wrong_shape_rejected(self, small_spec):
+        _, w = random_operands(small_spec)
+        data = build_sct(w, small_spec).data
+        with pytest.raises(MappingError, match="SCT shape"):
+            SubCrossbarTensor(data=data[:, :, :-1], spec=small_spec)
 
     def test_tap_index_bounds(self, small_spec):
         _, w = random_operands(small_spec)

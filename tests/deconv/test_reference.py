@@ -77,6 +77,8 @@ class TestConvTranspose2d:
         x, w = random_operands(small_spec)
         with pytest.raises(ShapeError):
             conv_transpose2d(x, w[..., None], small_spec)
+        with pytest.raises(ShapeError, match="kernel shape"):
+            conv_transpose2d(x, np.concatenate([w, w], axis=-1), small_spec)
 
 
 class TestConv2d:
@@ -115,6 +117,12 @@ class TestConv2d:
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
             conv2d_valid(rng.normal(size=(4, 4, 2)), rng.normal(size=(3, 3, 3, 1)))
+
+    def test_operand_ranks_checked(self, rng):
+        with pytest.raises(ShapeError, match=r"\(H, W, C\) input"):
+            conv2d_valid(rng.normal(size=(4, 4)), rng.normal(size=(3, 3, 1, 1)))
+        with pytest.raises(ShapeError, match=r"\(KH, KW, C, M\) kernel"):
+            conv2d_valid(rng.normal(size=(4, 4, 1)), rng.normal(size=(3, 3, 1)))
 
 
 class TestRotate:

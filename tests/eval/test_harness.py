@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import build_design
 from repro.eval.harness import DESIGN_ORDER, run_grid
 from repro.workloads.specs import TABLE_I_LAYERS, get_layer
 
@@ -34,3 +35,25 @@ class TestGrid:
     def test_cycles_recorded(self, grid):
         m = grid.get("FCN_Deconv2", "RED")
         assert m.cycles == 2 * 71 * 71
+
+
+class TestCells:
+    def test_every_cell_is_labelled_with_its_layer_and_design(self, grid):
+        for layer in grid.layers:
+            for design in DESIGN_ORDER:
+                metrics = grid.get(layer.name, design)
+                assert (metrics.layer, metrics.design) == (layer.name, design)
+
+    def test_baseline_is_neutral_on_every_layer(self, grid):
+        for layer in grid.layers:
+            assert grid.speedup(layer.name, "zero-padding") == 1.0
+            assert grid.energy_saving(layer.name, "zero-padding") == 0.0
+            assert grid.area_ratio(layer.name, "zero-padding") == 1.0
+
+    def test_cells_equal_the_scalar_design_evaluation(self, grid):
+        # The grid runs the batched service path; each cell must be the
+        # exact DesignMetrics the design's own scalar model produces.
+        for layer in grid.layers:
+            for design in DESIGN_ORDER:
+                expected = build_design(design, layer.spec).evaluate(layer.name)
+                assert grid.get(layer.name, design) == expected

@@ -14,6 +14,7 @@ Covers the ISSUE-5 contracts:
   (call-count instrumentation).
 """
 
+import dataclasses
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -107,13 +108,23 @@ class TestJobKeysBatched:
     def test_value_equal_tech_instances_share_segments(self):
         # Distinct-but-equal tech objects must produce the same keys the
         # identity-memoized fast path does.
-        import dataclasses
-
         clone = dataclasses.replace(TECH)
         assert clone is not TECH
         jobs = [make_job(tech=TECH), make_job(tech=clone)]
         keys = job_keys(jobs)
         assert keys[0] == keys[1] == job_key(jobs[0])
+
+    def test_spec_subclass_keys_like_the_scalar_walk(self):
+        # A DeconvSpec subclass skips the columnar fast path; its key
+        # still equals job_key's and names the subclass.
+        class TaggedSpec(DeconvSpec):
+            pass
+
+        plain = make_job()
+        tagged = make_job(spec=TaggedSpec(**dataclasses.asdict(plain.spec)))
+        keys = job_keys([plain, tagged])
+        assert keys == [job_key(plain), job_key(tagged)]
+        assert keys[0] != keys[1]
 
     def test_fold_type_distinguished_like_scalar(self):
         # 2 vs 2.0 repr differently; the batched memo must not merge them.
@@ -188,6 +199,15 @@ class TestPackedStoreRoundTrip:
         value = second.get_many([synthetic_key(1)], kind=CYCLES_KIND)[0]
         assert value.cycles == 7
         assert second.disk_hits == 1 and second.memory_hits == 0
+
+    def test_context_manager_closes_the_store(self, tmp_path):
+        key = synthetic_key(2)
+        with PackedSweepStore(tmp_path) as store:
+            store.put_many([(key, stats_payload(2))], kind=CYCLES_KIND)
+            assert store.memory_size() == 1
+        assert store.memory_size() == 0
+        reopened = PackedSweepStore(tmp_path)
+        assert reopened.get_many([key], kind=CYCLES_KIND)[0].cycles == 2
 
     def test_miss_counts(self, tmp_path):
         store = PackedSweepStore(tmp_path)

@@ -40,6 +40,18 @@ class TestSymmetric:
         params = symmetric_quant_params(np.zeros(5), bits=8)
         assert params.scale == 1.0
 
+    def test_subnormal_peak_keeps_a_positive_scale(self):
+        # 5e-324 / 127 underflows to 0.0; the scale must not.
+        x = np.array([5e-324, -5e-324])
+        params = symmetric_quant_params(x, bits=8)
+        assert params.scale == np.finfo(np.float64).smallest_subnormal
+        assert quantize_tensor(x, params).tolist() == [1, -1]
+        assert quantization_error(x, params) <= params.scale
+
+    def test_empty_tensor_has_no_error(self):
+        x = np.zeros(0)
+        assert quantization_error(x, symmetric_quant_params(x, bits=8)) == 0.0
+
     def test_integers_survive_round_trip(self, rng):
         """Integers within range quantize losslessly at scale 1."""
         x = rng.integers(-127, 128, size=(50,)).astype(np.float64)

@@ -109,6 +109,19 @@ class TestConfiguration:
                     }
                 )
 
+    def test_non_failpoint_entries_rejected(self):
+        with configured_failpoints(None):
+            with pytest.raises(ParameterError, match="expected Failpoint instances, got str"):
+                failpoints.configure_failpoints(["serving.merge:io_error"])
+            assert not failpoints.is_armed()
+
+    def test_clear_disarms_every_point(self):
+        with configured_failpoints("serving.merge:io_error", seed=4):
+            failpoints.clear_failpoints()
+            assert not failpoints.is_armed()
+            assert failpoints.active_failpoints() == ()
+            failpoints.inject("serving.merge", 0)  # must not raise
+
     def test_bad_seed_rejected(self):
         with pytest.raises(ParameterError):
             failpoints.configure_failpoints("serving.shard_call:crash", seed=-1)
@@ -207,6 +220,13 @@ class TestModes:
             assert mangled == failpoints.corrupted("site", payload, 0)
             assert failpoints.corrupted("site", b"", 0) == b"\xff"
         with configured_failpoints(None):
+            assert failpoints.corrupted("site", payload, 0) == payload
+
+    def test_corrupted_ignores_other_sites_and_modes(self):
+        payload = b"hello world"
+        with configured_failpoints("other:corrupt"):
+            assert failpoints.corrupted("site", payload, 0) == payload
+        with configured_failpoints("site:io_error"):
             assert failpoints.corrupted("site", payload, 0) == payload
 
     def test_unarmed_sites_never_fire(self):

@@ -102,6 +102,21 @@ class TestIndexRecovery:
         # No rebuild happened — truncation is tolerated row-wise.
         assert recovered.rebuilt_entries == 0
 
+    def test_rebuild_drops_a_truncated_trailing_record(self, tmp_path):
+        _, keys = populated(tmp_path)
+        expected = reference_payloads(tmp_path, keys)
+        (tmp_path / "index.bin").unlink()
+        (segment,) = tmp_path.glob("seg-*.seg")
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-3])  # a crash mid-write of the last payload
+        with configured_failpoints(None):
+            recovered = PackedSweepStore(tmp_path, memory_entries=0)
+            values = recovered.get_many(keys, KIND)
+        assert recovered.rebuilt_entries == len(keys) - 1
+        served = [value for value in values if value is not None]
+        assert len(served) == len(keys) - 1
+        assert all(value in expected for value in served)
+
     def test_rebuild_persists_at_next_publish(self, tmp_path):
         store, keys = populated(tmp_path)
         expected = reference_payloads(tmp_path, keys)

@@ -65,5 +65,9 @@ class TestAdcForCrossbar:
     def test_explicit_bits_respected(self):
         assert adc_for_crossbar(128, 4, bits=6).bits == 6
 
+    def test_single_level_cells_have_no_range_to_convert(self):
+        with pytest.raises(ParameterError, match="zero dynamic range"):
+            adc_for_crossbar(128, 1, bits=4)
+
     def test_num_codes(self):
         assert ADCParams(bits=8, full_scale=100).num_codes == 256

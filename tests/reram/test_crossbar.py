@@ -61,6 +61,11 @@ class TestAnalogReadback:
         with pytest.raises(ShapeError):
             xbar.column_currents(np.zeros(15, dtype=int))
 
+    def test_ideal_digit_sums_check_the_pulse_length(self, digits):
+        xbar = CrossbarArray(digits)
+        with pytest.raises(ShapeError, match=r"pulse vector must be \(16,\)"):
+            xbar.ideal_digit_sums(np.ones(15, dtype=int))
+
     def test_max_column_sum(self, digits):
         xbar = CrossbarArray(digits)
         assert xbar.max_column_sum() == 16 * 3

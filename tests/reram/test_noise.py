@@ -110,6 +110,24 @@ class TestSeedingContract:
         with pytest.raises(ParameterError):
             model.programming_factors((2, 2), stream=True)
 
+    def test_float_stream_rejected(self):
+        model = NoiseModel(programming_sigma=0.1, seed=0)
+        with pytest.raises(ParameterError, match="must be an int, got 1.0"):
+            model.programming_factors((2, 2), stream=1.0)
+
+    def test_numpy_integer_stream_is_the_same_stream(self):
+        model = NoiseModel(programming_sigma=0.1, seed=0)
+        np.testing.assert_array_equal(
+            model.programming_factors((2, 2), stream=np.int64(3)),
+            model.programming_factors((2, 2), stream=3),
+        )
+
+    def test_zero_sigma_factors_are_ones(self):
+        model = NoiseModel(programming_sigma=0.0, seed=0)
+        factors = model.programming_factors((3, 2), stream=0)
+        assert factors.dtype == np.float64
+        np.testing.assert_array_equal(factors, np.ones((3, 2)))
+
 
 class TestEmptyReadGuard:
     def test_empty_input_returned_unchanged(self):

@@ -104,6 +104,17 @@ class TestActivity:
         with pytest.raises(ShapeError):
             pipe.matvec(np.zeros(7, dtype=np.int64))
 
+    def test_matmul_shape_check(self, rng):
+        pipe = CrossbarPipeline(rng.integers(-10, 10, size=(8, 3)))
+        with pytest.raises(ShapeError, match=r"X must be \(n, 8\)"):
+            pipe.matmul(np.zeros((2, 7), dtype=np.int64))
+        with pytest.raises(ShapeError, match=r"X must be \(n, 8\)"):
+            pipe.matmul(np.zeros(8, dtype=np.int64))
+
+    def test_weights_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match="weights must be 2-D, got ndim=1"):
+            CrossbarPipeline(np.arange(8))
+
     def test_mismatched_device_rejected(self, rng):
         from repro.reram.device import ReRAMDeviceParams
 

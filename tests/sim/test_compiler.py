@@ -118,6 +118,14 @@ class TestAnalyticMatchesOracle:
         with pytest.raises(ParameterError):
             build_compiled_schedule(small_spec, 0)
 
+    def test_same_events_tells_schedules_apart(self):
+        spec = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
+        base = build_compiled_schedule(spec, 1)
+        assert base.same_events(compile_schedule_via_walk(spec, 1))
+        assert not base.same_events(build_compiled_schedule(spec, 2))
+        other = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=0)
+        assert not base.same_events(build_compiled_schedule(other, 1))
+
 
 @pytest.mark.usefixtures("fresh_cache")
 class TestScheduleCache:

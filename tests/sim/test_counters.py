@@ -28,6 +28,13 @@ class TestCounterSet:
         assert a.get("x") == 5
         assert a.get("y") == 1
 
+    def test_repr_lists_counters_in_name_order(self):
+        counters = CounterSet()
+        counters.add("macs", 9)
+        counters.add("fires", 2)
+        assert repr(counters) == "CounterSet(fires=2, macs=9)"
+        assert repr(CounterSet()) == "CounterSet()"
+
     def test_iteration_sorted(self):
         counters = CounterSet()
         counters.add("b")

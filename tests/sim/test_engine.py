@@ -49,6 +49,8 @@ class TestEngine:
         x, w = random_operands(small_spec)
         with pytest.raises(ShapeError):
             CycleEngine(small_spec).run(x[..., :0], w)
+        with pytest.raises(ShapeError, match="kernel shape"):
+            CycleEngine(small_spec).run(x, w[..., :0])
 
     def test_live_rows_counter(self, small_spec):
         x, w = random_operands(small_spec)

@@ -20,6 +20,13 @@ class TestTrace:
         assert len(trace) == 3
         assert [e.cycle for e in trace.events()] == [2, 3, 4]
 
+    def test_non_positive_limit_records_nothing(self):
+        for limit in (0, -1):
+            trace = Trace(max_events=limit)
+            trace.record(0, "sc_fire", (1, 2))
+            assert len(trace) == 0
+            assert trace.count("sc_fire") == 0
+
     def test_event_str(self):
         trace = Trace()
         trace.record(7, "output_write", (1, 2, 3))

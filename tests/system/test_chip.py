@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.system.chip import provision_chip
-from repro.system.network_mapper import evaluate_network
+from repro.system.network_mapper import NetworkEvaluation, evaluate_network
 from repro.workloads.networks import SNGANGenerator
 
 
@@ -51,6 +51,11 @@ class TestChip:
     def test_unknown_mode_rejected(self, evaluation):
         with pytest.raises(ParameterError):
             provision_chip(evaluation, "RED", mode="magic")
+
+    def test_evaluation_without_layers_rejected(self):
+        empty = NetworkEvaluation(layers=[], metrics={"RED": {}})
+        with pytest.raises(ParameterError, match="holds no layers"):
+            provision_chip(empty, "RED")
 
 
 class TestPipelinedProvisioning:

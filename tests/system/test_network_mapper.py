@@ -85,3 +85,30 @@ class TestEvaluation:
             m.latency.total for m in evaluation.metrics["RED"].values()
         )
         assert evaluation.total_latency("RED") == pytest.approx(total)
+        energy = sum(m.energy.total for m in evaluation.metrics["RED"].values())
+        assert evaluation.total_energy("RED") == pytest.approx(energy)
+
+    def test_baseline_is_neutral(self, evaluation):
+        assert evaluation.speedup("zero-padding") == 1.0
+        assert evaluation.energy_saving("zero-padding") == 0.0
+
+    def test_explicit_baseline(self, evaluation):
+        assert evaluation.speedup("RED", baseline="padding-free") == pytest.approx(
+            evaluation.total_latency("padding-free") / evaluation.total_latency("RED")
+        )
+        assert evaluation.energy_saving("RED", baseline="RED") == 0.0
+
+    @pytest.mark.parametrize("design", ["zero-padding", "padding-free", "RED"])
+    def test_table1_layer_costs_what_the_grid_says(self, evaluation, design):
+        """GAN_Deconv3 inside SNGAN is evaluated exactly as its Table I row."""
+        from repro.eval.harness import run_grid
+        from repro.workloads.specs import get_layer
+
+        layer = get_layer("GAN_Deconv3")
+        (name,) = [l.name for l in evaluation.layers if l.spec == layer.spec]
+        in_network = evaluation.metrics[design][name]
+        in_grid = run_grid(layers=(layer,)).get(layer.name, design)
+        assert in_network.layer == name
+        assert (in_network.latency, in_network.energy, in_network.area, in_network.cycles) == (
+            in_grid.latency, in_grid.energy, in_grid.area, in_grid.cycles
+        )

@@ -139,6 +139,14 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert "repro sweep: error:" in err
 
+    def test_non_integer_strides_exit_two_with_one_line(self, capsys):
+        assert main(["sweep", "--strides", "1,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "repro sweep: error: --strides must be comma-separated integers, got '1,x'"
+        ]
+
     def test_non_repro_errors_still_propagate(self):
         # Only ReproError is the CLI's to translate; anything else is a
         # bug and must surface as a traceback, not a tidy envelope.

@@ -26,6 +26,13 @@ class TestEngineering:
     def test_kilo(self):
         assert format_engineering(1500.0, "Hz") == "1.5 kHz"
 
+    def test_negative_values_keep_their_prefix(self):
+        assert format_joules(-3.2e-6) == "-3.2 uJ"
+
+    def test_beyond_the_prefix_table_falls_back_to_the_bare_unit(self):
+        assert format_engineering(1e-18, "J") == "1e-18 J"
+        assert format_engineering(-2e12, "Hz") == "-2e+12 Hz"
+
     def test_area_mm2(self):
         assert format_area(1.33e-6) == "1.33 mm^2"
 

@@ -41,6 +41,14 @@ class TestNonNegativeInt:
         with pytest.raises(ParameterError):
             check_non_negative_int(-1, "x")
 
+    def test_rejects_bool(self):
+        with pytest.raises(ParameterError, match="x must be an int, got bool"):
+            check_non_negative_int(False, "x")
+
+    def test_rejects_float(self):
+        with pytest.raises(ParameterError, match="x must be an int, got float"):
+            check_non_negative_int(0.0, "x")
+
 
 class TestPositiveFloat:
     def test_accepts(self):
@@ -69,6 +77,10 @@ class TestProbability:
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             check_probability(1.01, "p")
+
+    def test_rejects_non_number(self):
+        with pytest.raises(ParameterError, match="p must be a number, got 'half'"):
+            check_probability("half", "p")
 
 
 class TestChoices:

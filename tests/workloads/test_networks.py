@@ -100,3 +100,7 @@ class TestBuilder:
     def test_unknown_network_raises(self):
         with pytest.raises(KeyError):
             build_network("BigGAN")
+
+    def test_rng_and_seed_together_rejected(self):
+        with pytest.raises(ValueError, match="rng or seed, not both"):
+            build_network("SNGAN", rng=np.random.default_rng(0), seed=0)
