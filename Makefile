@@ -1,7 +1,7 @@
 # Tier-1 verification targets (mirrored by .github/workflows/ci.yml).
 #
 #   make test        - full test suite (collection regressions fail fast)
-#   make lint        - byte-compile + ruff check (API-surface regressions)
+#   make lint        - in-memory compile + ruff check (API-surface regressions)
 #   make chaos       - reliability suite under an ambient fault matrix
 #   make serve-chaos - serving suite clean + under a serving fault matrix
 #   make bench-smoke - quick-mode batch-engine benchmark (ISSUE-1 gate)
@@ -18,17 +18,22 @@ export PYTHONPATH
 test:
 	python -m pytest -x -q
 
-# Byte-compiles every tree (catches syntax errors even without ruff
-# installed), runs ruff's pyflakes/isort gate when available (CI always
-# installs it; see ruff.toml for the selected rules), then runs the
-# pure-stdlib substrate contract linter (src/repro/analysis/README.md)
-# — that one runs even without ruff.
+# Compiles every tree in memory (catches syntax errors even without ruff
+# installed; the first SyntaxError fails the target and names its file
+# and line; no __pycache__ is written, unlike compileall, which writes
+# it even under PYTHONDONTWRITEBYTECODE=1), runs ruff's pyflakes/isort
+# gate when available (CI always installs it; see ruff.toml for the
+# selected rules), then runs the pure-stdlib substrate contract linter
+# (src/repro/analysis/README.md) — that one runs even without ruff.
 lint:
-	python -m compileall -q src tests benchmarks examples
+	python -c 'import pathlib, sys; \
+		files = sorted(p for root in sys.argv[1:] for p in pathlib.Path(root).rglob("*.py")); \
+		[compile(path.read_bytes(), str(path), "exec") for path in files]; \
+		print(f"compiled {len(files)} files in memory")' src tests benchmarks examples
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \
-		echo "ruff not installed; skipped ruff check (ran compileall only)"; \
+		echo "ruff not installed; skipped ruff check (ran the in-memory compile only)"; \
 	fi
 	python -m repro.analysis src benchmarks examples
 

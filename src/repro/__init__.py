@@ -47,7 +47,6 @@ from repro.deconv import (
     DeconvSpec,
     conv_transpose2d,
     padded_zero_fraction,
-    padding_free_deconv,
     zero_padding_deconv,
 )
 from repro.designs import DeconvDesign, FunctionalRun, PaddingFreeDesign, ZeroPaddingDesign
@@ -60,7 +59,6 @@ __all__ = [
     "DeconvSpec",
     "conv_transpose2d",
     "zero_padding_deconv",
-    "padding_free_deconv",
     "padded_zero_fraction",
     "ZeroPaddingDesign",
     "PaddingFreeDesign",

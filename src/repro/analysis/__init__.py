@@ -15,11 +15,11 @@ clock/entropy-free evaluation paths.  This package checks them on every
 
 Command line::
 
-    python -m repro.analysis [paths ...] [--json] [--baseline FILE]
+    python -m repro.analysis [paths ...] [--json]
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.  Findings
-are suppressed per line with ``# red: ignore[RED004]`` or grandfathered
-via a ``--baseline`` JSON file; see README.md for the rule catalogue.
+are suppressed per line with ``# red: ignore[RED004]``; see README.md
+for the rule catalogue.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from repro.analysis.engine import (
     Finding,
     ModuleSource,
     Rule,
-    load_baseline,
     run_analysis,
-    save_baseline,
     walk_python_files,
 )
 from repro.analysis.rules import default_rules
@@ -44,8 +42,6 @@ __all__ = [
     "ModuleSource",
     "Rule",
     "default_rules",
-    "load_baseline",
     "run_analysis",
-    "save_baseline",
     "walk_python_files",
 ]

@@ -7,7 +7,8 @@ RED001-RED007 contract rules, and prints one line per finding::
 
 Exit codes follow the usual linter convention so ``make lint`` and CI
 can chain it: 0 when the tree is clean, 1 when findings remain after
-suppressions and the baseline, 2 on usage or internal errors.
+suppressions, 2 on usage or internal errors (a path that does not exist
+among them).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.engine import load_baseline, run_analysis, save_baseline
+from repro.analysis.engine import run_analysis
 from repro.analysis.rules import default_rules
 
 #: Paths checked when none are given: the library plus the two trees
@@ -49,16 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON instead of one line per finding",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to ignore",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to FILE as a baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -79,33 +69,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{rule.rule_id}  {rule.summary}")
         return EXIT_CLEAN
 
-    baseline = None
-    if options.baseline:
-        try:
-            baseline = load_baseline(options.baseline)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    # The library walks a missing root as an empty tree; on the command
-    # line that would let a mistyped path pass as clean.
-    missing = [path for path in options.paths if not Path(path).exists()]
-    if missing:
-        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
-        return EXIT_ERROR
-
     try:
-        report = run_analysis(options.paths, baseline=baseline)
+        report = run_analysis(options.paths)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if options.write_baseline:
-        save_baseline(options.write_baseline, report.findings)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {options.write_baseline}"
-        )
-        return EXIT_CLEAN
 
     if options.as_json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -114,8 +82,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(finding.render())
         tail = (
             f"{len(report.findings)} finding(s) in {report.files_checked} "
-            f"file(s) ({report.suppressed} suppressed, "
-            f"{report.baselined} baselined)"
+            f"file(s) ({report.suppressed} suppressed)"
         )
         print(tail)
     return EXIT_FINDINGS if report.findings else EXIT_CLEAN

@@ -1,4 +1,4 @@
-"""The contract-linter engine: rules, findings, suppressions, baselines.
+"""The contract-linter engine: rules, findings, suppressions.
 
 The substrate built in PRs 1-6 rests on a handful of hand-maintained
 invariants — the SeedSequence spawn-key seeding contract, frozen
@@ -21,13 +21,10 @@ Moving parts
 * Suppressions — a finding on a line carrying
   ``# red: ignore[RULE-ID]`` (or a bare ``# red: ignore`` for any rule)
   is dropped and counted, mirroring ``# noqa`` semantics.
-* Baseline — a JSON file of grandfathered findings
-  (:func:`load_baseline` / :func:`save_baseline`); matching is by
-  ``(rule, path, message)``, deliberately ignoring line numbers so
-  unrelated edits above a grandfathered site do not churn the file.
 * :func:`run_analysis` — walk the requested paths (skipping
-  ``__pycache__`` and hidden directories), run every rule, and return
-  an :class:`AnalysisReport`.
+  ``__pycache__`` and hidden directories; a path that does not exist
+  raises :class:`FileNotFoundError`), run every rule, and return an
+  :class:`AnalysisReport`.
 
 Files that fail to parse surface as :data:`PARSE_ERROR` findings
 rather than crashing the run, so one broken file cannot hide findings
@@ -38,17 +35,13 @@ the build on them).
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Pseudo-rule id for files the engine cannot parse.
 PARSE_ERROR = "RED000"
-
-#: Baseline file format generation.
-BASELINE_VERSION = 1
 
 _SUPPRESS_RE = re.compile(
     r"#\s*red:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s-]*)\])?"
@@ -70,10 +63,6 @@ class Finding:
     path: str
     line: int
     message: str
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching (line-number free)."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict:
         return {
@@ -147,23 +136,19 @@ class AnalysisReport:
     """The outcome of one :func:`run_analysis` pass.
 
     Attributes:
-        findings: violations after suppression and baseline filtering.
+        findings: violations left after inline suppressions.
         suppressed: count of findings dropped by inline suppressions.
-        baselined: count of findings matched by the baseline file.
         files_checked: number of Python files walked and parsed.
     """
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
 
     def to_dict(self) -> dict:
         return {
-            "version": BASELINE_VERSION,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "files_checked": self.files_checked,
         }
 
@@ -243,40 +228,20 @@ def is_suppressed(finding: Finding, lines: Sequence[str]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str | Path) -> set[tuple[str, str, str]]:
-    """Grandfathered finding keys from a baseline JSON file."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {path} is not a version-{BASELINE_VERSION} baseline file"
-        )
-    keys = set()
-    for entry in payload.get("findings", ()):
-        keys.add((str(entry["rule"]), str(entry["path"]), str(entry["message"])))
-    return keys
-
-
-def save_baseline(path: str | Path, findings: Iterable[Finding]) -> None:
-    """Write ``findings`` as a baseline file (sorted, line numbers kept
-    for human readers but ignored on matching)."""
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": [f.to_dict() for f in ordered],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
 # File walking
 # ----------------------------------------------------------------------
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
 
 def walk_python_files(paths: Sequence[str | Path]) -> list[Path]:
-    """Every ``.py`` file under ``paths``, sorted, caches excluded."""
+    """Every ``.py`` file under ``paths``, sorted, caches excluded.
+
+    Raises :class:`FileNotFoundError` naming every path that does not
+    exist: walked as an empty tree, a mistyped root would read as clean.
+    """
+    missing = [str(root) for root in paths if not Path(root).exists()]
+    if missing:
+        raise FileNotFoundError(f"no such file or directory: {', '.join(missing)}")
     collected: list[Path] = []
     for root in paths:
         root = Path(root)
@@ -336,26 +301,25 @@ def parse_module(path: Path) -> ModuleSource:
 def run_analysis(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] | None = None,
-    baseline: set[tuple[str, str, str]] | None = None,
 ) -> AnalysisReport:
     """Run every rule over every Python file under ``paths``.
 
     Args:
-        paths: files or directories to walk.
+        paths: files or directories to walk; each must exist.
         rules: rule instances (default: one of each registered rule —
             a fresh set per run, since rules may carry cross-file state).
-        baseline: grandfathered finding keys from :func:`load_baseline`.
 
     Returns:
         An :class:`AnalysisReport`; ``report.findings`` is empty exactly
-        when the tree honours every contract (modulo suppressions and
-        the baseline).
+        when the tree honours every contract (modulo suppressions).
+
+    Raises:
+        FileNotFoundError: a path does not exist.
     """
     if rules is None:
         from repro.analysis.rules import default_rules
 
         rules = default_rules()
-    baseline = baseline or set()
     report = AnalysisReport()
     raw: list[tuple[Finding, Sequence[str]]] = []
     for path in walk_python_files(paths):
@@ -386,8 +350,6 @@ def run_analysis(
     for finding, lines in raw:
         if is_suppressed(finding, lines):
             report.suppressed += 1
-        elif finding.baseline_key() in baseline:
-            report.baselined += 1
         else:
             report.findings.append(finding)
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))

@@ -30,8 +30,9 @@ Module map (the request -> service -> engine flow)
   ``trace=True`` adds cycle-level
   :class:`~repro.eval.parallel.CycleStats` read off each job's compiled
   schedule (:mod:`repro.sim.compiler`), persisted on disk in the same
-  store.
-  ``submit()``/``gather()`` run any request on a service thread pool.
+  store.  Its request handlers may be called from many threads at
+  once, as the serving plane's executor does; the service starts no
+  threads of its own.
 
 Every pre-API entry point (`repro.eval.harness.run_grid`,
 `repro.eval.sweeps.stride_speedup_sweep`,

@@ -263,9 +263,9 @@ class _Payload:
 class _TechRequest(_Payload):
     """A request carrying ``TechnologyParams`` field ``tech_overrides``."""
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        base = base or default_tech()
+    def resolved_tech(self) -> TechnologyParams:
+        """The default technology after applying the overrides."""
+        base = default_tech()
         if not self.tech_overrides:
             return base
         return dataclasses.replace(base, **dict(self.tech_overrides))
@@ -827,13 +827,6 @@ class FidelityResult(_Payload):
         if design not in self.designs:
             raise KeyError(f"design {design!r} not in result ({self.designs})")
         return tuple(p for p in self.points if p.design == design)
-
-    def energy_for(self, design: str) -> float:
-        """The analytic energy axis value of one design."""
-        for name, energy in zip(self.designs, self.energy_j):
-            if name == design:
-                return energy
-        raise KeyError(f"design {design!r} not in result ({self.designs})")
 
 
 # ----------------------------------------------------------------------

@@ -38,18 +38,14 @@ is the serving plane's job: it injects a sharded ``design_runner``.
 
 Concurrency
 -----------
-:meth:`~RedService.submit` enqueues any request on a per-service thread
-pool and returns a :class:`concurrent.futures.Future`;
-:meth:`~RedService.gather` collects results in submission order.  The
-evaluation substrate is thread-safe: job execution is pure, and cache
-writes are atomic.
+The request handlers may be called from many threads at once, as the
+serving plane's executor does: job execution is pure, and store writes
+are atomic.  The service itself starts no threads.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.api.registry import available_designs, baseline_design, resolve_design
 from repro.api.schema import (
@@ -68,7 +64,7 @@ from repro.api.schema import (
 )
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import ParameterError, SchemaError, ServiceClosedError
+from repro.errors import ParameterError, SchemaError
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
@@ -78,11 +74,18 @@ from repro.eval.parallel import (
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
-from repro.reliability.policy import RetryPolicy, is_retryable
+from repro.reliability.policy import is_retryable
 
 
 class RedService:
-    """Concurrent facade over the evaluation substrate.
+    """Facade over the evaluation substrate.
+
+    The request handlers (:meth:`evaluate`, :meth:`sweep`,
+    :meth:`evaluate_network`, :meth:`fidelity_sweep`) may be called from
+    many threads at once; the serving plane's executor does.  Each takes
+    an optional per-request ``timeout`` in seconds, forwarded to every
+    runner call it makes; exceeding it raises
+    :class:`~repro.errors.EvaluationTimeoutError`.
 
     Args:
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
@@ -91,24 +94,11 @@ class RedService:
             fidelity samples persist on disk; analytic metrics only
             serve repeats from the store's memory tier for as long as
             the store lives.
-        tech: base technology the per-request overrides apply to
-            (default: :func:`default_tech`).
-        service_threads: thread-pool width for :meth:`submit`.
-        max_sub_crossbars: SC budget used to resolve ``fold='auto'`` on
-            cycle-level (trace) runs, whose
-            :class:`~repro.eval.parallel.CycleStats` are read off the
-            compiled schedule rather than executed.
         vectorized: route analytic cache misses through the
             struct-of-arrays evaluation plane
             (:mod:`repro.eval.vectorized`, the default).  ``False``
             forces the scalar per-job oracle path — results are
             bit-identical either way.
-        timeout: optional wall-clock budget in seconds, forwarded to
-            every runner call the service makes; exceeding it raises
-            :class:`~repro.errors.EvaluationTimeoutError`.
-        retry_policy: :class:`~repro.reliability.RetryPolicy` the
-            runners apply to transient failures (I/O errors); ``None``
-            uses the runners' default.
         design_runner: the evaluation substrate for analytic metrics —
             any callable with :func:`~repro.eval.parallel.run_design_jobs`'
             signature.  The default is ``run_design_jobs`` itself; the
@@ -123,18 +113,9 @@ class RedService:
     def __init__(
         self,
         cache: PackedSweepStore | str | os.PathLike | None = None,
-        tech: TechnologyParams | None = None,
-        service_threads: int = 4,
-        max_sub_crossbars: int = 128,
         vectorized: bool = True,
-        timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
         design_runner=None,
     ) -> None:
-        if service_threads < 1:
-            raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
-        if timeout is not None and not timeout > 0:
-            raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
         # A path builds one PackedSweepStore for the service's whole
         # lifetime, so every request shares its offset index, mmaps and
         # in-memory LRU hit tier.  The service owns that store and
@@ -143,32 +124,20 @@ class RedService:
         if self._owns_cache:
             cache = PackedSweepStore(os.path.expanduser(os.fspath(cache)))
         self.cache = cache
-        self.tech = tech
-        self.service_threads = service_threads
-        self.max_sub_crossbars = max_sub_crossbars
         self.vectorized = vectorized
-        self.timeout = timeout
-        self.retry_policy = retry_policy
         self._design_runner = design_runner or run_design_jobs
-        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
         #: Set by the first traced request: only then did this service
         #: fill the process-wide compiled-schedule LRU close() empties.
         self._traced = False
-        self._lock = threading.Lock()
 
     def _runner_kwargs(self, timeout: float | None = None) -> dict:
-        """Substrate keywords every runner call shares.
+        """Substrate keywords every design-runner call shares.
 
-        ``timeout`` overrides the service-wide budget for one request —
-        the serving front door propagates each wire deadline here.
+        ``timeout`` is the request's budget — the serving front door
+        propagates each wire deadline here.
         """
-        return {
-            "cache": self.cache,
-            "vectorized": self.vectorized,
-            "timeout": self.timeout if timeout is None else timeout,
-            "retry_policy": self.retry_policy,
-        }
+        return {"cache": self.cache, "vectorized": self.vectorized, "timeout": timeout}
 
     # ------------------------------------------------------------------
     # Request-level entry points
@@ -178,8 +147,9 @@ class RedService:
     ) -> EvaluationResult:
         """Evaluate one layer across designs (optionally cycle-traced).
 
-        ``timeout`` overrides the service-wide budget for this request
-        (wire-deadline propagation); ``None`` keeps the service default.
+        Traced ``CycleStats`` resolve ``fold='auto'`` against the same
+        default sub-crossbar budget as the analytic metrics, so both
+        report one cycle count.
         """
         if not isinstance(request, EvaluationRequest):
             raise SchemaError(
@@ -187,7 +157,7 @@ class RedService:
             )
         spec, label = self._resolve_layer(request)
         designs = self._resolve_designs(request.designs)
-        tech = request.resolved_tech(self.tech)
+        tech = request.resolved_tech()
         jobs = [
             DesignJob(design, spec, tech, fold=request.fold, layer_name=label)
             for design in designs
@@ -196,15 +166,7 @@ class RedService:
         cycle_stats: tuple = ()
         if request.trace:
             self._traced = True
-            cycle_stats = tuple(
-                run_cycle_jobs(
-                    jobs,
-                    cache=self.cache,
-                    max_sub_crossbars=self.max_sub_crossbars,
-                    timeout=self.timeout if timeout is None else timeout,
-                    retry_policy=self.retry_policy,
-                )
-            )
+            cycle_stats = tuple(run_cycle_jobs(jobs, cache=self.cache, timeout=timeout))
         return EvaluationResult(
             layer=label,
             designs=designs,
@@ -233,7 +195,7 @@ class RedService:
             )
         spec, label = self._resolve_layer(request)
         designs = self._resolve_designs(request.designs)
-        tech = request.resolved_tech(self.tech)
+        tech = request.resolved_tech()
         metrics = self._design_runner(
             [DesignJob(design, spec, tech, layer_name=label) for design in designs],
             **self._runner_kwargs(timeout),
@@ -260,8 +222,7 @@ class RedService:
                 for time_s in request.times
             ],
             cache=self.cache,
-            timeout=self.timeout if timeout is None else timeout,
-            retry_policy=self.retry_policy,
+            timeout=timeout,
         )
         return FidelityResult(
             layer=label,
@@ -298,7 +259,7 @@ class RedService:
             raise SchemaError(
                 f"sweep() takes a SweepRequest, got {type(request).__name__}"
             )
-        tech = request.resolved_tech(self.tech)
+        tech = request.resolved_tech()
         failures: tuple[ErrorInfo, ...] = ()
         try:
             points = self.sweep_points(
@@ -372,7 +333,7 @@ class RedService:
         from repro.workloads.networks import build_network
 
         designs = self._resolve_designs(request.designs)
-        tech = request.resolved_tech(self.tech)
+        tech = request.resolved_tech()
         try:
             # The seed stays a plain int across the API boundary; the
             # workloads module owns the seed-to-generator mapping.
@@ -428,40 +389,8 @@ class RedService:
             summaries=tuple(summaries),
         )
 
-    # ------------------------------------------------------------------
-    # Concurrent entry points
-    # ------------------------------------------------------------------
-    def submit(self, request) -> Future:
-        """Dispatch any request on the service thread pool.
-
-        Returns a :class:`concurrent.futures.Future` resolving to the
-        matching result type.  Raises
-        :class:`~repro.errors.ServiceClosedError` after :meth:`close`
-        — the closed check and executor creation share ``self._lock``,
-        so a concurrent ``close()`` can never leak a fresh thread pool.
-        """
-        handler = self._handler_for(request)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "cannot submit() on a closed RedService; "
-                    "construct a new service instead"
-                )
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.service_threads,
-                    thread_name_prefix="red-service",
-                )
-            executor = self._executor
-        return executor.submit(handler, request)
-
-    def gather(self, futures) -> list:
-        """Results of :meth:`submit` futures, in submission order."""
-        return [future.result() for future in futures]
-
     def close(self) -> None:
-        """Shut the service thread pool down and release compiled
-        schedules (idempotent).
+        """Release the owned store and compiled schedules (idempotent).
 
         A long-lived service that traced many distinct large layer
         shapes holds their compiled-schedule index arrays in the
@@ -472,21 +401,13 @@ class RedService:
         friends) never evict schedules other callers compiled.  A cache
         store the service constructed from a path is owned and closed
         too (its mmaps and LRU tier are released; caller-provided stores
-        are the caller's to close).  After ``close()`` the service is retired:
-        :meth:`submit` raises
-        :class:`~repro.errors.ServiceClosedError` instead of silently
-        spinning up a fresh thread pool nothing will ever shut down.
+        are the caller's to close).
         """
         from repro.sim.compiler import clear_compiled_schedules
 
-        with self._lock:
-            executor, self._executor = self._executor, None
-            already_closed = self._closed
-            self._closed = True
-        if executor is not None:
-            executor.shutdown(wait=True)
-        if already_closed:
+        if self._closed:
             return
+        self._closed = True
         if self._owns_cache:
             self.cache.close()
         if self._traced:
@@ -528,7 +449,7 @@ class RedService:
         from repro.workloads.specs import TABLE_I_LAYERS
 
         layers = layers or TABLE_I_LAYERS
-        tech = tech or self.tech or default_tech()
+        tech = tech or default_tech()
         designs = available_designs()
         jobs = [
             DesignJob(design, layer.spec, tech, layer_name=layer.name)
@@ -558,7 +479,7 @@ class RedService:
         """
         if not strides:
             raise ParameterError("strides must be non-empty")
-        tech = tech or self.tech or default_tech()
+        tech = tech or default_tech()
         baseline = baseline_design()
         traced = "RED"  # the sweep measures the paper's design by definition
         ordered = sorted(set(strides))
@@ -608,7 +529,7 @@ class RedService:
         """
         from repro.system.network_mapper import NetworkEvaluation, extract_deconv_layers
 
-        tech = tech or self.tech or default_tech()
+        tech = tech or default_tech()
         designs = self._resolve_designs(tuple(designs) if designs else ())
         layers = extract_deconv_layers(network, input_height, input_width)
         jobs = [

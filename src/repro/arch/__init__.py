@@ -15,8 +15,6 @@ Constants live in :class:`repro.arch.tech.TechnologyParams`; they are
 """
 
 from repro.arch.breakdown import (
-    ARRAY_COMPONENTS,
-    PERIPHERY_COMPONENTS,
     TABLE_II_COMPONENTS,
     AreaBreakdown,
     DesignMetrics,
@@ -38,8 +36,6 @@ from repro.arch.wires import WireModel
 __all__ = [
     "TechnologyParams",
     "default_tech",
-    "ARRAY_COMPONENTS",
-    "PERIPHERY_COMPONENTS",
     "TABLE_II_COMPONENTS",
     "LatencyBreakdown",
     "EnergyBreakdown",

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-ARRAY_COMPONENTS: tuple[str, ...] = ("computation", "wordline", "bitline")
-PERIPHERY_COMPONENTS: tuple[str, ...] = ("mux", "decoder", "read_circuit", "shift_adder")
-
 #: (component, abbreviation, group) rows exactly as in Table II.
 TABLE_II_COMPONENTS: tuple[tuple[str, str, str], ...] = (
     ("Computation", "c", "Array (a)"),
@@ -120,7 +117,3 @@ class DesignMetrics:
     def energy_saving_over(self, baseline: "DesignMetrics") -> float:
         """Fractional energy saved vs baseline: ``1 - E_self / E_base``."""
         return 1.0 - self.energy.total / baseline.energy.total
-
-    def area_overhead_over(self, baseline: "DesignMetrics") -> float:
-        """Fractional extra area vs baseline: ``A_self / A_base - 1``."""
-        return self.area.total / baseline.area.total - 1.0

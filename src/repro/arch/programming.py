@@ -88,16 +88,3 @@ def programming_cost(
         latency=latency,
         converged_fraction=result.converged_fraction,
     )
-
-
-def amortization_runs(
-    spec: DeconvSpec,
-    per_run_energy: float,
-    tech: TechnologyParams | None = None,
-    noise: NoiseModel | None = None,
-) -> float:
-    """Inference runs after which programming energy is amortized to <1%."""
-    cost = programming_cost(spec, tech, noise)
-    if per_run_energy <= 0.0:
-        raise ValueError("per_run_energy must be positive")
-    return cost.energy / (0.01 * per_run_energy)

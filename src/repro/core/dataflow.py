@@ -41,11 +41,6 @@ class CycleSlot:
     outputs: tuple[tuple[int, int, int], ...]
 
     @property
-    def num_active_sub_crossbars(self) -> int:
-        """Sub-crossbars receiving a live input this round."""
-        return len(self.assignments)
-
-    @property
     def distinct_inputs(self) -> set[tuple[int, int]]:
         """Distinct input pixels fetched this round (buffer reads)."""
         return set(self.assignments.values())

@@ -55,14 +55,6 @@ class FoldedSCT:
         """Rows per physical SC, ``fold * C``."""
         return self.data.shape[0]
 
-    def slot_of_tap(self, tap: int) -> tuple[int, int]:
-        """Locate tap: returns ``(physical_sc, slot)``."""
-        for n, slots in enumerate(self.tap_slots):
-            for f, stored in enumerate(slots):
-                if stored == tap:
-                    return (n, f)
-        raise MappingError(f"tap {tap} not present in folded tensor")
-
 
 def choose_fold(spec, max_sub_crossbars: int = 128) -> int:
     """Smallest power-of-two fold keeping the SC count within budget.

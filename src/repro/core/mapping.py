@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.deconv.modes import decompose_modes
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import MappingError, ShapeError
 
@@ -47,11 +46,6 @@ class SubCrossbarTensor:
                 f"SCT shape {self.data.shape} != expected {expected}"
             )
 
-    @property
-    def num_sub_crossbars(self) -> int:
-        """``KH * KW`` sub-crossbars."""
-        return self.data.shape[2]
-
     def tap_index(self, kh: int, kw: int) -> int:
         """Flat tap index ``kh * KW + kw`` with bounds checking."""
         if not (0 <= kh < self.spec.kernel_height and 0 <= kw < self.spec.kernel_width):
@@ -64,13 +58,6 @@ class SubCrossbarTensor:
     def sub_crossbar(self, kh: int, kw: int) -> np.ndarray:
         """The ``C x M`` sub-crossbar for kernel tap ``(kh, kw)``."""
         return self.data[:, :, self.tap_index(kh, kw)]
-
-    def mode_sub_crossbars(self) -> list[list[int]]:
-        """Tap indices grouped by computation mode (bitline-sharing groups)."""
-        groups = []
-        for mode in decompose_modes(self.spec):
-            groups.append([self.tap_index(kh, kw) for kh, kw in mode.taps])
-        return groups
 
 
 def build_sct(w: np.ndarray, spec: DeconvSpec) -> SubCrossbarTensor:

@@ -62,11 +62,6 @@ class REDDesign(DeconvDesign):
         """Compute rounds for the layer (Fig. 5c + fold)."""
         return red_cycle_count(self.spec, self.fold)
 
-    @property
-    def parallel_outputs_per_round(self) -> float:
-        """Average output pixels per compute round, ``s^2 / fold``."""
-        return self.spec.stride**2 / self.fold
-
     # ------------------------------------------------------------------
     # Functional simulation (fast path)
     # ------------------------------------------------------------------

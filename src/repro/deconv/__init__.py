@@ -18,10 +18,8 @@ kernels are ``(KH, KW, C, M)``.
 """
 
 from repro.deconv.analysis import (
-    dense_mac_count,
     padded_zero_fraction,
     redundancy_vs_stride,
-    redundant_mac_fraction,
     useful_mac_count,
 )
 from repro.deconv.modes import (
@@ -31,8 +29,6 @@ from repro.deconv.modes import (
 )
 from repro.deconv.padding_free import (
     overlap_add,
-    padding_free_deconv,
-    pixel_kernel_products,
 )
 from repro.deconv.reference import (
     conv2d_valid,
@@ -53,15 +49,11 @@ __all__ = [
     "rotate_kernel_180",
     "zero_insert_input",
     "zero_padding_deconv",
-    "padding_free_deconv",
-    "pixel_kernel_products",
     "overlap_add",
     "ComputationMode",
     "decompose_modes",
     "mode_of_tap",
     "padded_zero_fraction",
-    "redundant_mac_fraction",
     "useful_mac_count",
-    "dense_mac_count",
     "redundancy_vs_stride",
 ]

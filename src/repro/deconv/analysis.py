@@ -26,16 +26,6 @@ def padded_zero_fraction(spec: DeconvSpec) -> float:
     return 1.0 - live / geom.num_pixels
 
 
-def dense_mac_count(spec: DeconvSpec) -> int:
-    """MACs the zero-padding design schedules: ``OH*OW*KH*KW*C*M``."""
-    return (
-        spec.num_output_pixels
-        * spec.num_kernel_taps
-        * spec.in_channels
-        * spec.out_channels
-    )
-
-
 def useful_mac_count(spec: DeconvSpec) -> int:
     """MACs with a live (non-inserted-zero) input operand.
 
@@ -119,14 +109,6 @@ def useful_mac_count_batch(arrays: SpecArrays) -> np.ndarray:
     return taps[:jobs] * taps[jobs:] * arrays.in_channels * arrays.out_channels
 
 
-def redundant_mac_fraction(spec: DeconvSpec) -> float:
-    """Fraction of scheduled MACs wasted on inserted zeros (MAC-level view)."""
-    dense = dense_mac_count(spec)
-    if dense == 0:
-        raise ParameterError("spec schedules zero MACs")
-    return 1.0 - useful_mac_count(spec) / dense
-
-
 def redundancy_vs_stride(
     input_size: int,
     strides: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
@@ -170,14 +152,3 @@ def redundancy_vs_stride(
         )
         points.append((s, padded_zero_fraction(spec)))
     return points
-
-
-def input_vector_sparsity(spec: DeconvSpec) -> float:
-    """Average zero fraction of the zero-padding design's per-cycle vectors.
-
-    Each cycle the conventional design feeds a ``KH*KW*C`` im2col window of
-    the padded map; averaged over all ``OH*OW`` windows this equals the
-    MAC-level redundancy, reported here under the dataflow-centric name the
-    accelerator analysis uses.
-    """
-    return redundant_mac_fraction(spec)

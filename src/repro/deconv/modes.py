@@ -85,15 +85,6 @@ def num_nonempty_modes(spec: DeconvSpec) -> int:
     return min(spec.kernel_height, spec.stride) * min(spec.kernel_width, spec.stride)
 
 
-def max_taps_per_mode(spec: DeconvSpec) -> int:
-    """Largest tap count over all modes: ``ceil(K/s)`` per dimension squared.
-
-    This bounds the depth of the cross-sub-crossbar adder tree RED needs.
-    """
-    modes = decompose_modes(spec)
-    return max((mode.num_taps for mode in modes), default=0)
-
-
 def check_mode_partition(spec: DeconvSpec) -> None:
     """Raise if the modes do not exactly partition the kernel taps."""
     modes = decompose_modes(spec)

@@ -12,23 +12,22 @@ The paper presents steps (a)-(b) relative to *its* convolution convention;
 composed with our scatter reference convention the two 180-degree flips
 cancel, so the patch for input pixel ``(ih, iw)`` lands at output rows
 ``s*ih + kh - p`` — i.e. the overlap-add runs on the kernel as stored and
-the crop removes ``p`` leading rows/columns.  The functions below expose the
-intermediate products because the padding-free *accelerator* design needs
-their counts (extra adders + crop circuitry are its area/energy overhead).
+the crop removes ``p`` leading rows/columns.  Step (b) is one crossbar
+VMM per input pixel (:class:`~repro.designs.padding_free_design
+.PaddingFreeDesign`); the functions below are steps (c) and (d) and the
+canvas size, whose counts are the padding-free design's overhead (extra
+adders and crop circuitry cost area and energy).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.deconv.reference import _check_operands, rotate_kernel_180
 from repro.deconv.shapes import DeconvSpec
 
 __all__ = [
-    "pixel_kernel_products",
     "overlap_add",
     "crop_to_output",
-    "padding_free_deconv",
     "full_overlap_shape",
 ]
 
@@ -38,17 +37,6 @@ def full_overlap_shape(spec: DeconvSpec) -> tuple[int, int]:
     fh = (spec.input_height - 1) * spec.stride + spec.kernel_height
     fw = (spec.input_width - 1) * spec.stride + spec.kernel_width
     return fh, fw
-
-
-def pixel_kernel_products(x: np.ndarray, w: np.ndarray, spec: DeconvSpec) -> np.ndarray:
-    """Step (b): per-input-pixel kernel products.
-
-    Returns ``(IH, IW, KH, KW, M)`` where entry ``[ih, iw, kh, kw, m]`` is
-    ``sum_c x[ih, iw, c] * w[kh, kw, c, m]`` — exactly the ``KH*KW*M``-wide
-    crossbar output vector the padding-free accelerator reads per cycle.
-    """
-    _check_operands(x, w, spec)
-    return np.einsum("yxc,ijcm->yxijm", x.astype(np.float64, copy=False), w, optimize=True)
 
 
 def overlap_add(products: np.ndarray, spec: DeconvSpec) -> np.ndarray:
@@ -82,21 +70,3 @@ def crop_to_output(full: np.ndarray, spec: DeconvSpec) -> np.ndarray:
         padded[: cropped.shape[0], : cropped.shape[1], :] = cropped[:oh, :ow, :]
         return padded
     return cropped[:oh, :ow, :]
-
-
-def padding_free_deconv(
-    x: np.ndarray, w: np.ndarray, spec: DeconvSpec, paper_rotation: bool = True
-) -> np.ndarray:
-    """Run Algorithm 2 end to end and return the ``(OH, OW, M)`` output.
-
-    Args:
-        paper_rotation: when True, apply the paper's explicit rotate step to
-            a pre-flipped copy of the kernel (the two flips cancel); when
-            False, skip both.  The flag exists purely to document the
-            convention equivalence — both paths are bit-identical.
-    """
-    _check_operands(x, w, spec)
-    kernel = rotate_kernel_180(rotate_kernel_180(w)) if paper_rotation else w
-    products = pixel_kernel_products(x, kernel, spec)
-    full = overlap_add(products, spec)
-    return crop_to_output(full, spec)

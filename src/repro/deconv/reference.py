@@ -115,10 +115,3 @@ def conv2d(
     if stride != 1:
         full = full[::stride, ::stride, :]
     return full
-
-
-def deconv_output_reference(
-    x: np.ndarray, w: np.ndarray, spec: DeconvSpec
-) -> np.ndarray:
-    """Alias of :func:`conv_transpose2d` kept for API clarity in tests."""
-    return conv_transpose2d(x, w, spec)

@@ -186,31 +186,6 @@ class DeconvSpec:
             stretched_width=stretched_w,
         )
 
-    def contributing_taps(self, out_y: int, out_x: int) -> list[tuple[int, int, int, int]]:
-        """Kernel taps contributing to output pixel ``(out_y, out_x)``.
-
-        Returns tuples ``(kh, kw, ih, iw)``: tap position and the *original*
-        (pre-insertion) input pixel it multiplies.  This is the gather view
-        of the scatter relation ``oy = s * ih + kh - p``.
-        """
-        taps = []
-        for kh in range(self.kernel_height):
-            num_y = out_y + self.padding - kh
-            if num_y % self.stride != 0:
-                continue
-            ih = num_y // self.stride
-            if not 0 <= ih < self.input_height:
-                continue
-            for kw in range(self.kernel_width):
-                num_x = out_x + self.padding - kw
-                if num_x % self.stride != 0:
-                    continue
-                iw = num_x // self.stride
-                if not 0 <= iw < self.input_width:
-                    continue
-                taps.append((kh, kw, ih, iw))
-        return taps
-
     def describe(self) -> str:
         """One-line human-readable summary, Table I style."""
         return (

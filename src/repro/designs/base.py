@@ -84,26 +84,6 @@ class DeconvDesign(abc.ABC):
         """Latency/energy/area breakdowns for this design on this layer."""
         return evaluate_design(self.perf_input(layer_name), self.tech)
 
-    def run_batch(self, xs: np.ndarray, w: np.ndarray) -> FunctionalRun:
-        """Run a batch ``(N, IH, IW, C)`` through the dataflow sample by
-        sample (weights stay programmed), stacking outputs and summing
-        cycle/activity counters — the streaming execution a deployed
-        accelerator performs.
-        """
-        xs = np.asarray(xs)
-        if xs.ndim != 4:
-            raise ShapeError(f"batch must be (N, IH, IW, C), got ndim={xs.ndim}")
-        outputs = []
-        cycles = 0
-        counters: dict[str, int] = {}
-        for sample in xs:
-            run = self.run_functional(sample, w)
-            outputs.append(run.output)
-            cycles += run.cycles
-            for key, value in run.counters.items():
-                counters[key] = counters.get(key, 0) + value
-        return FunctionalRun(output=np.stack(outputs), cycles=cycles, counters=counters)
-
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------

@@ -42,8 +42,6 @@ Error                        Handling   Rationale
 ``ShapeError`` /             surfaced   invalid input: deterministic, every
 ``ParameterError`` /                    retry fails identically
 ``MappingError`` / ...
-``ServiceClosedError``       surfaced   programming error in the caller's
-                                        lifecycle management
 ``SchemaError`` /            surfaced   malformed wire payload; the sender
 ``CacheError``                          must fix it, not resend it
 ===========================  =========  =====================================
@@ -129,10 +127,6 @@ class EvaluationTimeoutError(ReliabilityError, TimeoutError):
     Subclasses :class:`TimeoutError` for callers that catch the builtin;
     deliberately *not* retryable — the budget is final.
     """
-
-
-class ServiceClosedError(ReliabilityError):
-    """A request was submitted to a :class:`RedService` after ``close()``."""
 
 
 class ServingError(ReproError):

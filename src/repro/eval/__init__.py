@@ -21,7 +21,7 @@ from repro.eval.figures import (
     fig8_energy,
     fig9_area,
 )
-from repro.eval.harness import DESIGN_ORDER, EvaluationGrid, run_grid
+from repro.eval.harness import EvaluationGrid, run_grid
 from repro.eval.paper_targets import PAPER_TARGETS, PaperBand
 from repro.eval.parallel import (
     CycleStats,
@@ -39,19 +39,17 @@ from repro.eval.report import (
     full_report,
 )
 from repro.eval.tables import render_table1, render_table2
-from repro.eval.vectorized import design_supports_batch, evaluate_design_jobs_batch
+from repro.eval.vectorized import evaluate_design_jobs_batch
 
 __all__ = [
     "EvaluationGrid",
     "run_grid",
-    "DESIGN_ORDER",
     "CycleStats",
     "DesignJob",
     "evaluate_design_job",
     "job_key",
     "run_cycle_jobs",
     "run_design_jobs",
-    "design_supports_batch",
     "evaluate_design_jobs_batch",
     "fig4_redundancy_curves",
     "fig7_latency",

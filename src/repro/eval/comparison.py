@@ -102,8 +102,3 @@ def render_comparison(grid: EvaluationGrid | None = None) -> str:
         table,
         title="Paper vs measured (bands in repro/eval/paper_targets.py)",
     )
-
-
-def all_strict_claims_pass(grid: EvaluationGrid | None = None) -> bool:
-    """True when every strict-band claim is inside its band."""
-    return all(r.in_band for r in measure_claims(grid) if r.strict)

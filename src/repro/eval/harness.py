@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.registry import available_designs, baseline_design
+from repro.api.registry import baseline_design
 from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.workloads.specs import BenchmarkLayer
-
-#: Presentation order used in every figure (baseline first).  A snapshot
-#: of :func:`repro.api.registry.available_designs` at import time, kept
-#: for backwards compatibility — call ``available_designs()`` directly
-#: to observe designs registered after import.
-DESIGN_ORDER: tuple[str, ...] = available_designs()
 
 
 @dataclass

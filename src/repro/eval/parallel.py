@@ -633,9 +633,7 @@ def run_design_jobs(
     )
 
 
-def _cycle_stats(
-    jobs: list[DesignJob], deadline: Deadline, max_sub_crossbars: int
-) -> list[CycleStats]:
+def _cycle_stats(jobs: list[DesignJob], deadline: Deadline) -> list[CycleStats]:
     """Cycle stats of unique jobs, read off each compiled schedule.
 
     ``cycles`` and the activity counters depend on the schedule alone,
@@ -652,9 +650,7 @@ def _cycle_stats(
     stats = []
     for job in jobs:
         deadline.check("run_cycle_jobs (job)")
-        fold = resolve_fold(
-            job.spec, "auto" if job.fold is None else job.fold, max_sub_crossbars
-        )
+        fold = resolve_fold(job.spec, "auto" if job.fold is None else job.fold)
         compiled = compile_schedule(job.spec, fold)
         counters = counters_from_schedule(compiled).as_dict()
         stats.append(
@@ -672,7 +668,6 @@ def _cycle_stats(
 def run_cycle_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
     cache: PackedSweepStore | None = None,
-    max_sub_crossbars: int = 128,
     *,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
@@ -682,8 +677,9 @@ def run_cycle_jobs(
     Returns :class:`CycleStats` per job, in job order, for every
     trace-capable job (``supports_trace`` in its registry entry — RED);
     jobs whose design has no cycle engine yield ``None``.  Each miss
-    resolves its fold against ``max_sub_crossbars`` and reads its cycles
-    and activity counters off the analytically compiled schedule
+    resolves its fold against the default sub-crossbar budget, as the
+    analytic metrics do, and reads its cycles and activity counters off
+    the analytically compiled schedule
     (:func:`~repro.sim.compiler.compile_schedule`), with the deadline
     checked between jobs; no operand is synthesized or multiplied.
     Results persist under the ``"cycles"`` kind through the same
@@ -700,8 +696,7 @@ def run_cycle_jobs(
     stats = _run_pipeline(
         "run_cycle_jobs", [jobs[index] for index in traceable], CYCLES_KIND,
         cache, job_keys, _design_tokens,
-        lambda unique, deadline: _cycle_stats(unique, deadline, max_sub_crossbars),
-        timeout, retry_policy,
+        _cycle_stats, timeout, retry_policy,
     )
     results: list[CycleStats | None] = [None] * len(jobs)
     for index, value in zip(traceable, stats):

@@ -40,18 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.eval.parallel import DesignJob
 
 
-def design_supports_batch(name: str) -> bool:
-    """True when ``name`` registered a vectorized perf-input hook."""
-    return get_design(name).perf_batch is not None
-
-
 def evaluate_design_jobs_batch(
     jobs: Sequence["DesignJob"],
 ) -> list[DesignMetrics]:
     """Evaluate jobs through the vectorized plane, in job order.
 
-    Every job's design must provide a ``perf_batch`` hook
-    (:func:`design_supports_batch`); mixed-capability work lists are the
+    Every job's design must provide a ``perf_batch`` hook (its registry
+    entry's ``perf_batch``); mixed-capability work lists are the
     caller's concern (``run_design_jobs`` partitions before calling).
     Jobs are grouped by tech value (value-equal technology instances
     share a group even when they are distinct objects) and, within a

@@ -17,26 +17,20 @@ from repro.nn import functional
 from repro.nn.init import (
     bilinear_upsampling_kernel,
     dcgan_init,
-    kaiming_init,
     normal_init,
-    xavier_init,
 )
 from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Flatten,
     Identity,
-    LeakyReLU,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 from repro.nn.quantize import (
     QuantParams,
-    dequantize_tensor,
     quantize_tensor,
     symmetric_quant_params,
 )
@@ -49,18 +43,12 @@ __all__ = [
     "ConvTranspose2d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
     "Tanh",
-    "Sigmoid",
     "Identity",
-    "Flatten",
     "normal_init",
     "dcgan_init",
-    "kaiming_init",
-    "xavier_init",
     "bilinear_upsampling_kernel",
     "QuantParams",
     "quantize_tensor",
-    "dequantize_tensor",
     "symmetric_quant_params",
 ]

@@ -69,19 +69,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def leaky_relu(x: np.ndarray, negative_slope: float = 0.2) -> np.ndarray:
-    """Leaky ReLU (DCGAN discriminator default slope 0.2)."""
-    return np.where(x >= 0.0, x, negative_slope * x)
-
-
 def tanh(x: np.ndarray) -> np.ndarray:
     """Hyperbolic tangent (GAN generator output activation)."""
     return np.tanh(x)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid."""
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def batch_norm(
@@ -97,43 +87,3 @@ def batch_norm(
     shape = (1, -1, 1, 1)
     scale = gamma / np.sqrt(running_var + eps)
     return x * scale.reshape(shape) + (beta - running_mean * scale).reshape(shape)
-
-
-def max_pool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
-    """Max pooling with square window (FCN encoder)."""
-    _check_nchw(x)
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride, :, :][:, :, :oh, :ow].max(axis=(4, 5))
-
-
-def avg_pool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
-    """Average pooling with square window."""
-    _check_nchw(x)
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride, :, :][:, :, :oh, :ow].mean(axis=(4, 5))
-
-
-def softmax(x: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Numerically-stable softmax (FCN per-pixel class scores)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def center_crop(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Center-crop spatial dims (FCN skip-connection alignment)."""
-    _check_nchw(x)
-    h, w = x.shape[2], x.shape[3]
-    if target_h > h or target_w > w:
-        raise ShapeError(f"cannot crop ({h},{w}) to larger ({target_h},{target_w})")
-    top = (h - target_h) // 2
-    left = (w - target_w) // 2
-    return x[:, :, top : top + target_h, left : left + target_w]

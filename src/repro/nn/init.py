@@ -39,28 +39,6 @@ def dcgan_init(module: Module, rng: np.random.Generator | None = None) -> Module
     return normal_init(module, std=0.02, rng=rng)
 
 
-def kaiming_init(module: Module, rng: np.random.Generator | None = None) -> Module:
-    """He-normal initialization for conv-style weights."""
-    rng = rng or np.random.default_rng(0)
-    for name, param in module.named_parameters():
-        if name.rsplit(".", 1)[-1] == "weight" and param.ndim == 4:
-            fan_in = param.shape[0] * param.shape[1] * param.shape[2]
-            param[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=param.shape)
-    return module
-
-
-def xavier_init(module: Module, rng: np.random.Generator | None = None) -> Module:
-    """Glorot-uniform initialization for conv-style weights."""
-    rng = rng or np.random.default_rng(0)
-    for name, param in module.named_parameters():
-        if name.rsplit(".", 1)[-1] == "weight" and param.ndim == 4:
-            fan_in = param.shape[0] * param.shape[1] * param.shape[2]
-            fan_out = param.shape[0] * param.shape[1] * param.shape[3]
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            param[...] = rng.uniform(-bound, bound, size=param.shape)
-    return module
-
-
 def bilinear_upsampling_kernel(kernel_size: int, in_channels: int, out_channels: int) -> np.ndarray:
     """Bilinear-interpolation deconvolution kernel, FCN-style.
 

@@ -1,7 +1,7 @@
 """Module system: composable inference-mode layers.
 
 A :class:`Module` owns named parameters (NumPy arrays) and child modules,
-supports ``state_dict`` round-trips, and is callable.  Only the layers the
+and is callable.  Only the layers the
 paper's workloads need are provided; everything runs on ``(N, C, H, W)``.
 
 A tree whose weights nobody may read can be built from the
@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.errors import ParameterError, ShapeError
+from repro.errors import ParameterError
 from repro.nn import functional as F
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
@@ -81,38 +81,6 @@ class Module:
         yield from self._parameters.values()
         for child in self._children.values():
             yield from child.parameters()
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(dotted_name, array)`` pairs, depth-first."""
-        for name, value in self._parameters.items():
-            yield (f"{prefix}{name}", value)
-        for child_name, child in self._children.items():
-            yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
-
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of all parameters keyed by dotted name."""
-        return {name: value.copy() for name, value in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameters produced by :meth:`state_dict` (strict)."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        extra = set(state) - set(own)
-        if missing or extra:
-            raise ParameterError(
-                f"state_dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
-            )
-        for name, value in state.items():
-            target = own[name]
-            if target.shape != value.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: shape {value.shape} != {target.shape}"
-                )
-            target[...] = value
 
     # ------------------------------------------------------------------
     # Execution
@@ -277,17 +245,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class LeakyReLU(Module):
-    """Elementwise leaky ReLU."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return F.leaky_relu(x, self.negative_slope)
-
-
 class Tanh(Module):
     """Elementwise tanh."""
 
@@ -295,25 +252,11 @@ class Tanh(Module):
         return F.tanh(x)
 
 
-class Sigmoid(Module):
-    """Elementwise sigmoid."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return F.sigmoid(x)
-
-
 class Identity(Module):
     """Pass-through module."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x
-
-
-class Flatten(Module):
-    """Flatten all non-batch dimensions."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
 
 
 class _ShapesOnly:
@@ -360,7 +303,7 @@ def defer_weights(tree: Module, draw: Callable[[], Module]) -> Module:
     ``tree`` carries the layer shapes (built with ``rng=SHAPES_ONLY``);
     ``draw`` builds the same tree eagerly, real weights included.  The
     first read of any parameter anywhere in the tree — ``_parameters``,
-    ``weight``, ``parameters()``, ``state_dict()``, a forward pass — runs
+    ``weight``, ``parameters()``, a forward pass, pickling — runs
     ``draw`` once under a lock; each module then reads the parameters of
     the drawn module at its depth-first position.  Concurrent first
     readers wait for that one draw.  Walking the tree's children and

@@ -3,8 +3,8 @@
 The ReRAM simulators (:mod:`repro.reram`) operate on integers: weights are
 quantized symmetrically to ``bits`` signed levels (then bit-sliced across
 cells) and activations to unsigned levels (then bit-serialized onto the
-wordlines).  These helpers provide the quantize/dequantize algebra and its
-exactness guarantees, property-tested in ``tests/nn``.
+wordlines).  These helpers provide the quantization algebra and its exactness
+guarantees, property-tested in ``tests/nn``.
 """
 
 from __future__ import annotations
@@ -71,16 +71,3 @@ def quantize_tensor(x: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize to the integer grid with round-half-even and saturation."""
     q = np.rint(x / params.scale) + params.zero_point
     return np.clip(q, params.qmin, params.qmax).astype(np.int64)
-
-
-def dequantize_tensor(q: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Map integers back to real values."""
-    return (q.astype(np.float64) - params.zero_point) * params.scale
-
-
-def quantization_error(x: np.ndarray, params: QuantParams) -> float:
-    """RMS error of the quantize/dequantize round trip."""
-    round_trip = dequantize_tensor(quantize_tensor(x, params), params)
-    if x.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean((round_trip - x) ** 2)))

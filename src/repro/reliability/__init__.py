@@ -24,8 +24,6 @@ See ``README.md`` next to this file for the failpoint catalogue.
 
 from repro.reliability.failpoints import (
     Failpoint,
-    active_failpoints,
-    clear_failpoints,
     configure_failpoints,
     configured_failpoints,
     parse_failpoints,
@@ -36,8 +34,6 @@ __all__ = [
     "Deadline",
     "Failpoint",
     "RetryPolicy",
-    "active_failpoints",
-    "clear_failpoints",
     "configure_failpoints",
     "configured_failpoints",
     "is_retryable",

@@ -175,28 +175,6 @@ def configure_failpoints(
     return points
 
 
-def clear_failpoints() -> None:
-    """Disarm every failpoint (the unarmed fast path is restored)."""
-    configure_failpoints(None)
-
-
-def active_failpoints() -> tuple[Failpoint, ...]:
-    """Snapshot of the armed points (empty when disarmed)."""
-    with _lock:
-        return tuple(_points.values())
-
-
-def active_seed() -> int:
-    """The seed the armed registry draws from."""
-    with _lock:
-        return _seed
-
-
-def is_armed() -> bool:
-    """True when at least one failpoint is armed."""
-    return _armed
-
-
 @contextmanager
 def configured_failpoints(
     spec: str | Iterable[Failpoint] | None, *, seed: int = 0
@@ -247,11 +225,6 @@ def mark_worker_process() -> None:
     """
     global _in_worker
     _in_worker = True
-
-
-def in_worker_process() -> bool:
-    """True in a process marked by :func:`mark_worker_process`."""
-    return _in_worker
 
 
 def _normalize_token(token) -> int:

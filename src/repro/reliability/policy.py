@@ -125,13 +125,6 @@ class RetryPolicy:
             self.max_delay_s,
         )
 
-    def delays(self) -> tuple[float, ...]:
-        """Every backoff the policy can sleep, in order."""
-        return tuple(
-            self.delay_for(attempt)
-            for attempt in range(1, self.max_attempts)
-        )
-
     def call(self, fn: Callable[[], object]):
         """Run ``fn`` with up to ``max_attempts`` tries.
 

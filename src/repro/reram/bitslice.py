@@ -48,11 +48,6 @@ class WeightSlicing:
         """Digit radix, ``2^bits_per_cell``."""
         return 1 << self.bits_per_cell
 
-    @property
-    def magnitude_max(self) -> int:
-        """Largest representable weight magnitude, ``2^(bits_weight-1) - 1``."""
-        return (1 << (self.bits_weight - 1)) - 1
-
 
 def slice_weights(
     weights: np.ndarray, slicing: WeightSlicing

@@ -128,7 +128,3 @@ class CrossbarArray:
                 f"pulse vector must be ({self.rows},), got {pulses.shape}"
             )
         return pulses.astype(np.int64) @ self.digits
-
-    def max_column_sum(self) -> int:
-        """Worst-case digit sum (all rows active, max digits) for ADC sizing."""
-        return int(self.rows * (self.device.num_levels - 1))

@@ -68,18 +68,6 @@ class ReRAMDeviceParams:
         """Programmable conductance levels, ``2^bits_per_cell``."""
         return 1 << self.bits_per_cell
 
-    @property
-    def on_off_ratio(self) -> float:
-        """HRS/LRS resistance window."""
-        return self.r_off / self.r_on
-
-    def cell_current(self, level: int) -> float:
-        """Read current of a cell programmed to ``level`` (amperes)."""
-        grid = conductance_grid(self)
-        if not 0 <= level < self.num_levels:
-            raise DeviceError(f"level {level} outside [0, {self.num_levels})")
-        return self.read_voltage * grid[level]
-
 
 def conductance_grid(params: ReRAMDeviceParams) -> np.ndarray:
     """Conductance grid for the cell's levels, level 0 = HRS.

@@ -48,62 +48,3 @@ class DriftModel:
         factor = (t / self.t0) ** (-self.nu)
         drifted = device.g_min + (np.asarray(g0, dtype=np.float64) - device.g_min) * factor
         return np.clip(drifted, device.g_min, device.g_max)
-
-
-def drift_error_sweep(
-    weights: np.ndarray,
-    times: tuple[float, ...] = (1.0, 3600.0, 86400.0, 2.6e6, 3.2e7),
-    nu: float = 0.02,
-    bits_input: int = 8,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Relative matmul error vs retention time for a programmed array.
-
-    Args:
-        weights: signed integer weight matrix ``(rows, cols)``.
-        times: evaluation times in seconds (default: 1 s .. ~1 year).
-        nu: drift exponent.
-        bits_input: activation precision for the probe vectors.
-        seed: RNG seed for the probe activations.
-
-    Returns:
-        ``(time, relative_error)`` pairs, starting error-free at ``t0``.
-    """
-    from repro.reram.bitslice import WeightSlicing, bit_serial_inputs, slice_weights
-    from repro.reram.device import conductance_grid, digits_to_conductance
-
-    weights = np.asarray(weights)
-    if weights.ndim != 2:
-        raise ParameterError("weights must be 2-D")
-    slicing = WeightSlicing()
-    device = ReRAMDeviceParams(bits_per_cell=slicing.bits_per_cell)
-    model = DriftModel(nu=nu)
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 1 << bits_input, size=(8, weights.shape[0]))
-    exact = x @ weights
-
-    pos, neg = slice_weights(weights, slicing)
-    grid = conductance_grid(device)
-    delta_g = grid[1] - grid[0]
-
-    def evaluate_at(t: float) -> float:
-        out = np.zeros_like(exact, dtype=np.float64)
-        planes = [bit_serial_inputs(row, bits_input) for row in x]
-        for d in range(slicing.num_slices):
-            for sign, digit_plane in ((1.0, pos[..., d]), (-1.0, neg[..., d])):
-                g0 = digits_to_conductance(digit_plane, device)
-                g_t = model.conductance_at(g0, t, device)
-                # Analog readback of the drifted array, per input bit.
-                for i in range(x.shape[0]):
-                    for b in range(bits_input):
-                        pulses = planes[i][b].astype(np.float64)
-                        currents = pulses @ (g_t * device.read_voltage)
-                        active = pulses.sum()
-                        sums = (currents - device.read_voltage * device.g_min * active) / (
-                            device.read_voltage * delta_g
-                        )
-                        out[i] += sign * np.rint(sums) * (1 << (b + 2 * d))
-        denom = np.abs(exact).mean() + 1e-300
-        return float(np.abs(out - exact).mean() / denom)
-
-    return [(t, evaluate_at(t)) for t in times]

@@ -27,10 +27,6 @@ class ShiftAdder:
         self.accumulations = 0
         self._acc: np.ndarray | None = None
 
-    def reset(self) -> None:
-        """Clear the accumulator (counters persist)."""
-        self._acc = None
-
     def accumulate(self, partial: np.ndarray, shift: int) -> None:
         """Add ``partial << shift`` into the accumulator."""
         check_non_negative_int(shift, "shift")

@@ -316,8 +316,8 @@ class ServingServer:
                     transport.abort()
 
     def _close_backends(self) -> None:
-        # Blocking teardown, executor-side: service thread pool and
-        # shard processes.
+        # Blocking teardown, executor-side: the service and the shard
+        # processes.
         if self.service is not None:
             self.service.close()
         self.supervisor.stop()

@@ -324,9 +324,6 @@ class ShardSupervisor:
         """``{shard_id: lifecycle state}`` without touching the pipes."""
         return {shard_id: shard.state for shard_id, shard in self._shards.items()}
 
-    def any_running(self) -> bool:
-        return any(shard.state == RUNNING for shard in self._shards.values())
-
     def _shard(self, shard_id: int) -> _Shard:
         try:
             return self._shards[shard_id]

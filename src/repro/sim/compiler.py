@@ -366,11 +366,6 @@ class ScheduleCacheInfo:
         """Resident entry count."""
         return len(self.entries)
 
-    @property
-    def total_nbytes(self) -> int:
-        """Total index-array memory held by the cache."""
-        return sum(entry.nbytes for entry in self.entries)
-
 
 _cache_lock = threading.Lock()
 _cache: OrderedDict[tuple[DeconvSpec, int], CompiledSchedule] = OrderedDict()

@@ -22,7 +22,7 @@ from repro.system.network_mapper import (
     evaluate_network,
     extract_deconv_layers,
 )
-from repro.system.pipeline import PipelineReport, pipeline_network, pipeline_network_sweep
+from repro.system.pipeline import PipelineReport, pipeline_network
 
 __all__ = [
     "MappedLayer",
@@ -31,7 +31,6 @@ __all__ = [
     "evaluate_network",
     "PipelineReport",
     "pipeline_network",
-    "pipeline_network_sweep",
     "ChipProvision",
     "provision_chip",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
-from repro.system.network_mapper import NetworkEvaluation, evaluate_network
+from repro.system.network_mapper import NetworkEvaluation
 from repro.utils.validation import check_positive_int
 
 
@@ -84,36 +84,3 @@ def pipeline_network(
         batch=batch,
         energy_per_sample=energy,
     )
-
-
-def pipeline_network_sweep(
-    network,
-    designs: tuple[str, ...] | None = None,
-    batch: int = 16,
-    input_height: int = 1,
-    input_width: int = 1,
-    tech=None,
-) -> dict[str, PipelineReport]:
-    """Pipeline reports for every design over one network, evaluated
-    through the sweep runner.
-
-    The per-(design, layer) evaluations route through the service's
-    single evaluation path (:func:`~repro.eval.parallel.run_design_jobs`);
-    the reports themselves are cheap roll-ups.  Returns
-    ``{design: PipelineReport}`` in design order (default: every
-    registered design).
-    """
-    from repro.api.registry import available_designs
-
-    designs = designs or available_designs()
-    evaluation = evaluate_network(
-        network,
-        input_height,
-        input_width,
-        tech=tech,
-        designs=designs,
-    )
-    return {
-        design: pipeline_network(evaluation, design, batch=batch)
-        for design in designs
-    }

@@ -9,7 +9,6 @@ from repro.utils.formatting import (
     render_ascii_table,
 )
 from repro.utils.validation import (
-    check_in_choices,
     check_non_negative_int,
     check_positive_float,
     check_positive_int,
@@ -21,7 +20,6 @@ __all__ = [
     "check_non_negative_int",
     "check_positive_float",
     "check_probability",
-    "check_in_choices",
     "format_engineering",
     "format_seconds",
     "format_joules",

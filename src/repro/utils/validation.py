@@ -6,11 +6,7 @@ names the offending parameter, so call sites stay one-liners.
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
-
 from repro.errors import ParameterError
-
-T = TypeVar("T")
 
 
 def check_positive_int(value: int, name: str) -> int:
@@ -51,11 +47,3 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= out <= 1.0:
         raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
     return out
-
-
-def check_in_choices(value: T, name: str, choices: Iterable[T]) -> T:
-    """Return ``value`` if it is one of ``choices``, else raise."""
-    allowed = tuple(choices)
-    if value not in allowed:
-        raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
-    return value

@@ -1,7 +1,6 @@
 """Benchmark workloads: Table I layer specs and their source networks."""
 
 from repro.workloads.data import (
-    feature_map_batch,
     latent_batch,
     layer_input,
     layer_kernel,
@@ -33,7 +32,6 @@ __all__ = [
     "build_network",
     "NETWORK_BUILDERS",
     "latent_batch",
-    "feature_map_batch",
     "layer_input",
     "layer_kernel",
 ]

@@ -24,20 +24,6 @@ def latent_batch(batch: int, dim: int, seed: int = 0) -> np.ndarray:
     return rng.standard_normal((batch, dim))
 
 
-def feature_map_batch(
-    batch: int, channels: int, height: int, width: int,
-    seed: int = 0, nonneg: bool = True,
-) -> np.ndarray:
-    """Synthetic feature maps ``(batch, C, H, W)``.
-
-    ``nonneg=True`` passes the values through ReLU, matching the
-    post-activation distributions deconvolution layers actually see.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, channels, height, width))
-    return np.maximum(x, 0.0) if nonneg else x
-
-
 def layer_input(layer: BenchmarkLayer | DeconvSpec, seed: int = 0) -> np.ndarray:
     """Paper-layout ``(IH, IW, C)`` input tensor for one benchmark layer."""
     spec = layer.spec if isinstance(layer, BenchmarkLayer) else layer

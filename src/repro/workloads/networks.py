@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.nn import functional as F
 from repro.nn.init import bilinear_upsampling_kernel, dcgan_init
 from repro.nn.modules import (
     SHAPES_ONLY,
@@ -86,10 +85,6 @@ class DCGANGenerator(Module):
         x = self.block3(x)
         return self.block4(x)
 
-    def benchmark_layer(self) -> ConvTranspose2d:
-        """The ConvTranspose2d instance matching GAN_Deconv1."""
-        return self.block2[0]
-
 
 class ImprovedGANGenerator(Module):
     """Improved-GAN CIFAR-10 generator; first deconv block is GAN_Deconv2."""
@@ -115,10 +110,6 @@ class ImprovedGANGenerator(Module):
         x = self.block1(x)
         x = self.block2(x)
         return self.block3(x)
-
-    def benchmark_layer(self) -> ConvTranspose2d:
-        """The ConvTranspose2d instance matching GAN_Deconv2."""
-        return self.block1[0]
 
 
 class SNGANGenerator(Module):
@@ -158,10 +149,6 @@ class SNGANGenerator(Module):
         x = self.block3(x)
         return self.to_rgb(x)
 
-    def benchmark_layer(self) -> ConvTranspose2d:
-        """The ConvTranspose2d matching GAN_Deconv3 (CIFAR) / GAN_Deconv4 (STL)."""
-        return self.block1[0]
-
 
 class FCN8sDecoder(Module):
     """The voc-fcn8s up-sampling head (21 PASCAL-VOC classes).
@@ -187,18 +174,6 @@ class FCN8sDecoder(Module):
             deconv.register_parameter("weight", bilinear_upsampling_kernel(4, n, n))
         self.upscore8.register_parameter("weight", bilinear_upsampling_kernel(16, n, n))
 
-    def forward_scores(
-        self, score_fr: np.ndarray, score_pool4: np.ndarray, score_pool3: np.ndarray
-    ) -> np.ndarray:
-        """Fuse the three score maps into the final full-resolution scores."""
-        up2 = self.upscore2(score_fr)                       # FCN_Deconv1 geometry
-        pool4_crop = F.center_crop(score_pool4, up2.shape[2], up2.shape[3])
-        fuse4 = up2 + pool4_crop
-        up4 = self.upscore_pool4(fuse4)
-        pool3_crop = F.center_crop(score_pool3, up4.shape[2], up4.shape[3])
-        fuse3 = up4 + pool3_crop
-        return self.upscore8(fuse3)                          # FCN_Deconv2 geometry
-
     def forward(self, score_fr: np.ndarray) -> np.ndarray:
         """Single-input convenience path: zero skip connections."""
         n = score_fr.shape[0]
@@ -207,10 +182,6 @@ class FCN8sDecoder(Module):
         up4 = self.upscore_pool4(up2 + pool4)
         pool3 = np.zeros((n, self.num_classes, up4.shape[2], up4.shape[3]))
         return self.upscore8(up4 + pool3)
-
-    def benchmark_layers(self) -> tuple[ConvTranspose2d, ConvTranspose2d]:
-        """The (FCN_Deconv1-shaped, FCN_Deconv2-shaped) deconv instances."""
-        return (self.upscore2, self.upscore8)
 
 
 NETWORK_BUILDERS = {

@@ -32,16 +32,6 @@ class BenchmarkLayer:
     dataset: str
     spec: DeconvSpec
 
-    @property
-    def is_gan(self) -> bool:
-        """True for the GAN rows (large C/M, small spatial extent)."""
-        return self.name.startswith("GAN")
-
-    @property
-    def is_fcn(self) -> bool:
-        """True for the FCN rows (21 channels, large spatial extent)."""
-        return self.name.startswith("FCN")
-
     def table_row(self) -> tuple[str, str, str, str, str, str, int]:
         """Row tuple formatted like Table I."""
         s = self.spec

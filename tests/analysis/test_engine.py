@@ -1,7 +1,6 @@
-"""Engine mechanics: suppressions, baselines, walking, loop contexts, CLI."""
+"""Engine mechanics: suppressions, walking, loop contexts, CLI."""
 
 import ast
-import json
 
 import pytest
 
@@ -9,10 +8,8 @@ from repro.analysis.engine import (
     PARSE_ERROR,
     Finding,
     is_suppressed,
-    load_baseline,
     module_parts_for,
     run_analysis,
-    save_baseline,
     suppressed_rules,
     walk_loop_contexts,
     walk_python_files,
@@ -45,42 +42,6 @@ class TestSuppressions:
         assert not is_suppressed(Finding("RED004", "f.py", 99, "m"), ["x"])
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [
-            Finding("RED004", "src/a.py", 12, "single-entry store call"),
-            Finding("RED001", "src/b.py", 3, "unseeded default_rng"),
-        ]
-        path = tmp_path / "baseline.json"
-        save_baseline(path, findings)
-        keys = load_baseline(path)
-        assert keys == {f.baseline_key() for f in findings}
-
-    def test_matching_ignores_line_numbers(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [Finding("RED004", "src/a.py", 12, "msg")])
-        moved = Finding("RED004", "src/a.py", 99, "msg")
-        assert moved.baseline_key() in load_baseline(path)
-
-    def test_rejects_foreign_payload(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 999, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_run_analysis_filters_baselined(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "eval" / "runner.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(cache, key):\n    return cache.get(key)\n")
-        report = run_analysis([tmp_path / "src"])
-        assert len(report.findings) == 1
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, report.findings)
-        again = run_analysis([tmp_path / "src"], baseline=load_baseline(baseline_file))
-        assert again.findings == []
-        assert again.baselined == 1
-
-
 class TestWalking:
     def test_skips_pycache_and_hidden_dirs(self, tmp_path):
         (tmp_path / "pkg" / "__pycache__").mkdir(parents=True)
@@ -106,6 +67,18 @@ class TestWalking:
         bad.write_text("def f(:\n")
         report = run_analysis([tmp_path])
         assert [f.rule for f in report.findings] == [PARSE_ERROR]
+
+    def test_missing_root_raises_naming_it(self, tmp_path):
+        # A mistyped root walked as an empty tree would read as clean.
+        (tmp_path / "src").mkdir()
+        with pytest.raises(FileNotFoundError, match="srcc") as raised:
+            run_analysis([tmp_path / "src", tmp_path / "srcc"])
+        assert str(tmp_path / "src") + "," not in str(raised.value)
+
+    def test_every_missing_root_is_named(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as raised:
+            walk_python_files([tmp_path / "one", tmp_path / "two"])
+        assert "one" in str(raised.value) and "two" in str(raised.value)
 
 
 class TestWalkLoopContexts:

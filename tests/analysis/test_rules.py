@@ -1,18 +1,32 @@
 """Per-rule fixtures: a violating tree, a clean tree, a suppressed tree."""
 
+import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.engine import run_analysis
+import pytest
+
+from repro.analysis.engine import ModuleSource, Rule, module_parts_for, run_analysis
+from repro.analysis.rules import (
+    BlockingAsyncRule,
+    NondeterminismRule,
+    OraclePurityRule,
+    RegistryRule,
+    SchemaRule,
+    SeedingRule,
+    StoreDisciplineRule,
+    SwallowRule,
+)
 
 
 def run_on(tmp_path, files):
-    """Write ``{relative path: source}`` under tmp_path and analyze it."""
+    """Write ``{relative path: source}`` under tmp_path and analyze the
+    top-level directories written (``src``, ``benchmarks``)."""
     for rel, src in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(src))
-    return run_analysis([tmp_path / "src", tmp_path / "benchmarks"])
+    return run_analysis(sorted({tmp_path / Path(rel).parts[0] for rel in files}))
 
 
 def rules_hit(report):
@@ -742,3 +756,122 @@ class TestBlockingAsyncRule:
             },
         )
         assert report.findings == []
+
+
+#: ``(rule, path, covered)``: the scope each rule's row in
+#: src/repro/analysis/README.md states.  A mis-scoped rule would pass
+#: silently on the modules whose contract it is meant to guard.
+SCOPES = [
+    (SeedingRule, "src/repro/eval/sweeps.py", True),
+    (SeedingRule, "benchmarks/bench_device_plane.py", True),
+    (SeedingRule, "src/repro/reram/noise.py", False),
+    (SchemaRule, "src/repro/api/schema.py", True),
+    (SchemaRule, "src/repro/api/service.py", False),
+    (RegistryRule, "src/repro/designs/base.py", True),
+    (RegistryRule, "examples/quickstart.py", False),
+    (StoreDisciplineRule, "src/repro/eval/harness.py", True),
+    (StoreDisciplineRule, "src/repro/serving/server.py", False),
+    (OraclePurityRule, "src/repro/sim/engine.py", True),
+    (OraclePurityRule, "benchmarks/bench_cycle_compile.py", False),
+    (NondeterminismRule, "src/repro/eval/parallel.py", True),
+    (NondeterminismRule, "src/repro/serving/server.py", False),
+    (NondeterminismRule, "src/repro/cli.py", False),
+    (SwallowRule, "src/repro/serving/supervisor.py", True),
+    (SwallowRule, "benchmarks/bench_serving.py", False),
+    (BlockingAsyncRule, "src/repro/serving/server.py", True),
+    (BlockingAsyncRule, "perfbench/served.py", False),
+]
+
+
+@pytest.mark.parametrize(
+    ("rule", "path", "covered"),
+    SCOPES,
+    ids=[f"{rule.rule_id}-{Path(path).stem}" for rule, path, _ in SCOPES],
+)
+def test_rule_scope(rule, path, covered):
+    module = ModuleSource(
+        path=path, text="", tree=ast.parse(""), module_parts=module_parts_for(Path(path))
+    )
+    assert rule().applies_to(module) is covered
+
+
+class _Quiet(Rule):
+    rule_id = "RED999"
+
+
+def test_a_rule_that_overrides_nothing_finds_nothing(tmp_path):
+    (tmp_path / "mod.py").write_text("import numpy as np\nx = np.random.rand(3)\n")
+    report = run_analysis([tmp_path], rules=[_Quiet()])
+    assert (report.findings, report.files_checked) == ([], 1)
+
+
+def test_the_finding_helper_stamps_rule_path_and_line():
+    module = ModuleSource(
+        path="src/repro/x.py", text="a = 1\nb = 2\n", tree=ast.parse("a = 1\nb = 2\n"),
+        module_parts=("repro", "x"),
+    )
+    finding = _Quiet().finding(module, module.tree.body[1], "message")
+    assert (finding.rule, finding.path, finding.line, finding.message) == (
+        "RED999", "src/repro/x.py", 2, "message",
+    )
+    assert _Quiet().finding(module, None, "message").line == 0
+
+
+class TestHelperEdges:
+    def test_store_call_on_a_call_result_is_not_a_store_receiver(self, tmp_path):
+        report = run_on(tmp_path, {
+            "src/repro/eval/runner.py": """
+                def f(make_store, key):
+                    return make_store().get(key)
+            """,
+        })
+        assert "RED004" not in rules_hit(report)
+
+    def test_an_extra_decorator_before_dataclass_is_skipped(self, tmp_path):
+        report = run_on(tmp_path, {
+            "src/repro/api/schema.py": """
+                import functools
+                from dataclasses import dataclass
+
+                @functools.total_ordering
+                @dataclass
+                class Payload:
+                    value: int = 0
+            """,
+        })
+        assert "RED002" in rules_hit(report)
+
+    def test_a_subscripted_decorator_does_not_mark_perf_input_abstract(self, tmp_path):
+        report = run_on(tmp_path, {
+            "src/repro/designs/orphan.py": """
+                from repro.designs.base import DeconvDesign
+
+                HOOKS = {"wrap": lambda f: f}
+
+                class Orphan(DeconvDesign):
+                    @HOOKS["wrap"]
+                    def perf_input(self):
+                        return None
+            """,
+            "src/repro/api/registry.py": """
+                def register_design(name):
+                    return lambda factory: factory
+
+                @register_design("zp")
+                def _build(spec, tech):
+                    return None
+            """,
+        })
+        assert "RED003" in rules_hit(report)
+
+    def test_a_bare_except_that_reraises_is_still_flagged(self, tmp_path):
+        report = run_on(tmp_path, {
+            "src/repro/eval/runner.py": """
+                def f(work):
+                    try:
+                        return work()
+                    except:
+                        raise
+            """,
+        })
+        assert "RED007" in rules_hit(report)

@@ -1,6 +1,6 @@
 """The repository's own tree honours every substrate contract.
 
-This is the test that keeps the linter's baseline empty: a change that
+This is the test that keeps the tree finding-free: a change that
 re-introduces a global-state sampler, an unfrozen payload, a per-entry
 store loop, or a stray oracle call fails here (and in ``make lint``)
 with the rule's message, not in review.
@@ -61,22 +61,6 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert [f["rule"] for f in payload["findings"]] == ["RED001"]
-
-    def test_cli_baseline_round_trip(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "eval" / "runner.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(cache, key):\n    return cache.get(key)\n")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path / "src"), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([str(tmp_path / "src"), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_cli_bad_baseline_exits_two(self, tmp_path, capsys):
-        bad_baseline = tmp_path / "nope.json"
-        bad_baseline.write_text("not json")
-        assert main([str(tmp_path), "--baseline", str(bad_baseline)]) == 2
-        assert "cannot load baseline" in capsys.readouterr().err
 
     def test_cli_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "srcc")]) == 2

@@ -162,3 +162,14 @@ class TestUserRegistration:
             assert result.metrics[0].design == "toy2"
         finally:
             unregister_design("toy2")
+
+
+def test_no_registered_baseline_is_an_unknown_design(monkeypatch):
+    import repro.api.registry as registry
+
+    without = {
+        name: entry for name, entry in registry._REGISTRY.items() if not entry.baseline
+    }
+    monkeypatch.setattr(registry, "_REGISTRY", without)
+    with pytest.raises(UnknownDesignError, match="no baseline design is registered"):
+        baseline_design()

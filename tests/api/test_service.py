@@ -1,6 +1,7 @@
 """RedService facade: request handling, caching, tracing, concurrency."""
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -22,11 +23,11 @@ from repro.errors import (
     InjectedFaultError,
     ParameterError,
     SchemaError,
-    ServiceClosedError,
     UnknownDesignError,
 )
 from repro.eval.parallel import CYCLES_KIND, DesignJob, job_key
 from repro.eval.store import PackedSweepStore
+from repro.workloads.specs import TABLE_I_LAYERS
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 
@@ -89,8 +90,11 @@ class TestTrace:
     def test_trace_off_by_default(self, service):
         assert service.evaluate(EvaluationRequest(spec=SPEC)).cycle_stats == ()
 
-    def test_trace_returns_cycle_stats_for_capable_designs(self, service):
-        result = service.evaluate(EvaluationRequest(spec=SPEC, trace=True))
+    @pytest.mark.parametrize("layer", [layer.name for layer in TABLE_I_LAYERS])
+    def test_trace_returns_cycle_stats_for_capable_designs(self, service, layer):
+        # Traced stats and analytic metrics resolve fold='auto' against
+        # one sub-crossbar budget, so one answer reports one cycle count.
+        result = service.evaluate(EvaluationRequest(layer=layer, trace=True))
         stats = dict(zip(result.designs, result.cycle_stats))
         assert stats["zero-padding"] is None
         assert stats["padding-free"] is None
@@ -98,6 +102,14 @@ class TestTrace:
         assert red.cycles == result.metrics_for("RED").cycles
         assert red.fold >= 1
         assert dict(red.counters)["output_pixels"] > 0
+
+    def test_the_fold_budget_is_not_an_option(self):
+        from repro.eval.parallel import run_cycle_jobs
+
+        with pytest.raises(TypeError):
+            RedService(max_sub_crossbars=8)
+        with pytest.raises(TypeError):
+            run_cycle_jobs([DesignJob("RED", SPEC, default_tech())], None, 8)
 
     def test_trace_results_persist_in_the_sweep_cache(self, tmp_path):
         request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
@@ -250,21 +262,20 @@ class TestFidelity:
     def test_energy_axis_matches_evaluation(self, service):
         result = service.fidelity_sweep(self.REQUEST)
         evaluated = service.evaluate(EvaluationRequest(spec=SPEC))
+        energy = dict(zip(result.designs, result.energy_j))
         for design in result.designs:
-            assert result.energy_for(design) == (
-                evaluated.metrics_for(design).energy.total
-            )
+            assert energy[design] == evaluated.metrics_for(design).energy.total
 
     def test_round_trips_through_the_wire(self, service):
         result = service.fidelity_sweep(self.REQUEST)
         assert payload_from_dict(result.to_dict()) == result
         assert payload_from_dict(self.REQUEST.to_dict()) == self.REQUEST
 
-    def test_submit_dispatches_fidelity_requests(self, service):
+    def test_dispatch_routes_fidelity_requests(self, service):
         direct = service.fidelity_sweep(self.REQUEST)
-        [gathered] = service.gather([service.submit(self.REQUEST)])
-        assert isinstance(gathered, FidelityResult)
-        assert gathered == direct
+        dispatched = service._handler_for(self.REQUEST)(self.REQUEST)
+        assert isinstance(dispatched, FidelityResult)
+        assert dispatched == direct
 
     def test_cached_and_uncached_results_identical(self, tmp_path):
         with RedService(cache=PackedSweepStore(tmp_path / "fid")) as cached:
@@ -280,59 +291,62 @@ class TestFidelity:
 
 
 class TestConcurrency:
-    def test_submit_gather_preserves_order_and_types(self):
-        with RedService(service_threads=3) as service:
+    """Handlers may be called from many threads, as the server's executor does."""
+
+    REQUESTS = (
+        EvaluationRequest(spec=SPEC),
+        SweepRequest(strides=(1, 2)),
+        NetworkRequest(network="SNGAN"),
+        EvaluationRequest(layer="FCN_Deconv1"),
+    )
+
+    def test_concurrent_handlers_keep_order_and_types(self):
+        with RedService() as service, ThreadPoolExecutor(max_workers=3) as pool:
             futures = [
-                service.submit(EvaluationRequest(spec=SPEC)),
-                service.submit(SweepRequest(strides=(1, 2))),
-                service.submit(NetworkRequest(network="SNGAN")),
-                service.submit(EvaluationRequest(layer="FCN_Deconv1")),
+                pool.submit(service._handler_for(request), request)
+                for request in self.REQUESTS
             ]
-            results = service.gather(futures)
+            results = [future.result(timeout=60) for future in futures]
         assert [type(r) for r in results] == [
             EvaluationResult, SweepResult, NetworkResult, EvaluationResult,
         ]
-        assert results[0] == RedService().evaluate(EvaluationRequest(spec=SPEC))
+        with RedService() as sequential:
+            assert results == [
+                sequential._handler_for(request)(request) for request in self.REQUESTS
+            ]
 
-    def test_submit_rejects_non_requests(self, service):
+    def test_dispatch_rejects_non_requests(self, service):
         with pytest.raises(SchemaError):
-            service.submit({"layer": "GAN_Deconv1"})
+            service._handler_for({"layer": "GAN_Deconv1"})
 
-    def test_close_is_idempotent_and_retires_submit(self):
-        service = RedService()
-        future = service.submit(EvaluationRequest(spec=SPEC))
-        assert isinstance(future.result(), EvaluationResult)
+    def test_close_is_idempotent(self, tmp_path):
+        service = RedService(cache=tmp_path)
+        assert isinstance(service.evaluate(EvaluationRequest(spec=SPEC)), EvaluationResult)
         service.close()
         service.close()
-        with pytest.raises(ServiceClosedError):
-            service.submit(EvaluationRequest(spec=SPEC))
 
     def test_concurrent_requests_share_one_cache(self, tmp_path):
-        with RedService(cache=tmp_path, service_threads=4) as service:
-            futures = [
-                service.submit(EvaluationRequest(spec=SPEC, layer_name=f"j{i}"))
-                for i in range(6)
+        requests = [
+            EvaluationRequest(spec=SPEC, layer_name=f"j{i}", trace=True) for i in range(6)
+        ]
+        with RedService(cache=tmp_path) as service, ThreadPoolExecutor(4) as pool:
+            results = [
+                future.result(timeout=60)
+                for future in [pool.submit(service.evaluate, r) for r in requests]
             ]
-            results = service.gather(futures)
         reference = [r.metrics_for("RED").latency.total for r in results]
         assert len(set(reference)) == 1
+        with RedService(cache=tmp_path) as reopened:
+            again = reopened.evaluate(requests[0])
+            assert reopened.cache.disk_hits == 1
+        assert again == results[0]
 
 
 class TestValidation:
-    def test_service_threads_below_one_rejected(self):
-        with pytest.raises(ParameterError, match="service_threads"):
-            RedService(service_threads=0)
-
     @pytest.mark.parametrize("timeout", [0, -1.0])
-    def test_non_positive_timeout_rejected(self, timeout):
+    def test_non_positive_timeout_rejected(self, service, timeout):
         with pytest.raises(ParameterError, match="timeout must be > 0"):
-            RedService(timeout=timeout)
-
-    def test_rejected_service_builds_no_store(self, tmp_path):
-        # Validation runs before a path becomes a store nobody would close.
-        with pytest.raises(ParameterError, match="timeout"):
-            RedService(cache=tmp_path / "store", timeout=0)
-        assert not (tmp_path / "store").exists()
+            service.evaluate(EvaluationRequest(spec=SPEC), timeout=timeout)
 
     def test_sweep_rejects_other_requests(self, service):
         with pytest.raises(SchemaError, match="takes a SweepRequest"):

@@ -1,8 +1,6 @@
 """Tests for the kernel programming cost model."""
 
-import pytest
-
-from repro.arch.programming import amortization_runs, programming_cost
+from repro.arch.programming import programming_cost
 from repro.reram.noise import NoiseModel
 from repro.workloads.specs import get_layer
 
@@ -40,12 +38,3 @@ class TestProgrammingCost:
         a = programming_cost(spec, seed=0)
         b = programming_cost(spec, seed=0)
         assert a.pulses == b.pulses
-
-    def test_amortization(self):
-        spec = get_layer("FCN_Deconv1").spec
-        runs = amortization_runs(spec, per_run_energy=1e-6)
-        assert runs > 0.0
-
-    def test_amortization_rejects_bad_energy(self):
-        with pytest.raises(ValueError):
-            amortization_runs(get_layer("FCN_Deconv1").spec, per_run_energy=0.0)

@@ -95,7 +95,7 @@ class TestSchedule:
         # Zero skipping: every sub-crossbar activation multiplies a live
         # input, and every live (input, tap) product is scheduled once.
         schedule = ZeroSkippingSchedule(small_spec)
-        activations = sum(slot.num_active_sub_crossbars for slot in schedule.cycles())
+        activations = sum(len(slot.assignments) for slot in schedule.cycles())
         per_activation = small_spec.in_channels * small_spec.out_channels
         assert activations * per_activation == useful_mac_count(small_spec)
 
@@ -103,3 +103,28 @@ class TestSchedule:
         schedule = ZeroSkippingSchedule(small_spec)
         for slot in schedule.cycles():
             assert len(slot.outputs) <= small_spec.stride**2
+
+
+class TestScheduleSelfChecks:
+    """The schedule's own consistency checks fire on a broken schedule."""
+
+    SPEC = DeconvSpec(4, 4, 1, 4, 4, 1, stride=2, padding=1)
+
+    def test_a_mode_listed_twice_double_books_its_taps(self):
+        schedule = ZeroSkippingSchedule(self.SPEC)
+        schedule.modes = [*schedule.modes, schedule.modes[0]]
+        with pytest.raises(ScheduleError, match="double-booked"):
+            schedule.cycle(1, 1)
+
+    def test_coverage_check_rejects_a_pixel_produced_twice(self):
+        schedule = ZeroSkippingSchedule(self.SPEC)
+        first = schedule.cycle(0, 0)
+        schedule.cycles = lambda: iter([first, first])
+        with pytest.raises(ScheduleError, match="produced twice"):
+            schedule.coverage_check()
+
+    def test_coverage_check_rejects_missing_pixels(self):
+        schedule = ZeroSkippingSchedule(self.SPEC)
+        schedule.cycles = lambda: iter([schedule.cycle(0, 0)])
+        with pytest.raises(ScheduleError, match="covers 4 output pixels, expected 64"):
+            schedule.coverage_check()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.fold as fold_module
 from repro.core.fold import (
     choose_fold,
     choose_fold_batch,
@@ -13,6 +14,7 @@ from repro.core.fold import (
 )
 from repro.core.mapping import build_sct
 from repro.deconv.shapes import DeconvSpec
+from repro.deconv.modes import decompose_modes
 from repro.errors import MappingError, ParameterError
 from tests.conftest import SMALL_SPECS, random_operands
 
@@ -77,7 +79,7 @@ class TestFoldGeometry:
         _, w = random_operands(small_spec)
         sct = build_sct(w, small_spec)
         folded = fold_sct(sct, 1)
-        assert folded.num_physical_scs == sct.num_sub_crossbars
+        assert folded.num_physical_scs == sct.data.shape[2]
         np.testing.assert_array_equal(unfold_sct(folded).data, sct.data)
 
     def test_round_trip(self, small_spec):
@@ -91,18 +93,6 @@ class TestFoldGeometry:
         folded = fold_sct(build_sct(w, small_spec), 2)
         taps = [t for slots in folded.tap_slots for t in slots if t is not None]
         assert sorted(taps) == list(range(small_spec.num_kernel_taps))
-
-    def test_slot_lookup(self, small_spec):
-        _, w = random_operands(small_spec)
-        folded = fold_sct(build_sct(w, small_spec), 2)
-        n, f = folded.slot_of_tap(0)
-        assert folded.tap_slots[n][f] == 0
-
-    def test_missing_tap_lookup_raises(self, small_spec):
-        _, w = random_operands(small_spec)
-        folded = fold_sct(build_sct(w, small_spec), 2)
-        with pytest.raises(MappingError):
-            folded.slot_of_tap(small_spec.num_kernel_taps)
 
     def test_slot_rows_hold_tap_weights(self, small_spec):
         """Eq. 2 layout: slot f of SC n occupies rows [f*C, (f+1)*C)."""
@@ -135,3 +125,11 @@ class TestFoldGeometry:
                 same_mode += len(modes) == 1
         # K=16, s=8: every mode has exactly 4 taps -> all pairs intra-mode.
         assert same_mode == len(folded.tap_slots)
+
+
+def test_a_decomposition_that_loses_taps_cannot_fold(monkeypatch):
+    spec = DeconvSpec(4, 4, 1, 3, 3, 1, stride=2, padding=1)
+    modes = decompose_modes(spec)
+    monkeypatch.setattr(fold_module, "decompose_modes", lambda spec: modes[1:])
+    with pytest.raises(MappingError, match="does not partition the taps"):
+        fold_module.fold_tap_slots(spec, 2)

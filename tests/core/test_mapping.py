@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.mapping import SubCrossbarTensor, build_sct, kernel_from_sct
+from repro.deconv.modes import decompose_modes
 from repro.errors import MappingError, ShapeError
 from tests.conftest import deconv_specs, random_operands
 
@@ -29,7 +30,10 @@ class TestEq1:
 
     def test_num_sub_crossbars(self, small_spec):
         _, w = random_operands(small_spec)
-        assert build_sct(w, small_spec).num_sub_crossbars == small_spec.num_kernel_taps
+        sct = build_sct(w, small_spec)
+        assert sct.data.shape == (
+            small_spec.in_channels, small_spec.out_channels, small_spec.num_kernel_taps
+        )
 
     def test_round_trip(self, small_spec):
         _, w = random_operands(small_spec)
@@ -62,6 +66,9 @@ class TestEq1:
     def test_mode_groups_partition_taps(self, small_spec):
         _, w = random_operands(small_spec)
         sct = build_sct(w, small_spec)
-        groups = sct.mode_sub_crossbars()
-        flat = sorted(t for group in groups for t in group)
+        flat = sorted(
+            sct.tap_index(kh, kw)
+            for mode in decompose_modes(small_spec)
+            for kh, kw in mode.taps
+        )
         assert flat == list(range(small_spec.num_kernel_taps))

@@ -70,11 +70,6 @@ class TestGeometry:
         assert design.num_physical_scs == 25
         assert design.cycles == 64
 
-    def test_parallelism(self):
-        spec = DeconvSpec(8, 8, 8, 5, 5, 8, stride=2, padding=2, output_padding=1)
-        assert REDDesign(spec).parallel_outputs_per_round == 4.0
-        assert REDDesign(spec, fold=2).parallel_outputs_per_round == 2.0
-
     def test_invalid_fold_rejected(self, small_spec):
         with pytest.raises(ParameterError):
             REDDesign(small_spec, fold=0)
@@ -154,3 +149,39 @@ class TestCounters:
             len(slot.assignments) for slot in ZeroSkippingSchedule(small_spec).cycles()
         )
         assert run.counters["sc_matvecs"] == expected
+
+
+#: Layers where a whole kernel row scatters outside the output, so RED's
+#: runs skip that row and some schedule taps get no live input.
+BORDER_HEAVY = (
+    DeconvSpec(1, 1, 2, 3, 3, 2, stride=1, padding=1),
+    DeconvSpec(2, 2, 2, 5, 5, 3, stride=2, padding=3),
+    DeconvSpec(1, 2, 2, 3, 5, 2, stride=2, padding=1),
+)
+
+
+def _dead_kernel_rows(spec):
+    s, p = spec.stride, spec.padding
+    return [
+        kh
+        for kh in range(spec.kernel_height)
+        if not any(0 <= ih * s + kh - p < spec.output_height for ih in range(spec.input_height))
+    ]
+
+
+class TestBorderHeavyLayers:
+    @pytest.mark.parametrize("spec", BORDER_HEAVY, ids=lambda spec: spec.describe())
+    def test_functional_run_matches_reference(self, spec):
+        assert _dead_kernel_rows(spec)
+        x, w = random_operands(spec, seed=11)
+        run = REDDesign(spec).run_functional(x, w)
+        np.testing.assert_allclose(run.output, conv_transpose2d(x, w, spec), atol=1e-10)
+
+    @pytest.mark.parametrize("fold", (1, 2))
+    @pytest.mark.parametrize("spec", BORDER_HEAVY, ids=lambda spec: spec.describe())
+    def test_cycle_accurate_run_matches_reference(self, spec, fold):
+        x, w = random_operands(spec, seed=12)
+        design = REDDesign(spec, fold=fold)
+        run = design.run_cycle_accurate(x, w)
+        np.testing.assert_allclose(run.output, conv_transpose2d(x, w, spec), atol=1e-10)
+        assert run.cycles == design.cycles

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+import repro.deconv.modes as modes_module
 from repro.deconv.modes import (
     check_mode_partition,
     decompose_modes,
-    max_taps_per_mode,
     mode_of_tap,
     num_nonempty_modes,
 )
@@ -38,7 +38,6 @@ class TestModeCount:
         modes = decompose_modes(spec)
         assert len(modes) == 64
         assert all(mode.num_taps == 4 for mode in modes)
-        assert max_taps_per_mode(spec) == 4
 
 
 class TestNonemptyModeCount:
@@ -112,8 +111,26 @@ class TestMaxTaps:
         bound = math.ceil(small_spec.kernel_height / small_spec.stride) * math.ceil(
             small_spec.kernel_width / small_spec.stride
         )
-        assert max_taps_per_mode(small_spec) <= bound
+        assert max(mode.num_taps for mode in decompose_modes(small_spec)) <= bound
 
     def test_stride1_single_mode_holds_all_taps(self):
         spec = DeconvSpec(4, 4, 1, 3, 3, 1, stride=1, padding=1)
-        assert max_taps_per_mode(spec) == 9
+        assert [mode.num_taps for mode in decompose_modes(spec)] == [9]
+
+
+class TestPartitionCheckFires:
+    SPEC = DeconvSpec(4, 4, 1, 3, 3, 1, stride=2, padding=1)
+
+    def test_a_tap_in_two_modes_is_rejected(self, monkeypatch):
+        modes = decompose_modes(self.SPEC)
+        monkeypatch.setattr(
+            modes_module, "decompose_modes", lambda spec: [*modes, modes[0]]
+        )
+        with pytest.raises(ShapeError, match="appears in two computation modes"):
+            check_mode_partition(self.SPEC)
+
+    def test_a_missing_tap_is_rejected(self, monkeypatch):
+        modes = decompose_modes(self.SPEC)
+        monkeypatch.setattr(modes_module, "decompose_modes", lambda spec: modes[1:])
+        with pytest.raises(ShapeError, match="modes cover 8 taps, kernel has 9"):
+            check_mode_partition(self.SPEC)

@@ -99,34 +99,6 @@ class TestPaddedGeometry:
         assert spec.padded_geometry().num_pixels == 121
 
 
-class TestContributingTaps:
-    def test_scatter_gather_duality(self, small_spec):
-        """Every gather tap corresponds to the scatter relation."""
-        s, p = small_spec.stride, small_spec.padding
-        for oy in range(min(small_spec.output_height, 6)):
-            for ox in range(min(small_spec.output_width, 6)):
-                for kh, kw, ih, iw in small_spec.contributing_taps(oy, ox):
-                    assert s * ih + kh - p == oy
-                    assert s * iw + kw - p == ox
-
-    def test_taps_unique(self, small_spec):
-        taps = small_spec.contributing_taps(0, 0)
-        assert len(taps) == len(set(taps))
-
-    def test_total_taps_equal_useful_macs(self, small_spec):
-        from repro.deconv.analysis import useful_mac_count
-
-        total = sum(
-            len(small_spec.contributing_taps(oy, ox))
-            for oy in range(small_spec.output_height)
-            for ox in range(small_spec.output_width)
-        )
-        expected = useful_mac_count(small_spec) // (
-            small_spec.in_channels * small_spec.out_channels
-        )
-        assert total == expected
-
-
 class TestSolvePadding:
     @pytest.mark.parametrize(
         "i,o,k,s,expected",

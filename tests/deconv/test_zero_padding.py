@@ -93,9 +93,15 @@ class TestPaddedVectors:
         )
 
     def test_sparsity_matches_mac_redundancy(self, small_spec, rng):
-        from repro.deconv.analysis import redundant_mac_fraction
+        from repro.deconv.analysis import useful_mac_count
 
         x = rng.normal(size=small_spec.input_shape) + 10.0  # no accidental zeros
         vectors = padded_input_vectors(x, small_spec)
         measured = 1.0 - np.count_nonzero(vectors) / vectors.size
-        assert measured == pytest.approx(redundant_mac_fraction(small_spec), abs=1e-12)
+        redundant = 1.0 - useful_mac_count(small_spec) / (
+            small_spec.num_output_pixels
+            * small_spec.num_kernel_taps
+            * small_spec.in_channels
+            * small_spec.out_channels
+        )
+        assert measured == pytest.approx(redundant, abs=1e-12)

@@ -23,13 +23,20 @@ class TestFunctional:
         assert run.cycles == small_spec.num_output_pixels
 
     def test_counters_account_for_redundancy(self, small_spec):
-        from repro.deconv.analysis import redundant_mac_fraction
+        from repro.deconv.analysis import useful_mac_count
 
         x = np.abs(random_operands(small_spec)[0]) + 1.0  # strictly non-zero
         _, w = random_operands(small_spec)
         run = ZeroPaddingDesign(small_spec).run_functional(x, w)
         measured = 1.0 - run.counters["nonzero_input_elements"] / run.counters["input_elements"]
-        assert measured == pytest.approx(redundant_mac_fraction(small_spec), abs=1e-12)
+        # Every scheduled MAC on an inserted zero is redundant.
+        redundant = 1.0 - useful_mac_count(small_spec) / (
+            small_spec.num_output_pixels
+            * small_spec.num_kernel_taps
+            * small_spec.in_channels
+            * small_spec.out_channels
+        )
+        assert measured == pytest.approx(redundant, abs=1e-12)
 
     def test_shape_validation(self, small_spec):
         x, w = random_operands(small_spec)

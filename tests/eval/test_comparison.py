@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.eval.comparison import (
-    all_strict_claims_pass,
-    measure_claims,
-    render_comparison,
-)
+from repro.eval.comparison import measure_claims, render_comparison
 from repro.eval.harness import run_grid
 from repro.eval.paper_targets import PAPER_TARGETS
 
@@ -22,7 +18,7 @@ class TestComparison:
         assert {r.key for r in rows} == set(PAPER_TARGETS)
 
     def test_all_strict_claims_pass(self, grid):
-        assert all_strict_claims_pass(grid)
+        assert all(row.in_band for row in measure_claims(grid) if row.strict)
 
     def test_all_claims_currently_in_band(self, grid):
         """The calibrated defaults satisfy even the loose bands."""

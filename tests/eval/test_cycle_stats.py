@@ -53,18 +53,17 @@ def test_table_i_cycle_stats_pickle_byte_identical():
         min_size=1,
         max_size=4,
     ),
-    max_sub_crossbars=st.sampled_from((1, 4, 128)),
 )
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cycle_stats_match_the_functional_simulator(pairs, max_sub_crossbars):
+def test_cycle_stats_match_the_functional_simulator(pairs):
+    # fold='auto' resolves against the default sub-crossbar budget on
+    # both sides, as it does for the analytic metrics.
     jobs = [
         DesignJob("RED", spec, TECH, fold=fold, layer_name=f"job{index}")
         for index, (spec, fold) in enumerate(pairs)
     ]
-    stats = run_cycle_jobs(jobs, max_sub_crossbars=max_sub_crossbars)
-    executed = BatchEngine(max_sub_crossbars=max_sub_crossbars).run(
-        [BatchJob(spec, fold=fold) for spec, fold in pairs]
-    )
+    stats = run_cycle_jobs(jobs)
+    executed = BatchEngine().run([BatchJob(spec, fold=fold) for spec, fold in pairs])
     for stat, result in zip(stats, executed.results):
         assert (stat.fold, stat.cycles, stat.counters) == (
             result.fold,

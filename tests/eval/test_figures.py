@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import available_designs
 from repro.eval.figures import (
     FIG9_LAYERS,
     fig4_redundancy_curves,
@@ -9,7 +10,7 @@ from repro.eval.figures import (
     fig8_energy,
     fig9_area,
 )
-from repro.eval.harness import DESIGN_ORDER, run_grid
+from repro.eval.harness import run_grid
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +34,8 @@ class TestFig7:
     def test_structure(self, grid):
         fig = fig7_latency(grid)
         for layer in grid.metrics:
-            assert set(fig.speedup[layer]) == set(DESIGN_ORDER)
-            for design in DESIGN_ORDER:
+            assert set(fig.speedup[layer]) == set(available_designs())
+            for design in available_designs():
                 b = fig.breakdown[layer][design]
                 assert set(b) == {"array", "periphery"}
 
@@ -47,7 +48,7 @@ class TestFig7:
     def test_speedup_consistent_with_breakdown(self, grid):
         fig = fig7_latency(grid)
         for layer in grid.metrics:
-            for design in DESIGN_ORDER:
+            for design in available_designs():
                 total = sum(fig.breakdown[layer][design].values())
                 assert fig.speedup[layer][design] == pytest.approx(1.0 / total)
 
@@ -56,13 +57,13 @@ class TestFig8:
     def test_saving_plus_ratio_is_one(self, grid):
         fig = fig8_energy(grid)
         for layer in grid.metrics:
-            for design in DESIGN_ORDER:
+            for design in available_designs():
                 assert fig.saving[layer][design] + fig.ratio[layer][design] == pytest.approx(1.0)
 
     def test_breakdown_sums_to_ratio(self, grid):
         fig = fig8_energy(grid)
         for layer in grid.metrics:
-            for design in DESIGN_ORDER:
+            for design in available_designs():
                 b = fig.breakdown[layer][design]
                 assert b["array"] + b["periphery"] == pytest.approx(
                     fig.ratio[layer][design]

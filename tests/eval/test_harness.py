@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.api.registry import build_design
-from repro.eval.harness import DESIGN_ORDER, run_grid
+from repro.api.registry import available_designs, build_design
+from repro.eval.harness import run_grid
 from repro.workloads.specs import TABLE_I_LAYERS, get_layer
 
 
@@ -16,7 +16,7 @@ class TestGrid:
     def test_covers_full_matrix(self, grid):
         assert len(grid.metrics) == len(TABLE_I_LAYERS)
         for layer, row in grid.metrics.items():
-            assert set(row) == set(DESIGN_ORDER)
+            assert set(row) == set(available_designs())
 
     def test_baseline_is_zero_padding(self, grid):
         base = grid.baseline("GAN_Deconv1")
@@ -40,7 +40,7 @@ class TestGrid:
 class TestCells:
     def test_every_cell_is_labelled_with_its_layer_and_design(self, grid):
         for layer in grid.layers:
-            for design in DESIGN_ORDER:
+            for design in available_designs():
                 metrics = grid.get(layer.name, design)
                 assert (metrics.layer, metrics.design) == (layer.name, design)
 
@@ -54,6 +54,6 @@ class TestCells:
         # The grid runs the batched service path; each cell must be the
         # exact DesignMetrics the design's own scalar model produces.
         for layer in grid.layers:
-            for design in DESIGN_ORDER:
+            for design in available_designs():
                 expected = build_design(design, layer.spec).evaluate(layer.name)
                 assert grid.get(layer.name, design) == expected

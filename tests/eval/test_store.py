@@ -38,6 +38,7 @@ from repro.eval.parallel import (
     job_keys,
     run_cycle_jobs,
     run_design_jobs,
+    run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
 
@@ -465,6 +466,19 @@ class CountingStore(PackedSweepStore):
 
 
 class TestRunnerBatchDiscipline:
+    @pytest.mark.parametrize("with_store", (False, True), ids=("no-store", "store"))
+    @pytest.mark.parametrize(
+        "runner",
+        (run_design_jobs, run_cycle_jobs, run_fidelity_jobs),
+        ids=("design", "cycle", "fidelity"),
+    )
+    def test_empty_job_list_touches_no_store(self, tmp_path, runner, with_store):
+        store = CountingStore(tmp_path) if with_store else None
+        assert runner([], cache=store) == []
+        if store is not None:
+            assert (store.get_many_calls, store.put_many_calls) == (0, 0)
+            assert len(store) == 0
+
     def _grid(self):
         specs = (SPEC, DeconvSpec(3, 5, 2, 4, 4, 3, stride=2, padding=1))
         return [

@@ -19,6 +19,7 @@ from repro.eval.parallel import (
     CYCLES_KIND,
     DesignJob,
     FidelityJob,
+    build_design_for_job,
     evaluate_design_job,
     job_key,
     run_cycle_jobs,
@@ -299,3 +300,28 @@ class TestRunnerValidation:
     def test_unknown_design_raises(self):
         with pytest.raises(KeyError):
             evaluate_design_job(make_job(design="systolic"))
+
+
+class TestBuildDesignForJob:
+    """The registry builds the design a job names, fold included."""
+
+    @pytest.mark.parametrize(
+        ("design", "fold", "cls_name", "built_fold"),
+        [
+            ("RED", 2, "REDDesign", 2),
+            ("red", None, "REDDesign", None),
+            ("zp", 4, "ZeroPaddingDesign", None),
+            ("padding-free", None, "PaddingFreeDesign", None),
+        ],
+        ids=["red-explicit-fold", "red-alias-auto-fold", "zp-ignores-fold", "padding-free"],
+    )
+    def test_builds_the_named_design(self, design, fold, cls_name, built_fold):
+        from repro.core.fold import choose_fold
+
+        job = DesignJob(design, SPEC, default_tech(), fold=fold, layer_name="L")
+        built = build_design_for_job(job)
+        assert type(built).__name__ == cls_name
+        assert built.spec == SPEC
+        if cls_name == "REDDesign":
+            assert built.fold == (built_fold or choose_fold(SPEC))
+        assert built.evaluate("L") == evaluate_design_job(job)

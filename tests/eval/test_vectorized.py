@@ -31,7 +31,7 @@ from repro.deconv.shapes import DeconvSpec
 from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.errors import ParameterError
 from repro.eval.parallel import DesignJob, evaluate_design_job, run_design_jobs
-from repro.eval.vectorized import design_supports_batch, evaluate_design_jobs_batch
+from repro.eval.vectorized import evaluate_design_jobs_batch
 from tests.conftest import SMALL_SPECS, deconv_specs
 
 _SETTINGS = dict(
@@ -323,7 +323,7 @@ class TestScalarFallback:
             name = "no-batch-design"
 
         try:
-            assert not design_supports_batch("no-batch-design")
+            assert get_design("no-batch-design").perf_batch is None
             tech = default_tech()
             jobs = [
                 DesignJob("no-batch-design", SMALL_SPECS[0], tech, layer_name="p"),
@@ -341,5 +341,4 @@ class TestScalarFallback:
 
     def test_builtins_all_support_batch(self):
         for design in available_designs():
-            assert design_supports_batch(design)
             assert get_design(design).perf_batch is not None

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.red_design import REDDesign
+from repro.deconv.analysis import useful_mac_count
 from repro.designs.padding_free_design import PaddingFreeDesign
 from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.sim.engine import CycleEngine
-from tests.conftest import random_operands
+from tests.conftest import integer_operands, random_operands
 
 
 class TestCycleIdentities:
@@ -57,3 +58,46 @@ class TestEngineVsModel:
         x, w = random_operands(small_spec)
         run = CycleEngine(small_spec).run(x, w)
         assert run.counters.get("output_pixels") == small_spec.num_output_pixels
+
+
+class TestReportedActivity:
+    """The activity counters each functional run reports."""
+
+    def test_zero_padding_schedules_the_dense_mac_count(self, small_spec):
+        # Algorithm 1 multiplies every kernel tap at every output pixel.
+        x, w = random_operands(small_spec)
+        run = ZeroPaddingDesign(small_spec).run_functional(x, w)
+        assert run.counters["macs_scheduled"] == (
+            small_spec.num_output_pixels
+            * small_spec.num_kernel_taps
+            * small_spec.in_channels
+            * small_spec.out_channels
+        )
+        assert run.counters["input_vectors"] == small_spec.num_output_pixels
+
+    def test_padding_free_multiplies_every_pixel_by_the_whole_kernel(self, small_spec):
+        x, w = random_operands(small_spec)
+        run = PaddingFreeDesign(small_spec).run_functional(x, w)
+        pixels = small_spec.num_input_pixels
+        assert run.counters["input_vectors"] == pixels
+        # One C-vector per input pixel against the KH*KW*M-wide kernel matrix.
+        assert run.counters["macs_scheduled"] == pixels * small_spec.num_weights
+        assert run.counters["overlap_add_values"] == run.counters["intermediate_values"]
+
+    def test_red_functional_run_does_only_the_useful_macs(self, small_spec):
+        x, w = random_operands(small_spec)
+        design = REDDesign(small_spec)
+        run = design.run_functional(x, w)
+        assert run.counters["macs_useful"] == useful_mac_count(small_spec)
+        assert run.counters["sub_crossbars"] == design.num_physical_scs
+        assert run.counters["fold"] == design.fold
+
+    @pytest.mark.parametrize("fold", (1, 2))
+    def test_red_quantized_run_walks_the_float_schedule(self, small_spec, fold):
+        x, w = integer_operands(small_spec)
+        design = REDDesign(small_spec, fold=fold)
+        quantized = design.run_quantized(x, w)
+        exact = design.run_cycle_accurate(x.astype(float), w.astype(float))
+        assert quantized.cycles == exact.cycles == design.cycles
+        for name in ("sub_crossbars", "fold", "sc_matvecs", "live_rows", "buffer_reads"):
+            assert quantized.counters[name] == exact.counters[name], name

@@ -57,7 +57,7 @@ class TestNetworkLayerOnAccelerator:
         gen = SNGANGenerator(base_size=4, rng=np.random.default_rng(3))
         z = np.random.default_rng(4).standard_normal((1, gen.latent_dim))
         feature = gen.project(z.reshape(1, gen.latent_dim, 1, 1))  # (1, 512, 4, 4)
-        deconv = gen.benchmark_layer()
+        deconv = gen.block1[0]
         spec = deconv.deconv_spec(4, 4)
         x_hwc = np.transpose(feature[0], (1, 2, 0))
         ref = conv_transpose2d(x_hwc, deconv.weight, spec)

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, ShapeError
+from repro.errors import ParameterError
 from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Flatten,
     Identity,
-    LeakyReLU,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 
@@ -22,13 +19,9 @@ from repro.nn.modules import (
 class TestRegistry:
     def test_parameters_depth_first(self):
         seq = Sequential(Conv2d(2, 3, 3), BatchNorm2d(3))
-        names = [name for name, _ in seq.named_parameters()]
-        assert "0.weight" in names
-        assert "1.gamma" in names
-
-    def test_num_parameters(self):
-        conv = Conv2d(2, 3, 3, bias=True)
-        assert conv.num_parameters() == 3 * 3 * 2 * 3 + 3
+        params = list(seq.parameters())
+        assert params[0] is seq[0].weight
+        assert any(p is seq[1]._parameters["gamma"] for p in params[1:])
 
     def test_register_parameter_type_check(self):
         module = Module()
@@ -48,42 +41,6 @@ class TestRegistry:
 
         net = Net()
         assert "layer" in net._children
-
-
-class TestStateDict:
-    def test_round_trip(self, rng):
-        a = Conv2d(2, 3, 3, rng=rng)
-        b = Conv2d(2, 3, 3, rng=np.random.default_rng(99))
-        b.load_state_dict(a.state_dict())
-        x = rng.normal(size=(1, 2, 5, 5))
-        np.testing.assert_array_equal(a(x), b(x))
-
-    def test_missing_key_raises(self):
-        a = Conv2d(2, 3, 3)
-        state = a.state_dict()
-        state.pop("weight")
-        with pytest.raises(ParameterError):
-            a.load_state_dict(state)
-
-    def test_extra_key_raises(self):
-        a = Conv2d(2, 3, 3)
-        state = a.state_dict()
-        state["bogus"] = np.zeros(1)
-        with pytest.raises(ParameterError):
-            a.load_state_dict(state)
-
-    def test_shape_mismatch_raises(self):
-        a = Conv2d(2, 3, 3)
-        state = a.state_dict()
-        state["weight"] = np.zeros((1, 1, 1, 1))
-        with pytest.raises(ShapeError):
-            a.load_state_dict(state)
-
-    def test_state_dict_is_copy(self):
-        a = Conv2d(2, 3, 3)
-        state = a.state_dict()
-        state["weight"][...] = 0.0
-        assert a.weight.any()
 
 
 class TestLayers:
@@ -110,16 +67,13 @@ class TestLayers:
         assert len(net) == 2
         assert isinstance(net[1], ReLU)
 
-    def test_identity_and_flatten(self, rng):
+    def test_identity(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         np.testing.assert_array_equal(Identity()(x), x)
-        assert Flatten()(x).shape == (2, 48)
 
     def test_elementwise_layers(self, rng):
         x = rng.normal(size=(1, 1, 3, 3))
         assert Tanh()(x).max() <= 1.0
-        assert Sigmoid()(x).min() >= 0.0
-        assert LeakyReLU(0.1)(x).shape == x.shape
 
     def test_batchnorm_defaults_identityish(self, rng):
         bn = BatchNorm2d(3)

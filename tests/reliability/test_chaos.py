@@ -13,6 +13,7 @@ exports.
 """
 
 import functools
+import os
 import pickle
 
 import pytest
@@ -36,7 +37,8 @@ from repro.eval.parallel import (
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
-from repro.reliability import active_failpoints, configured_failpoints
+from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import ENV_VAR, parse_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()
@@ -364,6 +366,6 @@ class TestAmbientEnvironment:
         assert tuple(warm_samples) == expected
         if any(
             point.site == "store.get_many" and point.mode == "corrupt"
-            for point in active_failpoints()
+            for point in parse_failpoints(os.environ.get(ENV_VAR, ""))
         ):
             assert reopened.quarantined > 0

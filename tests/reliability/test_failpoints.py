@@ -6,6 +6,8 @@ nothing leaks into the next test — including the ambient
 suite under (the context manager restores whatever was armed before).
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import (
@@ -21,6 +23,16 @@ from repro.reliability.failpoints import (
     format_failpoints,
     parse_failpoints,
 )
+
+
+def draws(site, count=64):
+    """Which of ``count`` token values fire at ``site`` under the armed registry.
+
+    A pure function of the armed points and seed, so it shows both.
+    """
+    return tuple(
+        failpoints.check(site, f"job{i}", 1) is not None for i in range(count)
+    )
 
 
 class TestParsing:
@@ -61,24 +73,24 @@ class TestParsing:
 class TestConfiguration:
     def test_configure_and_clear(self):
         with configured_failpoints("serving.merge:io_error@0.5", seed=3):
-            assert failpoints.is_armed()
-            assert failpoints.active_seed() == 3
-            assert failpoints.active_failpoints() == (
-                Failpoint("serving.merge", "io_error", 0.5),
-            )
+            outer = draws("serving.merge")
+            assert any(outer) and not all(outer)
+            assert not any(draws("store.put_many"))
             with configured_failpoints(None):
-                assert not failpoints.is_armed()
-                assert failpoints.active_failpoints() == ()
-            # The nested block restored the outer configuration.
-            assert failpoints.active_seed() == 3
+                assert not any(draws("serving.merge"))
+            # The nested block restored the outer configuration, seed included.
+            assert draws("serving.merge") == outer
+        with configured_failpoints("serving.merge:io_error@0.5", seed=4):
+            assert draws("serving.merge") != outer
 
     def test_configured_restores_on_error(self):
-        with configured_failpoints("serving.merge:io_error", seed=9):
+        with configured_failpoints("serving.merge:io_error@0.5", seed=9):
+            before = draws("serving.merge")
             with pytest.raises(RuntimeError):
                 with configured_failpoints("store.put_many:crash", seed=1):
                     raise RuntimeError("boom")
-            assert failpoints.active_seed() == 9
-            assert failpoints.active_failpoints()[0].site == "serving.merge"
+            assert draws("serving.merge") == before
+            assert not any(draws("store.put_many"))
 
     def test_configure_from_env(self):
         with configured_failpoints(None):
@@ -89,15 +101,17 @@ class TestConfiguration:
                 }
             )
             assert armed
-            assert failpoints.active_seed() == 17
-            assert failpoints.active_failpoints() == (
-                Failpoint("store.get_many", "corrupt", 0.25),
-            )
+            from_env = draws("store.get_many")
+            fired = [failpoints.check("store.get_many", f"job{i}", 1) for i in range(64)]
+        assert Failpoint("store.get_many", "corrupt", 0.25) in fired
+        with configured_failpoints("store.get_many:corrupt@0.25", seed=17):
+            assert draws("store.get_many") == from_env
 
     def test_configure_from_env_absent_is_noop(self):
-        with configured_failpoints("serving.shard_call:crash", seed=2):
+        with configured_failpoints("serving.shard_call:crash@0.5", seed=2):
+            before = draws("serving.shard_call")
             assert not failpoints.configure_from_env({})
-            assert failpoints.active_seed() == 2
+            assert draws("serving.shard_call") == before
 
     def test_bad_env_seed_raises(self):
         with configured_failpoints(None):
@@ -113,14 +127,7 @@ class TestConfiguration:
         with configured_failpoints(None):
             with pytest.raises(ParameterError, match="expected Failpoint instances, got str"):
                 failpoints.configure_failpoints(["serving.merge:io_error"])
-            assert not failpoints.is_armed()
-
-    def test_clear_disarms_every_point(self):
-        with configured_failpoints("serving.merge:io_error", seed=4):
-            failpoints.clear_failpoints()
-            assert not failpoints.is_armed()
-            assert failpoints.active_failpoints() == ()
-            failpoints.inject("serving.merge", 0)  # must not raise
+            assert not any(draws("serving.merge"))
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ParameterError):
@@ -202,7 +209,6 @@ class TestModes:
         assert isinstance(info.value, ReproError)
 
     def test_crash_raises_outside_worker_processes(self):
-        assert not failpoints.in_worker_process()
         with configured_failpoints("site:crash"):
             with pytest.raises(WorkerCrashError):
                 failpoints.inject("site", 0)
@@ -244,3 +250,16 @@ class TestHooks:
                 assert failpoints.corrupted("site", b"x", 0) == b"x"
             with pytest.raises(InjectedFaultError):
                 failpoints.inject("site", 0)
+
+
+def test_crash_in_a_marked_worker_exits_with_the_crash_status():
+    def worker():
+        failpoints.mark_worker_process()
+        with configured_failpoints("site:crash"):
+            failpoints.inject("site", 0)
+
+    process = multiprocessing.get_context("fork").Process(target=worker)
+    process.start()
+    process.join(timeout=60)
+    assert not process.is_alive()
+    assert process.exitcode == failpoints.CRASH_EXIT_STATUS

@@ -58,7 +58,9 @@ class TestRetryPolicy:
         policy = RetryPolicy(
             max_attempts=5, base_delay_s=0.1, multiplier=2.0, max_delay_s=0.5
         )
-        assert policy.delays() == (0.1, 0.2, 0.4, 0.5)
+        assert [policy.delay_for(attempt) for attempt in range(1, 5)] == [
+            0.1, 0.2, 0.4, 0.5,
+        ]
         assert policy.delay_for(10) == 0.5  # capped
 
     def test_validation(self):

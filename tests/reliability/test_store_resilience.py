@@ -11,6 +11,7 @@ writes to disk (analytic metrics stay in its memory tier).
 
 import pytest
 
+import repro.eval.store as store_module
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.eval.parallel import FIDELITY_KIND, FidelityJob, fidelity_job_key
@@ -153,6 +154,80 @@ class TestIndexRecovery:
         assert skewed.misses == len(keys)
 
 
+    def test_index_row_past_the_manifest_reads_as_miss(self, tmp_path):
+        store, keys = populated(tmp_path)
+        store._write_index(
+            list(store._segments),
+            {bytes.fromhex(key): (len(store._segments), 0, 16) for key in keys},
+        )
+        with configured_failpoints(None):
+            skewed = PackedSweepStore(tmp_path, memory_entries=0)
+            assert skewed.get_many(keys, KIND) == [None] * len(keys)
+        assert (skewed.misses, skewed.corrupt, skewed.rebuilt_entries) == (len(keys), 0, 0)
+
+    def test_segment_shorter_than_its_rows_reads_as_miss(self, tmp_path):
+        # The index is intact, so nothing rebuilds; the rows point past
+        # the end of a segment truncated after the publish.
+        _, keys = populated(tmp_path)
+        (segment,) = tmp_path.glob("seg-*.seg")
+        segment.write_bytes(segment.read_bytes()[:_ROW.size])
+        with configured_failpoints(None):
+            short = PackedSweepStore(tmp_path, memory_entries=0)
+            assert short.get_many(keys, KIND) == [None] * len(keys)
+        assert (short.misses, short.rebuilt_entries) == (len(keys), 0)
+
+    def test_rebuild_skips_an_unreadable_segment(self, tmp_path):
+        _, keys = populated(tmp_path)
+        expected = reference_payloads(tmp_path, keys)
+        (tmp_path / "seg-unreadable.seg").mkdir()
+        (tmp_path / "index.bin").unlink()
+        with configured_failpoints(None):
+            recovered = PackedSweepStore(tmp_path, memory_entries=0)
+            assert recovered.get_many(keys, KIND) == expected
+        assert recovered.rebuilt_entries == len(keys)
+
+
+class TestFailedWritesLeaveNoTemporaries:
+    @staticmethod
+    def _failing_replace(monkeypatch, suffix):
+        replace = store_module.os.replace
+
+        def failing(source, target):
+            if str(source).endswith(suffix):
+                raise OSError(f"injected rename failure for {source}")
+            return replace(source, target)
+
+        monkeypatch.setattr(store_module.os, "replace", failing)
+
+    def _entries(self, tmp_path):
+        _, keys = populated(tmp_path / "reference")
+        return keys, list(zip(keys, reference_payloads(tmp_path / "reference", keys)))
+
+    def test_failed_segment_write_removes_its_part_file(self, tmp_path, monkeypatch):
+        keys, entries = self._entries(tmp_path)
+        store = PackedSweepStore(tmp_path / "store", retry_policy=NO_SLEEP)
+        self._failing_replace(monkeypatch, ".part")
+        assert store.put_many(entries, KIND) == 0
+        assert store.degraded
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert names == [".lock"]  # the writer lock; no segment, no .part
+
+    def test_failed_index_write_removes_its_temporary(self, tmp_path, monkeypatch):
+        keys, entries = self._entries(tmp_path)
+        store = PackedSweepStore(tmp_path / "store", retry_policy=NO_SLEEP)
+        self._failing_replace(monkeypatch, ".idx.tmp")
+        assert store.put_many(entries, KIND) == 0
+        assert store.degraded
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert names[0] == ".lock"
+        assert names[1:] and all(name.endswith(".seg") for name in names[1:])
+        monkeypatch.undo()
+        # The orphaned segments still hold every entry: a reopen rebuilds.
+        with configured_failpoints(None):
+            reopened = PackedSweepStore(tmp_path / "store", memory_entries=0)
+            assert reopened.get_many(keys, KIND) == [value for _, value in entries]
+
+
 class TestDegradedMode:
     def test_publish_exhaustion_degrades_and_memory_tier_serves(
         self, tmp_path
@@ -259,6 +334,16 @@ class TestQuarantine:
             store.get_many(keys, KIND)
         assert store.quarantined == len(keys)
         assert not (tmp_path / "quarantine").exists()
+
+
+    def test_blocked_quarantine_never_breaks_a_lookup(self, tmp_path):
+        _, keys = populated(tmp_path)
+        (tmp_path / "quarantine").write_bytes(b"not a directory")
+        with configured_failpoints("store.get_many:corrupt@1.0"):
+            store = PackedSweepStore(tmp_path, memory_entries=0)
+            assert store.get_many(keys, KIND) == [None] * len(keys)
+        assert store.quarantined == len(keys)
+        assert (tmp_path / "quarantine").read_bytes() == b"not a directory"
 
 
 class TestOpenProbe:

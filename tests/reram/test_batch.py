@@ -18,6 +18,7 @@ Covers the ISSUE-6 contracts:
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from repro.eval.store import PackedSweepStore
 from repro.reram.adc import adc_for_crossbar
 from repro.reram.batch import (
     FidelityProfile,
+    derived_fidelity_profile,
     fidelity_point,
     profile_digits,
     profile_for_design,
@@ -42,6 +44,7 @@ from repro.reram.batch import (
 )
 from repro.reram.device import ReRAMDeviceParams, digits_to_conductance
 from repro.reram.noise import NoiseModel
+from repro.workloads.specs import TABLE_I_LAYERS
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 
@@ -326,3 +329,42 @@ class TestRunFidelityJobs:
         store.put_many(zip(keys, results), kind=FIDELITY_KIND)
         reopened = PackedSweepStore(tmp_path / "raw")
         assert reopened.get_many(keys, kind=FIDELITY_KIND) == results
+
+
+def test_design_without_a_fidelity_hook_joins_through_its_derived_profile():
+    import dataclasses
+
+    from repro.api.registry import register_design, unregister_design
+    from repro.designs.zero_padding_design import ZeroPaddingDesign
+
+    @register_design("hookless-zero-padding")
+    def _build(spec, tech):
+        return ZeroPaddingDesign(spec, tech)
+
+    try:
+        profile = profile_for_design("hookless-zero-padding", SPEC)
+        derived = derived_fidelity_profile("hookless-zero-padding", SPEC, None)
+        assert pickle.dumps(profile) == pickle.dumps(derived)
+        # Same geometry as the built-in baseline, so the same samples.
+        job = FidelityJob("hookless-zero-padding", SPEC, default_tech(), seed=3,
+                          time_s=3600.0, programming_sigma=0.05)
+        (plugin,) = run_fidelity_jobs([job])
+        (builtin,) = run_fidelity_jobs([dataclasses.replace(job, design="zero-padding")])
+        assert plugin == dataclasses.replace(builtin, design="hookless-zero-padding")
+    finally:
+        unregister_design("hookless-zero-padding")
+
+
+@pytest.mark.parametrize("layer", TABLE_I_LAYERS, ids=lambda layer: layer.name)
+@pytest.mark.parametrize("design", ("zero-padding", "padding-free", "RED"))
+def test_derived_profile_probes_the_capped_perf_geometry(design, layer):
+    from repro.api.registry import build_design
+
+    tech = default_tech()
+    perf = build_design(design, layer.spec, tech).perf_input()
+    profile = derived_fidelity_profile(design, layer.spec, max_rows=64, max_cols=32)
+    assert (profile.design, profile.rows, profile.cols) == (
+        design, min(int(perf.bitline_rows), 64), min(int(perf.wordline_cols), 32),
+    )
+    assert profile.device.bits_per_cell == tech.bits_per_cell
+    assert profile.adc == adc_for_crossbar(profile.rows, profile.device.num_levels, None)

@@ -20,7 +20,6 @@ class TestSlicingConfig:
         slicing = WeightSlicing()
         assert slicing.num_slices == 4
         assert slicing.base == 4
-        assert slicing.magnitude_max == 127
 
     def test_uneven_division_rounds_up(self):
         assert WeightSlicing(bits_weight=7, bits_per_cell=2).num_slices == 4

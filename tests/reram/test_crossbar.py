@@ -66,10 +66,6 @@ class TestAnalogReadback:
         with pytest.raises(ShapeError, match=r"pulse vector must be \(16,\)"):
             xbar.ideal_digit_sums(np.ones(15, dtype=int))
 
-    def test_max_column_sum(self, digits):
-        xbar = CrossbarArray(digits)
-        assert xbar.max_column_sum() == 16 * 3
-
     def test_binary_device(self, rng):
         device = ReRAMDeviceParams(bits_per_cell=1)
         digits = rng.integers(0, 2, size=(8, 4))

@@ -17,7 +17,7 @@ class TestParams:
         params = ReRAMDeviceParams()
         assert params.g_max > params.g_min > 0
         assert params.num_levels == 4
-        assert params.on_off_ratio == pytest.approx(10.0)
+        assert params.r_off / params.r_on == pytest.approx(10.0)
 
     def test_rejects_inverted_window(self):
         with pytest.raises(DeviceError):
@@ -30,16 +30,6 @@ class TestParams:
     def test_num_levels_scales_with_bits(self):
         assert ReRAMDeviceParams(bits_per_cell=1).num_levels == 2
         assert ReRAMDeviceParams(bits_per_cell=3).num_levels == 8
-
-    def test_cell_current_monotone_in_level(self):
-        params = ReRAMDeviceParams()
-        currents = [params.cell_current(l) for l in range(params.num_levels)]
-        assert currents == sorted(currents)
-
-    def test_cell_current_rejects_bad_level(self):
-        params = ReRAMDeviceParams()
-        with pytest.raises(DeviceError):
-            params.cell_current(params.num_levels)
 
 
 class TestConductanceGrid:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.reram.device import ReRAMDeviceParams
-from repro.reram.drift import DriftModel, drift_error_sweep
+from repro.reram.drift import DriftModel
 
 
 class TestDriftModel:
@@ -47,21 +47,3 @@ class TestDriftModel:
         with pytest.raises(ParameterError):
             DriftModel(nu=-0.1)
 
-
-class TestDriftSweep:
-    def test_error_zero_at_t0_then_nonzero(self, rng):
-        w = rng.integers(-63, 64, size=(16, 4))
-        points = drift_error_sweep(w, times=(1.0, 1e4, 1e7), nu=0.03)
-        errors = [e for _, e in points]
-        assert errors[0] == 0.0
-        assert all(e > 0.0 for e in errors[1:])
-
-    def test_higher_nu_worse(self, rng):
-        w = rng.integers(-63, 64, size=(16, 4))
-        mild = drift_error_sweep(w, times=(1e6,), nu=0.01)[0][1]
-        harsh = drift_error_sweep(w, times=(1e6,), nu=0.08)[0][1]
-        assert harsh >= mild
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ParameterError):
-            drift_error_sweep(np.zeros(4, dtype=int))

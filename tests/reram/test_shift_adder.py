@@ -30,12 +30,10 @@ class TestShiftAdder:
         assert adder.operations == 8
         assert adder.accumulations == 2
 
-    def test_reset_keeps_counters(self):
-        adder = ShiftAdder()
-        adder.accumulate(np.array([1]), 0)
-        adder.reset()
-        assert adder.value.size == 0
-        assert adder.operations == 1
+    def test_value_before_any_accumulation_is_empty(self):
+        value = ShiftAdder().value
+        assert value.dtype == np.int64
+        assert value.shape == (0,)
 
     def test_negative_shift_rejected(self):
         with pytest.raises(Exception):

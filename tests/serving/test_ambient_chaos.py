@@ -11,10 +11,12 @@ in-process run.  Disarmed, it is a plain end-to-end smoke test.
 """
 
 import json
+import os
 
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
-from repro.reliability import configured_failpoints, failpoints
+from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import ENV_VAR
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.testing import ServerThread
 
@@ -38,7 +40,7 @@ def test_every_request_answered_byte_identical_under_ambient_matrix():
         finally:
             service.close()
 
-    armed = failpoints.active_failpoints()
+    armed = os.environ.get(ENV_VAR, "")
     with ServerThread(num_shards=2, respawn_budget=8) as plane:
         with plane.client(timeout=120.0) as client:
             for request, expected in zip(requests, reference):

@@ -7,6 +7,7 @@ byte-for-byte the SIGTERM drain.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -18,11 +19,12 @@ from repro.api.schema import (
     SweepResult,
 )
 from repro.api.service import RedService
-from repro.errors import ShardUnavailableError
+from repro.errors import ParameterError, ShardUnavailableError
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.client import ServingCallError
 from repro.serving.runner import ShardedRunner
+from repro.serving.server import ServingServer
 from repro.serving.testing import ServerThread
 from tests.serving.conftest import kill_shard
 
@@ -126,6 +128,53 @@ class TestWireProtocol:
         assert status == 400
         assert body["kind"] == "error_info"
         assert body["error_type"] == "SchemaError"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /healthz\r\n\r\n",
+            b"GET /healthz HTTP/1.1 trailing\r\n\r\n",
+            b"\r\n\r\n",
+            b"POST /v1/payload HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n",
+        ],
+        ids=["two-part-request-line", "four-part-request-line", "empty-request-line",
+             "body-over-the-cap"],
+    )
+    def test_malformed_framing_is_a_400_envelope_then_close(self, plane, raw):
+        with socket.create_connection(("127.0.0.1", plane.port), timeout=30) as sock:
+            sock.sendall(raw)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        info = json.loads(body)
+        assert (info["kind"], info["error_type"]) == ("error_info", "SchemaError")
+        assert info["source"] == "serving.http"
+
+    @pytest.mark.parametrize("attempt", ["banana", "-1"])
+    def test_bad_attempt_header_is_a_400_envelope(self, plane, attempt):
+        with plane.client() as client:
+            status, body = client._exchange(
+                "POST", "/v1/payload", body=json.dumps(SWEEP.to_dict()),
+                headers={"X-Red-Attempt": attempt},
+            )
+        assert status == 400
+        assert body["error_type"] == "SchemaError"
+        assert "X-Red-Attempt" in body["message"]
+
+    def test_v1_client_gets_a_v1_error_envelope(self, plane):
+        wire = {"kind": "sweep_request", "schema_version": 1, "strides": "x"}
+        with configured_failpoints(None), plane.client() as client:
+            status, body = client._exchange(
+                "POST", "/v1/payload", body=json.dumps(wire),
+                headers={"Content-Type": "application/json"},
+            )
+        assert status == 400
+        assert (body["kind"], body["error_type"]) == ("error_info", "SchemaError")
+        assert body["schema_version"] == 1
+        assert "retry_after_s" not in body
 
     def test_bad_deadline_header_is_a_400_envelope(self, plane):
         with plane.client() as client:
@@ -333,3 +382,54 @@ class TestDeadShards:
         for stride, point in points.items():
             assert point == expected[stride]
         assert plane.exit_code == 0
+
+
+class TestReadinessWithoutShards:
+    """``/readyz`` answers from the gate and the heartbeats alone."""
+
+    def test_draining_server_is_not_ready(self):
+        server = ServingServer(num_shards=1)
+        server.gate.begin_drain()
+        status, payload, _ = server._readyz()
+        assert status == 503
+        assert (payload["error_type"], payload["source"]) == (
+            "DrainingError", "serving.readyz",
+        )
+
+    def test_server_without_a_running_shard_is_not_ready(self):
+        status, payload, _ = ServingServer(num_shards=2)._readyz()
+        assert status == 503
+        assert payload["status"] == "no-running-shard"
+        assert [beat["alive"] for beat in payload["heartbeats"].values()] == [False, False]
+
+    @pytest.mark.parametrize("drain_timeout_s", [0, -1.0])
+    def test_non_positive_drain_timeout_rejected(self, drain_timeout_s):
+        with pytest.raises(ParameterError, match="drain_timeout_s"):
+            ServingServer(drain_timeout_s=drain_timeout_s)
+
+
+class TestDrainEdges:
+    def test_drain_closes_an_idle_keep_alive_connection(self):
+        with configured_failpoints(None):
+            running = ServerThread(num_shards=1, drain_timeout_s=0.5)
+            with running:
+                sock = socket.create_connection(("127.0.0.1", running.port), timeout=30)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+                head = sock.recv(65536)
+                assert head.startswith(b"HTTP/1.1 200 ")
+            # The drain ran with the connection idle and still open.
+            with sock:
+                assert sock.recv(65536) == b""
+        assert running.exit_code == 0
+
+    def test_drain_requested_before_start_is_remembered(self):
+        server = ServingServer(num_shards=1)
+        server.request_drain()
+        assert server._drain_started.is_set()
+
+    def test_drain_requested_after_exit_is_a_no_op(self):
+        with configured_failpoints(None):
+            with ServerThread(num_shards=1) as running:
+                pass
+        assert running.exit_code == 0
+        running.server.request_drain()  # the loop is closed: nothing to do

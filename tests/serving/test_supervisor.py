@@ -23,6 +23,8 @@ from repro.serving.runner import ShardedRunner
 from repro.serving.supervisor import (
     DEGRADED,
     RUNNING,
+    STARTING,
+    STOPPED,
     ShardSupervisor,
     _rebuild_error,
 )
@@ -84,6 +86,61 @@ class TestSupervisorCalls:
                 # The unresponsive process was reclaimed, not waited on.
                 assert sup.states()[0] == RUNNING
                 assert sup.call(0, JOBS) == run_design_jobs(list(JOBS))
+
+
+class TestHeartbeatAll:
+    def test_a_dead_shard_reads_dead_once_then_respawns(self):
+        with configured_failpoints(None):
+            with make_supervisor(num_shards=2) as sup:
+                kill_shard(sup, 1)
+                first = sup.heartbeat_all()
+                second = sup.heartbeat_all()
+        assert [first[0]["alive"], first[1]["alive"]] == [True, False]
+        assert first[1]["restarts"] == 1
+        assert first[1]["state"] == RUNNING
+        assert [beat["alive"] for beat in second.values()] == [True, True]
+        assert second[1]["stats"]["shard"] == 1
+
+
+class TestLifecycleEdges:
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"num_shards": 0}, "num_shards"),
+            ({"num_shards": -3}, "num_shards"),
+            ({"respawn_budget": -1}, "respawn_budget"),
+            ({"call_timeout_s": 0}, "call_timeout_s"),
+            ({"call_timeout_s": -2.5}, "call_timeout_s"),
+        ],
+        ids=["no-shards", "negative-shards", "negative-budget", "zero-timeout",
+             "negative-timeout"],
+    )
+    def test_bad_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            ShardSupervisor(**kwargs)
+
+    def test_unstarted_shard_refuses_calls_and_reports_dead(self):
+        sup = make_supervisor()
+        with pytest.raises(ShardUnavailableError, match="starting; retry shortly"):
+            sup.call(0, JOBS)
+        assert sup.heartbeat(0) == {
+            "shard": 0, "state": STARTING, "restarts": 0, "alive": False,
+        }
+
+    def test_start_is_idempotent(self):
+        with configured_failpoints(None):
+            with make_supervisor() as sup:
+                process = sup._shards[0].process
+                assert sup.start() is sup
+                assert sup._shards[0].process is process
+                assert sup.call(0, JOBS) == run_design_jobs(list(JOBS))
+
+    def test_stop_after_a_shard_died_reaps_cleanly(self):
+        sup = make_supervisor().start()
+        kill_shard(sup, 0)
+        sup.stop()
+        assert sup.states()[0] == STOPPED
+        assert sup._shards[0].process is None
 
 
 class TestShardedRunner:
@@ -290,6 +347,30 @@ class TestErrorRebuild:
             {"error_type": "Mystery", "message": "x", "retryable": False}, 0
         )
         assert type(exc) is ReproError
+
+    @pytest.mark.parametrize(
+        ("retryable", "expected"),
+        [(True, ShardUnavailableError), (False, ReproError)],
+        ids=["retryable", "permanent"],
+    )
+    def test_a_type_that_takes_no_message_degrades_by_retryability(
+        self, monkeypatch, retryable, expected
+    ):
+        import repro.errors
+
+        class NeedsTwoArguments(ReproError):
+            def __init__(self, message, detail):
+                super().__init__(message)
+
+        monkeypatch.setattr(
+            repro.errors, "NeedsTwoArguments", NeedsTwoArguments, raising=False
+        )
+        error = _rebuild_error(
+            {"error_type": "NeedsTwoArguments", "message": "boom", "retryable": retryable},
+            3,
+        )
+        assert type(error) is expected
+        assert str(error) == "shard-3: boom"
 
     def test_os_error_resolves_via_builtins(self):
         exc = _rebuild_error(

@@ -232,3 +232,16 @@ class TestBatchValidation:
         run = CycleEngine(spec, fold=1).run(*BatchEngine().operands_for(BatchJob(spec)))
         assert batch.results[0].counters == run.counters.as_dict()
         assert run.trace.count("sc_fire") == run.counters.get("sc_fire")
+
+
+class TestResolvedFold:
+    def test_auto_resolves_against_the_sub_crossbar_budget(self):
+        spec = DeconvSpec(4, 4, 2, 16, 16, 2, stride=8, padding=4)
+        job = BatchJob(spec, fold="auto")
+        assert job.resolved_fold() == choose_fold(spec) == 2
+        assert job.resolved_fold(max_sub_crossbars=64) == choose_fold(spec, 64) == 4
+
+    @pytest.mark.parametrize("fold", (1, 3))
+    def test_an_explicit_fold_is_kept(self, fold):
+        spec = DeconvSpec(4, 4, 2, 4, 4, 2, stride=2, padding=1)
+        assert BatchJob(spec, fold=fold).resolved_fold() == fold

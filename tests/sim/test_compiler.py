@@ -185,7 +185,6 @@ class TestScheduleCache:
             for group in compiled.tap_groups
         )
         assert entry.nbytes == compiled.nbytes == expected > 0
-        assert info.total_nbytes == expected
 
     def test_clear_releases_everything(self):
         compile_schedule(SMALL_SPECS[0], 1)

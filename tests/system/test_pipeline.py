@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.system.network_mapper import evaluate_network
-from repro.system.pipeline import pipeline_network, pipeline_network_sweep
+from repro.system.pipeline import pipeline_network
 from repro.workloads.networks import SNGANGenerator
 
 
@@ -60,23 +60,3 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             pipeline_network(evaluation, "RED", batch=0)
 
-
-class TestPipelineNetworkSweep:
-    @pytest.fixture(scope="class")
-    def network(self):
-        return SNGANGenerator(base_size=4, rng=np.random.default_rng(0))
-
-    def test_matches_direct_pipeline_reports(self, network, evaluation):
-        reports = pipeline_network_sweep(network, batch=8)
-        assert set(reports) == {"zero-padding", "padding-free", "RED"}
-        for design, report in reports.items():
-            direct = pipeline_network(evaluation, design, batch=8)
-            assert report.stage_latencies == direct.stage_latencies
-            assert report.energy_per_sample == direct.energy_per_sample
-            assert report.batch == direct.batch
-
-    def test_design_subset(self, network, evaluation):
-        reports = pipeline_network_sweep(network, designs=("RED",), batch=4)
-        assert list(reports) == ["RED"]
-        direct = pipeline_network(evaluation, "RED", batch=4)
-        assert reports["RED"].stage_latencies == direct.stage_latencies

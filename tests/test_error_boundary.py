@@ -58,14 +58,3 @@ class TestBoundaryCatches:
 
         with pytest.raises(ReproError):
             red_cycle_count(DeconvSpec(2, 2, 2, 2, 2, 2, stride=2), fold=0)
-
-    def test_reference_alias_matches(self, rng):
-        from repro.deconv.reference import conv_transpose2d, deconv_output_reference
-        from repro.deconv.shapes import DeconvSpec
-
-        spec = DeconvSpec(3, 3, 2, 2, 2, 2, stride=2)
-        x = rng.standard_normal(spec.input_shape)
-        w = rng.standard_normal(spec.kernel_shape)
-        np.testing.assert_array_equal(
-            deconv_output_reference(x, w, spec), conv_transpose2d(x, w, spec)
-        )

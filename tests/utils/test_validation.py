@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.utils.validation import (
-    check_in_choices,
     check_non_negative_int,
     check_positive_float,
     check_positive_int,
@@ -81,12 +80,3 @@ class TestProbability:
     def test_rejects_non_number(self):
         with pytest.raises(ParameterError, match="p must be a number, got 'half'"):
             check_probability("half", "p")
-
-
-class TestChoices:
-    def test_accepts_member(self):
-        assert check_in_choices("a", "x", ("a", "b")) == "a"
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ParameterError):
-            check_in_choices("c", "x", ("a", "b"))

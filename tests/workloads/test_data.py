@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.workloads.data import (
-    feature_map_batch,
-    latent_batch,
-    layer_input,
-    layer_kernel,
-)
+from repro.workloads.data import latent_batch, layer_input, layer_kernel
 from repro.workloads.specs import get_layer
 
 
@@ -26,19 +21,6 @@ class TestLatents:
     def test_rejects_bad_batch(self):
         with pytest.raises(ParameterError):
             latent_batch(0, 8)
-
-
-class TestFeatureMaps:
-    def test_nonneg_default(self):
-        x = feature_map_batch(2, 3, 4, 4)
-        assert x.min() >= 0.0
-
-    def test_signed_option(self):
-        x = feature_map_batch(2, 3, 16, 16, nonneg=False, seed=3)
-        assert x.min() < 0.0
-
-    def test_shape(self):
-        assert feature_map_batch(2, 5, 6, 7).shape == (2, 5, 6, 7)
 
 
 class TestLayerTensors:

@@ -68,8 +68,8 @@ class TestShapesWithoutWeights:
         try:
             network = build_network("SNGAN", seed=0)
             if read:
-                network.state_dict()
-            layer = weakref.ref(network.benchmark_layer())
+                list(network.parameters())
+            layer = weakref.ref(network.block1[0])
             del network
             assert layer() is None
         finally:
@@ -80,12 +80,9 @@ class TestShapesWithoutWeights:
 READS = {
     "root _parameters": lambda net: net._parameters,
     "child _parameters": lambda net: net.project[1]._parameters["running_var"],
-    "weight": lambda net: net.benchmark_layer().weight,
+    "weight": lambda net: net.block1[0].weight,
     "bias": lambda net: net.to_rgb[0].bias,
     "parameters()": lambda net: next(net.parameters()),
-    "named_parameters()": lambda net: list(net.named_parameters()),
-    "num_parameters()": lambda net: net.num_parameters(),
-    "state_dict()": lambda net: net.state_dict(),
     "forward": lambda net: net(latent_batch(1, net.latent_dim)),
 }
 
@@ -99,7 +96,7 @@ class TestFirstReadDrawsGoldenWeights:
 
     def test_default_seed_and_largest_network(self):
         network = build_network("DCGAN")
-        layer = network.benchmark_layer()
+        layer = network.block2[0]
         assert layer.weight is layer.weight  # drawn once, then stable
         assert weight_digest(network) == NETWORK_DIGESTS["DCGAN", None]
 
@@ -115,7 +112,9 @@ class TestFirstReadDrawsGoldenWeights:
 
     def test_writes_after_the_draw_stick(self):
         network = build_network("SNGAN", seed=0)
-        network.load_state_dict(build_network("SNGAN", seed=1).state_dict())
+        source = build_network("SNGAN", seed=1)
+        for target, value in zip(network.parameters(), source.parameters()):
+            target[...] = value
         assert weight_digest(network) == NETWORK_DIGESTS["SNGAN", 1]
 
 
@@ -166,14 +165,14 @@ class TestConcurrentReads:
             return construct(name, rng)
 
         monkeypatch.setattr(networks, "_construct", counted)
-        reads = ("weight", "state_dict()", "forward", "child _parameters")
+        reads = ("weight", "parameters()", "forward", "child _parameters")
         barrier = threading.Barrier(len(reads), timeout=60)
         seen = {}
 
         def first_read(read):
             barrier.wait()
             READS[read](network)
-            seen[read] = (id(network.benchmark_layer().weight), weight_digest(network))
+            seen[read] = (id(network.block1[0].weight), weight_digest(network))
 
         run_threads(first_read, [(read,) for read in reads])
         assert draws == ["SNGAN"]

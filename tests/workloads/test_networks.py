@@ -23,7 +23,7 @@ class TestGenerators:
         assert np.abs(out).max() <= 1.0  # tanh output
 
     def test_dcgan_benchmark_layer_matches_table1(self):
-        layer = DCGANGenerator().benchmark_layer()
+        layer = DCGANGenerator().block2[0]
         spec = layer.deconv_spec(8, 8)
         assert spec.kernel_shape == get_layer("GAN_Deconv1").spec.kernel_shape
         assert spec.output_shape == get_layer("GAN_Deconv1").spec.output_shape
@@ -33,7 +33,7 @@ class TestGenerators:
         assert gen(latent_batch(1, gen.latent_dim)).shape == (1, 3, 32, 32)
 
     def test_improved_gan_benchmark_layer(self):
-        spec = ImprovedGANGenerator().benchmark_layer().deconv_spec(4, 4)
+        spec = ImprovedGANGenerator().block1[0].deconv_spec(4, 4)
         assert spec.kernel_shape == get_layer("GAN_Deconv2").spec.kernel_shape
         assert spec.output_shape == get_layer("GAN_Deconv2").spec.output_shape
 
@@ -46,8 +46,8 @@ class TestGenerators:
         assert gen(latent_batch(1, gen.latent_dim)).shape == (1, 3, 48, 48)
 
     def test_sngan_benchmark_layers(self):
-        cifar = SNGANGenerator(base_size=4).benchmark_layer().deconv_spec(4, 4)
-        stl = SNGANGenerator(base_size=6).benchmark_layer().deconv_spec(6, 6)
+        cifar = SNGANGenerator(base_size=4).block1[0].deconv_spec(4, 4)
+        stl = SNGANGenerator(base_size=6).block1[0].deconv_spec(6, 6)
         assert cifar.output_shape == get_layer("GAN_Deconv3").spec.output_shape
         assert stl.output_shape == get_layer("GAN_Deconv4").spec.output_shape
 
@@ -70,18 +70,10 @@ class TestFCN:
         assert out.shape == (1, 21, 568, 568)
 
     def test_benchmark_layers_match_table1(self):
-        up2, up8 = FCN8sDecoder().benchmark_layers()
+        head = FCN8sDecoder()
+        up2, up8 = head.upscore2, head.upscore8
         assert up2.deconv_spec(16, 16).output_shape == get_layer("FCN_Deconv1").spec.output_shape
         assert up8.deconv_spec(70, 70).output_shape == get_layer("FCN_Deconv2").spec.output_shape
-
-    def test_skip_fusion_path(self):
-        head = FCN8sDecoder()
-        rng = np.random.default_rng(1)
-        fr = rng.standard_normal((1, 21, 16, 16))
-        p4 = rng.standard_normal((1, 21, 40, 40))
-        p3 = rng.standard_normal((1, 21, 80, 80))
-        out = head.forward_scores(fr, p4, p3)
-        assert out.shape == (1, 21, 568, 568)
 
     def test_bilinear_initialization(self):
         head = FCN8sDecoder()

@@ -28,10 +28,6 @@ class TestTableI:
         assert layer.spec.kernel_shape == kernel
         assert layer.spec.stride == stride
 
-    def test_gan_fcn_classification(self):
-        assert all(get_layer(n).is_gan for n in layer_names() if n.startswith("GAN"))
-        assert all(get_layer(n).is_fcn for n in layer_names() if n.startswith("FCN"))
-
     def test_networks_and_datasets(self):
         assert get_layer("GAN_Deconv1").network == "DCGAN"
         assert get_layer("GAN_Deconv1").dataset == "LSUN"

@@ -3,8 +3,8 @@
 The trained-weight paths (``repro.nn`` forward passes, the functional
 simulations) must read exactly the weights each network has always
 drawn for its seed.  Each digest is a SHA-256 over the network's
-``named_parameters()``: every name, dtype, shape and the raw bytes, in
-order.  A change to how or when weights are drawn that moves a single
+parameters, depth-first: every dotted name, dtype, shape and the raw
+bytes, in order.  A change to how or when weights are drawn that moves a single
 bit, or consumes a caller's Generator differently, fails here.
 """
 
@@ -54,10 +54,18 @@ CLASS_BUILDERS = {
 NEXT_RANDOM_AFTER_DCGAN = 0.21530923445201477
 
 
+def named_parameters(module, prefix=""):
+    """``(dotted name, array)`` of every parameter of a module tree, depth-first."""
+    for name, value in module._parameters.items():
+        yield f"{prefix}{name}", value
+    for child_name, child in module._children.items():
+        yield from named_parameters(child, f"{prefix}{child_name}.")
+
+
 def weight_digest(module) -> str:
     """SHA-256 over every ``(name, dtype, shape, bytes)`` of a module tree."""
     digest = hashlib.sha256()
-    for name, value in module.named_parameters():
+    for name, value in named_parameters(module):
         digest.update(f"{name}|{value.dtype.str}|{value.shape}|".encode())
         digest.update(np.ascontiguousarray(value).data)
     return digest.hexdigest()
