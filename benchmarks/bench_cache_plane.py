@@ -8,9 +8,9 @@ results — became the bottleneck.  This module gates both tiers of the
 1. **Memory tier** on the ~10k-job stride-sweep grid
    (``bench_sweep_vectorized.build_grid``): cold through the vectorized
    plane (`run_design_jobs`, no cache) against a warm store
-   (batched :func:`~repro.eval.parallel.job_keys` + one ``get_many``
-   against the in-memory LRU hit tier).  Gate: the warm path must be
-   **>= 3x** the cold jobs/s, with byte-identical results.
+   (batched :func:`~repro.eval.parallel.metrics_keys` value keys + one
+   ``get_many`` against the in-memory LRU hit tier).  Gate: the warm
+   path must be **>= 3x** the cold jobs/s, with byte-identical results.
 2. **Disk tier**, per kind the store writes to disk (analytic metrics
    stay in the memory tier, because they recompute faster than a disk
    read decodes them): a warm read through a reopened store with the

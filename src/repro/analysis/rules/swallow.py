@@ -33,10 +33,12 @@ BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
 
 
 def _catches_broadly(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler's type clause includes Exception/BaseException."""
+    """Whether the handler's type clause includes Exception/BaseException.
+
+    Only called on typed handlers: :meth:`SwallowRule.check` reports a
+    bare ``except:`` first.
+    """
     clause = handler.type
-    if clause is None:
-        return True
     candidates = clause.elts if isinstance(clause, ast.Tuple) else [clause]
     return any(
         isinstance(entry, ast.Name) and entry.id in BROAD_EXCEPTION_NAMES

@@ -164,11 +164,7 @@ def fold_tap_slots(spec, fold: int) -> tuple[tuple[int | None, ...], ...]:
 def fold_sct(sct: SubCrossbarTensor, fold: int) -> FoldedSCT:
     """Stack taps ``fold``-deep into physical SCs (Eq. 2 geometry)."""
     tap_slots = fold_tap_slots(sct.spec, fold)
-    c, m, taps = sct.data.shape
-    if taps != sct.spec.num_kernel_taps:
-        raise MappingError(
-            f"SCT holds {taps} taps but the spec has {sct.spec.num_kernel_taps}"
-        )
+    c, m, _ = sct.data.shape
     data = np.zeros((fold * c, m, len(tap_slots)), dtype=sct.data.dtype)
     for n, slots in enumerate(tap_slots):
         for f, tap in enumerate(slots):

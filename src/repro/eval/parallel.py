@@ -9,12 +9,17 @@ in-process execution substrate for those lists:
 
 1. :func:`job_key` / :func:`job_keys` (and the fidelity pair) — a
    SHA-256 over the canonical field-by-field representation of a job,
-   a schema version and a payload *kind*.  Changing *any* field of the
-   spec or of :class:`~repro.arch.tech.TechnologyParams` changes the
-   key, so stale results can never be served after a calibration tweak
-   (``tests/eval/test_sweep_cache.py``).  The batched forms share one
-   memo loop (:func:`_hashed_keys`) and are property-tested equal to
-   the scalar forms (``tests/eval/test_store.py``).
+   a schema version and a payload *kind*: the keys of the kinds the
+   store persists (cycle traces, fidelity samples).  Changing *any*
+   field of the spec or of :class:`~repro.arch.tech.TechnologyParams`
+   changes the key, so stale results can never be served after a
+   calibration tweak (``tests/eval/test_sweep_cache.py``).  The batched
+   forms share one memo loop (:func:`_hashed_keys`) and are
+   property-tested equal to the scalar forms
+   (``tests/eval/test_store.py``).  Analytic metrics live only in the
+   store's memory tier, which needs no stable hash, so
+   :func:`metrics_keys` keys them by value instead, grouping jobs
+   exactly as :func:`job_keys` does.
 2. :func:`_run_pipeline` — the one pipeline behind every runner.  With
    a :class:`~repro.eval.store.PackedSweepStore` it makes one batched
    probe (keys + ``get_many``); misses are deduped (by store key, or
@@ -22,6 +27,10 @@ in-process execution substrate for those lists:
    partition), the deadline is checked, one compute step runs under
    the :class:`~repro.reliability.policy.RetryPolicy`, one ``put_many``
    publishes, and each result fans out relabelled per requesting job.
+   The key/token build and each compute attempt run with CPython's
+   cycle collector paused (:func:`_collector_paused`): they build large
+   batches of objects that hold no reference cycles, which the
+   collector would otherwise rescan many times over.
    Results come back in job order, byte-identical regardless of route
    or store temperature (``tests/properties/test_parallel_determinism.py``).
 3. The runners supply their compute step: :func:`run_design_jobs`
@@ -40,8 +49,12 @@ design dispatch here.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import os
+import threading
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.registry import get_design, resolve_design
@@ -300,22 +313,41 @@ def _design_heads(jobs: Sequence[DesignJob]) -> list[tuple[str, type, object]]:
     return heads
 
 
+def _tech_segments(jobs: Sequence) -> list[str]:
+    """The ``type name|field=value|...`` technology segment per job.
+
+    Memoized by identity+value: a sweep has thousands of jobs but a
+    handful of techs, so the 30-field walk runs once per distinct
+    value, and value-equal jobs share one string object.
+    """
+    by_id: dict[int, str] = {}
+    by_value: dict[TechnologyParams, str] = {}
+    segments: list[str] = []
+    for job in jobs:
+        tech = job.tech
+        segment = by_id.get(id(tech))
+        if segment is None:
+            segment = by_value.get(tech)
+            if segment is None:
+                walked = (f"{f.name}={getattr(tech, f.name)!r}" for f in fields(tech))
+                segment = by_value[tech] = "|".join((type(tech).__name__, *walked))
+            by_id[id(tech)] = segment
+        segments.append(segment)
+    return segments
+
+
 def _hashed_keys(jobs: Sequence, heads: Sequence[str]) -> list[str]:
     """SHA-256 of ``head + spec segment + tech segment`` per job.
 
     The memo loop both batched key functions share: spec segments are
-    built struct-of-arrays over the unique specs and the 30-field
-    technology segment is memoized by identity+value (a sweep has
-    thousands of jobs but a handful of techs), so the per-job work is
+    built struct-of-arrays over the unique specs and the technology
+    segment comes from :func:`_tech_segments`, so the per-job work is
     one string concatenation plus one SHA-256.
     """
     spec_by_id: dict[int, int] = {}
     spec_slots: dict[DeconvSpec, int] = {}
     unique_specs: list[DeconvSpec] = []
-    tech_by_id: dict[int, str] = {}
-    tech_by_value: dict[TechnologyParams, str] = {}
     slots: list[int] = []
-    tech_segments: list[str] = []
     for job in jobs:
         spec = job.spec
         slot = spec_by_id.get(id(spec))
@@ -326,21 +358,11 @@ def _hashed_keys(jobs: Sequence, heads: Sequence[str]) -> list[str]:
                 unique_specs.append(spec)
             spec_by_id[id(spec)] = slot
         slots.append(slot)
-
-        tech = job.tech
-        segment = tech_by_id.get(id(tech))
-        if segment is None:
-            segment = tech_by_value.get(tech)
-            if segment is None:
-                walked = (f"{f.name}={getattr(tech, f.name)!r}" for f in fields(tech))
-                segment = tech_by_value[tech] = "|".join((type(tech).__name__, *walked))
-            tech_by_id[id(tech)] = segment
-        tech_segments.append(segment)
     spec_segments = _spec_key_segments(unique_specs)
     sha256 = hashlib.sha256
     return [
         sha256((head + spec_segments[slot] + tech).encode("utf-8")).hexdigest()
-        for head, slot, tech in zip(heads, slots, tech_segments)
+        for head, slot, tech in zip(heads, slots, _tech_segments(jobs))
     ]
 
 
@@ -362,6 +384,39 @@ def job_keys(jobs: Sequence[DesignJob], kind: str = METRICS_KIND) -> list[str]:
             text = memo[head] = f"{prefix}{head[0]}|fold={head[2]!r}|"
         heads.append(text)
     return _hashed_keys(jobs, heads)
+
+
+#: A plain spec's nine int fields, read as one tuple in C.
+_SPEC_FIELDS = attrgetter(*(f.name for f in fields(DeconvSpec)))
+
+
+def metrics_keys(jobs: Sequence[DesignJob]) -> list[tuple]:
+    """Value keys of analytic metrics jobs, for the store's memory tier.
+
+    ``(design head, spec values, tech segment)`` per job: the canonical
+    design and fold of :func:`_design_heads`, a plain
+    :class:`DeconvSpec`'s nine ints (a subclass keys as the spec object
+    itself, so it never meets a plain spec), and the per-call technology
+    segment of :func:`_tech_segments`.  Every part hashes in C, and jobs
+    fall into exactly the groups :func:`job_keys` puts them in
+    (property-tested in ``tests/eval/test_store.py``).  Metrics never
+    reach disk, so their keys need no stable hash and no kind: no
+    persisted kind's key is a tuple.  Equal heads and spec values share
+    one tuple, so a key the memory tier holds costs less than a 64-hex
+    string.
+    """
+    heads: dict[tuple, tuple] = {}
+    spec_values: dict[int, object] = {}
+    keys = []
+    for head, job, tech in zip(_design_heads(jobs), jobs, _tech_segments(jobs)):
+        spec = job.spec
+        value = spec_values.get(id(spec))
+        if value is None:
+            value = spec_values[id(spec)] = (
+                _SPEC_FIELDS(spec) if type(spec) is DeconvSpec else spec
+            )
+        keys.append((heads.setdefault(head, head), value, tech))
+    return keys
 
 
 def fidelity_job_key(job: FidelityJob, kind: str = FIDELITY_KIND) -> str:
@@ -479,9 +534,44 @@ def _is_store(cache) -> bool:
     return hasattr(cache, "get_many") and hasattr(cache, "put_many")
 
 
+#: Makes "read the collector's state, then disable it" one step against
+#: another thread's re-enable.  Held across ``fork`` so that no child
+#: inherits it locked.
+_COLLECTOR_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # POSIX: the only platforms that fork
+    os.register_at_fork(
+        before=_COLLECTOR_LOCK.acquire,
+        after_in_parent=_COLLECTOR_LOCK.release,
+        after_in_child=_COLLECTOR_LOCK.release,
+    )
+
+
+def _collector_paused(fn: Callable, *args):
+    """``fn(*args)`` with CPython's cycle collector paused.
+
+    The pipeline's keys, tokens and result rows hold no reference
+    cycles, so the pause defers no collectable garbage: it only keeps
+    the collector from rescanning those batches again and again while
+    they grow.  The collector comes back on exit only if it was on at
+    entry, so a caller's own ``gc.disable()`` survives.  Without the
+    lock, a pause that began while another thread's pause was ending
+    could read "off", disable after that thread's re-enable, and leave
+    the collector off for good.
+    """
+    with _COLLECTOR_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            with _COLLECTOR_LOCK:
+                gc.enable()
+
+
 def _run_pipeline(
     name: str, jobs: Sequence, kind: str, cache,
-    keys: Callable[[Sequence, str], list[str]],
+    keys: Callable[[Sequence], list],
     tokens: Callable[[Sequence], list],
     compute: Callable[[list, Deadline], list],
     timeout: float | None, retry_policy: RetryPolicy | None,
@@ -496,6 +586,11 @@ def _run_pipeline(
     never per job; identical jobs are computed once and fanned out
     relabelled per requesting job.  ``compute`` runs once, after a
     deadline check, under ``retry_policy``.
+
+    The key/token build and each compute attempt run with the cycle
+    collector paused (:func:`_collector_paused`); ``get_many``,
+    ``put_many``, the fan-out and the retry policy's backoff sleeps run
+    outside the pause.
     """
     if cache is not None and not _is_store(cache):
         # A store built per call would hold no analytic metric beyond
@@ -512,7 +607,7 @@ def _run_pipeline(
     if not jobs:
         return results
     if cache is not None:
-        all_keys = keys(jobs, kind)
+        all_keys = _collector_paused(keys, jobs)
         pending = []
         for index, value in enumerate(cache.get_many(all_keys, kind)):
             if value is None:
@@ -524,7 +619,7 @@ def _run_pipeline(
         group_keys = [all_keys[index] for index in pending]
     else:
         pending = range(len(jobs))
-        group_keys = tokens(jobs)
+        group_keys = _collector_paused(tokens, jobs)
     # Dedupe into one key -> slot dict and a flat slot per pending job:
     # no per-key list survives into the compute step to be walked by
     # the garbage collector.
@@ -539,7 +634,7 @@ def _run_pipeline(
         slots.append(slot)
     deadline.check(name)
     policy = retry_policy or DEFAULT_RETRY_POLICY
-    computed = policy.call(lambda: compute(unique, deadline))
+    computed = policy.call(lambda: _collector_paused(compute, unique, deadline))
     if cache is not None:
         # One batched publish: a single put_many (one atomic index
         # publish on the packed store) instead of one write per job.
@@ -600,8 +695,9 @@ def run_design_jobs(
             :class:`~repro.errors.ParameterError` (open one with
             ``RedService(cache=path)``).  Metrics enter the store's
             memory tier only (recomputing one is cheaper than reading
-            it back from disk), so the store serves in-process repeats
-            without recomputing, and a reopened store recomputes.
+            it back from disk), under :func:`metrics_keys` value keys,
+            so the store serves in-process repeats without
+            recomputing, and a reopened store recomputes.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
             plane (:mod:`repro.eval.vectorized`), one fused batch per
@@ -616,9 +712,9 @@ def run_design_jobs(
 
     Returns:
         ``DesignMetrics`` in the same order as ``jobs``, independent of
-        route and store state.  Jobs sharing a :func:`job_key`
-        (identical shape/tech, labels aside) are evaluated once and the
-        result fanned out relabelled.
+        route and store state.  Jobs sharing a :func:`metrics_keys`
+        key (identical shape/tech, labels aside) are evaluated once and
+        the result fanned out relabelled.
     """
     if num_workers != 1:
         raise ParameterError(
@@ -627,7 +723,7 @@ def run_design_jobs(
             "process parallelism"
         )
     return _run_pipeline(
-        "run_design_jobs", jobs, METRICS_KIND, cache, job_keys, _design_tokens,
+        "run_design_jobs", jobs, METRICS_KIND, cache, metrics_keys, _design_tokens,
         lambda unique, deadline: _evaluate_metrics(unique, deadline, vectorized),
         timeout, retry_policy,
     )
@@ -695,7 +791,7 @@ def run_cycle_jobs(
     ]
     stats = _run_pipeline(
         "run_cycle_jobs", [jobs[index] for index in traceable], CYCLES_KIND,
-        cache, job_keys, _design_tokens,
+        cache, lambda unique: job_keys(unique, CYCLES_KIND), _design_tokens,
         _cycle_stats, timeout, retry_policy,
     )
     results: list[CycleStats | None] = [None] * len(jobs)

@@ -26,9 +26,16 @@ analytic metrics live in the memory tier alone:
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.  Every ``put_many``
   fills it, and for analytic metrics it is the whole store: a metrics
-  batch is never pickled, written or indexed, so it serves repeats for
-  as long as the store object lives.  Metrics an older store wrote to
-  disk still read back as hits.
+  batch is never pickled, written or indexed, and a metrics probe never
+  reads the index, so the tier serves repeats for as long as the store
+  object lives.  Metrics an older store wrote to disk are ignored.
+
+Keys: the persisted kinds take 64-hex-digit SHA-256 keys
+(:func:`~repro.eval.parallel.job_keys`,
+:func:`~repro.eval.parallel.fidelity_job_keys`), whose raw 32 bytes
+address the index.  The memory-only metrics kind takes the hashable
+value keys of :func:`~repro.eval.parallel.metrics_keys`, which no
+process outside the one holding the store ever has to reproduce.
 
 Segment names are opaque to readers: the index manifest names every
 segment and an index rebuild scans every ``seg-*.seg`` file, so stores
@@ -43,10 +50,9 @@ rewrite each time and accretes small segments; segment compaction is
 future work (see ROADMAP).
 
 The store is key-addressed and payload-kind aware but job-agnostic:
-:func:`~repro.eval.parallel.job_keys` produces the keys, and the
-runners in :mod:`repro.eval.parallel` drive ``get_many`` /
-``put_many`` exactly once per call.  Those two calls are its whole
-read/write interface.
+:mod:`repro.eval.parallel` produces the keys, and its runners drive
+``get_many`` / ``put_many`` exactly once per call.  Those two calls are
+its whole read/write interface.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 try:  # pragma: no cover - always available on the supported platforms
     import fcntl
@@ -140,6 +146,11 @@ class PackedSweepStore:
     """Batched sweep result store: on-disk segments for the kinds worth
     persisting, an in-memory hit tier for every kind.
 
+    Persisted kinds (cycles, fidelity) take 64-hex SHA-256 keys; the
+    memory-only metrics kind takes value keys
+    (:func:`~repro.eval.parallel.metrics_keys`) and never reads the
+    disk, so metrics an older store wrote there are ignored.
+
     Args:
         directory: store root; created if missing.
         memory_entries: LRU hit-tier capacity in entries (``0``
@@ -189,7 +200,7 @@ class PackedSweepStore:
         self._index: dict[bytes, tuple[int, int, int]] = {}
         self._index_stamp: tuple[int, int] | None = None
         self._mmaps: dict[str, mmap.mmap] = {}
-        self._memory: OrderedDict[str, object] = OrderedDict()
+        self._memory: OrderedDict[Hashable, object] = OrderedDict()
         #: Keys whose payload decoded as corrupt, mapped to the index
         #: location observed bad: dropped from the live index
         #: immediately and scrubbed from the on-disk index at the next
@@ -203,17 +214,19 @@ class PackedSweepStore:
     # ------------------------------------------------------------------
     # Batch protocol (what run_design_jobs / run_cycle_jobs speak)
     # ------------------------------------------------------------------
-    def get_many(self, keys: Sequence[str], kind: str = METRICS_KIND) -> list:
+    def get_many(self, keys: Sequence[Hashable], kind: str = METRICS_KIND) -> list:
         """Stored payloads per key, in key order (``None`` per miss).
 
         Payloads come back exactly as stored; relabelling is the
-        caller's concern.  Lookups hit the LRU tier first, then the
-        offset index + mmap'd segments; disk hits populate the tier so
-        the next sweep stays in memory.  A corrupt or shape-skewed
-        payload counts in :attr:`corrupt`, drops out of the live index
-        (so the slot is rewritten) and reads as a miss.
+        caller's concern.  Lookups hit the LRU tier first, then, for a
+        persisted kind only, the offset index + mmap'd segments; disk
+        hits populate the tier so the next sweep stays in memory.  A
+        corrupt or shape-skewed payload counts in :attr:`corrupt`,
+        drops out of the live index (so the slot is rewritten) and
+        reads as a miss.
         """
         expected = _KIND_PAYLOADS[kind]
+        persisted = kind in _PERSISTED_KINDS
         results: list = [None] * len(keys)
         # Phase 1 (tier lock): memory probes, index lookups, raw mmap
         # slices.  In-batch duplicate keys share one pending slot so the
@@ -236,6 +249,9 @@ class PackedSweepStore:
                     move_to_end(key)
                     served += 1
                     results[position] = value
+                    continue
+                if not persisted:
+                    missed += 1
                     continue
                 slot = pending.get(key)
                 if slot is not None:
@@ -298,7 +314,7 @@ class PackedSweepStore:
         return results
 
     def put_many(
-        self, entries: Iterable[tuple[str, object]], kind: str = METRICS_KIND
+        self, entries: Iterable[tuple[Hashable, object]], kind: str = METRICS_KIND
     ) -> int:
         """Store ``(key, payload)`` pairs as one batch.
 
@@ -713,7 +729,7 @@ class PackedSweepStore:
         self._index.pop(raw, None)
         self._dead[raw] = location
 
-    def _memory_insert_locked(self, key: str, value: object) -> None:
+    def _memory_insert_locked(self, key: Hashable, value: object) -> None:
         if self.memory_entries == 0:
             return
         memory = self._memory

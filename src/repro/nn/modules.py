@@ -76,12 +76,6 @@ class Module:
         for child in self._children.values():
             yield from child.modules()
 
-    def parameters(self) -> Iterator[np.ndarray]:
-        """Yield all parameter arrays, depth-first."""
-        yield from self._parameters.values()
-        for child in self._children.values():
-            yield from child.parameters()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -303,7 +297,7 @@ def defer_weights(tree: Module, draw: Callable[[], Module]) -> Module:
     ``tree`` carries the layer shapes (built with ``rng=SHAPES_ONLY``);
     ``draw`` builds the same tree eagerly, real weights included.  The
     first read of any parameter anywhere in the tree — ``_parameters``,
-    ``weight``, ``parameters()``, a forward pass, pickling — runs
+    ``weight``, a forward pass, pickling — runs
     ``draw`` once under a lock; each module then reads the parameters of
     the drawn module at its depth-first position.  Concurrent first
     readers wait for that one draw.  Walking the tree's children and

