@@ -373,9 +373,12 @@ class PackedSweepStore:
         with self._lock:
             return len(self._index)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            return key in self._memory or _key_bytes(key) in self._index
+            if key in self._memory:
+                return True
+            # Only a persisted kind's 64-hex key can name an index row.
+            return isinstance(key, str) and _key_bytes(key) in self._index
 
     def memory_size(self) -> int:
         """Entries currently held by the LRU hit tier."""

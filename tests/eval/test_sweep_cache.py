@@ -133,6 +133,9 @@ class TestCacheLifecycle:
         assert (cache.stores, len(cache), cache.memory_size()) == (0, 0, 2)
         keys = [job_key(job) for job in jobs]
         assert PackedSweepStore(tmp_path).get_many(keys) == [None, None]
+        value_keys = metrics_keys(jobs)
+        assert all(key in cache for key in value_keys)
+        assert not any(key in PackedSweepStore(tmp_path) for key in value_keys)
 
     def test_repeat_on_the_same_store_is_all_memory_hits(self, tmp_path, monkeypatch):
         import repro.eval.vectorized as vectorized_plane
