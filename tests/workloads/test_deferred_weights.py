@@ -112,9 +112,9 @@ class TestFirstReadDrawsGoldenWeights:
     def test_writes_after_the_draw_stick(self):
         network = build_network("SNGAN", seed=0)
         source = build_network("SNGAN", seed=1)
-        for target, value in zip(network.modules(), source.modules()):
-            for name, array in value._parameters.items():
-                target._parameters[name][...] = array
+        for into, read_from in zip(network.modules(), source.modules()):
+            for name, array in read_from._parameters.items():
+                into._parameters[name][...] = array
         assert weight_digest(network) == NETWORK_DIGESTS["SNGAN", 1]
 
 
