@@ -12,9 +12,10 @@ a :class:`RedService`, and get a frozen result back::
         print(result.metrics_for("RED").latency.total)
 
 A store persists only what a read beats recomputing: the RED cycle
-trace above and fidelity-sweep samples reach ``~/.cache/red``, while
-the analytic metrics stay in the store's memory tier and are
-recomputed by the next process.
+trace above and fidelity-sweep samples reach ``~/.cache/red``.  The
+analytic metrics never reach the store: every service keeps them in
+its own memo, so a repeat is served in-process and the next process
+recomputes.
 
 Internally every path — :meth:`~RedService.evaluate`,
 :meth:`~RedService.sweep`, :meth:`~RedService.evaluate_network`, plus
@@ -24,9 +25,14 @@ the library-level helpers :meth:`~RedService.grid`,
 :func:`repro.eval.sweeps.stride_speedup_sweep` and
 :func:`repro.system.network_mapper.evaluate_network` delegate to —
 flattens the work into :class:`~repro.eval.parallel.DesignJob` entries
-and routes them through :func:`~repro.eval.parallel.run_design_jobs`,
-the single in-process evaluation substrate (vectorized plane + the
-:class:`~repro.eval.store.PackedSweepStore`'s memory tier).
+and routes them through the service's analytic memo to
+:func:`~repro.eval.parallel.run_design_jobs`, the single in-process
+evaluation substrate.  Latency, energy and area are closed-form in
+(design, fold, spec, technology), so the memo keys each job by that
+value (:func:`~repro.eval.parallel.metrics_keys`) and sends only the
+jobs it does not hold to the runner: a bounded LRU of
+``MEMO_CAPACITY`` rows, each packed into 224 bytes and rebuilt with
+the requesting job's label on a hit.
 ``trace=True`` requests additionally run
 :func:`~repro.eval.parallel.run_cycle_jobs`, which reads each RED job's
 cycle-level :class:`~repro.eval.parallel.CycleStats` off its compiled
@@ -39,13 +45,16 @@ is the serving plane's job: it injects a sharded ``design_runner``.
 Concurrency
 -----------
 The request handlers may be called from many threads at once, as the
-serving plane's executor does: job execution is pure, and store writes
-are atomic.  The service itself starts no threads.
+serving plane's executor does: job execution is pure, store writes are
+atomic, and one lock guards the memo's probe and insert.  The service
+itself starts no threads.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 
 from repro.api.registry import available_designs, baseline_design, resolve_design
 from repro.api.schema import (
@@ -62,6 +71,7 @@ from repro.api.schema import (
     SweepRequest,
     SweepResult,
 )
+from repro.arch.metrics_batch import pack_metrics, unpack_metrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError, SchemaError
@@ -69,12 +79,90 @@ from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
     _is_store,
+    metrics_keys,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
 from repro.reliability.policy import is_retryable
+
+#: Analytic rows each service's memo holds, least recently used evicted
+#: first.  A row costs about 0.6 KB held (224 packed bytes, its value
+#: key and its LRU link), so a full memo is about 2.5 MB.
+MEMO_CAPACITY = 4096
+
+
+class _MetricsMemo:
+    """A bounded LRU of analytic rows, keyed by value, in front of a runner.
+
+    Keys are :func:`~repro.eval.parallel.metrics_keys`, equal across
+    calls for equal (design, fold, spec, technology) whatever the
+    label.  Each value is the row's numbers as
+    :func:`~repro.arch.metrics_batch.pack_metrics` bytes, which the
+    cycle collector does not track; a hit is rebuilt with the key's
+    design and the requesting job's label through the assembly the
+    vectorized plane uses, pickle-identical to recomputing it.  Only
+    rows a runner call returned without raising are stored, and only
+    those bytes restore exactly.  One lock guards probe and insert.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._rows: OrderedDict[tuple, bytes] = OrderedDict()
+        #: The runner's design-name string per canonical name: rebuilt
+        #: rows share it as computed ones do, so a label that is that
+        #: very string pickles as the same back-reference.
+        self._designs: dict[str, str] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __call__(self, runner, jobs, **kwargs) -> list:
+        """``runner(jobs, **kwargs)``'s answer, evaluating only the misses."""
+        keys = metrics_keys(jobs)
+        results: list = [None] * len(keys)
+        hits, names, packed, missing = [], [], [], []
+        with self._lock:
+            rows = self._rows
+            for index, key in enumerate(keys):
+                entry = rows.get(key)
+                if entry is None:
+                    missing.append(index)
+                    continue
+                rows.move_to_end(key)
+                hits.append(index)
+                names.append(self._designs[key[0][0]])
+                packed.append(entry)
+        if hits:
+            labels = [jobs[index].layer_name for index in hits]
+            for index, row in zip(hits, unpack_metrics(names, labels, packed)):
+                results[index] = row
+        if not missing:
+            return results
+        computed = runner([jobs[index] for index in missing], **kwargs)
+        fresh = []
+        for index, row in zip(missing, computed):
+            results[index] = row
+            entry = pack_metrics(row)
+            if entry is not None and row.design == keys[index][0][0]:
+                fresh.append((keys[index], row.design, entry))
+        if fresh and self.capacity > 0:
+            with self._lock:
+                rows = self._rows
+                for key, design, entry in fresh:
+                    self._designs.setdefault(design, design)
+                    rows[key] = entry
+                    rows.move_to_end(key)
+                    if len(rows) > self.capacity:
+                        rows.popitem(last=False)
+        return results
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+            self._designs.clear()
 
 
 class RedService:
@@ -87,13 +175,18 @@ class RedService:
     runner call it makes; exceeding it raises
     :class:`~repro.errors.EvaluationTimeoutError`.
 
+    Analytic metrics go through the service's memo: a bounded LRU of
+    :data:`MEMO_CAPACITY` rows keyed by value, so a repeated job, under
+    any label and in any request, is rebuilt instead of re-evaluated,
+    and only the jobs the memo does not hold reach ``design_runner``
+    (and, when served, the shard hop).  :meth:`close` drops it.
+
     Args:
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
             directory path (constructs the packed store, which the
-            service owns and closes), or ``None``.  Cycle traces and
-            fidelity samples persist on disk; analytic metrics only
-            serve repeats from the store's memory tier for as long as
-            the store lives.
+            service owns and closes), or ``None``.  The store holds
+            cycle traces and fidelity samples, on disk; the service
+            never hands it analytic metrics, which live in its memo.
         vectorized: route analytic cache misses through the
             struct-of-arrays evaluation plane
             (:mod:`repro.eval.vectorized`, the default).  ``False``
@@ -126,18 +219,22 @@ class RedService:
         self.cache = cache
         self.vectorized = vectorized
         self._design_runner = design_runner or run_design_jobs
+        self._memo = _MetricsMemo(MEMO_CAPACITY)
         self._closed = False
         #: Set by the first traced request: only then did this service
         #: fill the process-wide compiled-schedule LRU close() empties.
         self._traced = False
 
-    def _runner_kwargs(self, timeout: float | None = None) -> dict:
-        """Substrate keywords every design-runner call shares.
+    def _metrics(self, jobs: list[DesignJob], timeout: float | None = None) -> list:
+        """Analytic metrics of ``jobs``, in order: memo hits, then the runner.
 
         ``timeout`` is the request's budget — the serving front door
-        propagates each wire deadline here.
+        propagates each wire deadline here; it bounds the runner call
+        that evaluates the memo's misses.
         """
-        return {"cache": self.cache, "vectorized": self.vectorized, "timeout": timeout}
+        return self._memo(
+            self._design_runner, jobs, vectorized=self.vectorized, timeout=timeout
+        )
 
     # ------------------------------------------------------------------
     # Request-level entry points
@@ -162,7 +259,7 @@ class RedService:
             DesignJob(design, spec, tech, fold=request.fold, layer_name=label)
             for design in designs
         ]
-        metrics = self._design_runner(jobs, **self._runner_kwargs(timeout))
+        metrics = self._metrics(jobs, timeout)
         cycle_stats: tuple = ()
         if request.trace:
             self._traced = True
@@ -196,9 +293,9 @@ class RedService:
         spec, label = self._resolve_layer(request)
         designs = self._resolve_designs(request.designs)
         tech = request.resolved_tech()
-        metrics = self._design_runner(
+        metrics = self._metrics(
             [DesignJob(design, spec, tech, layer_name=label) for design in designs],
-            **self._runner_kwargs(timeout),
+            timeout,
         )
         stats = run_fidelity_jobs(
             [
@@ -390,9 +487,9 @@ class RedService:
         )
 
     def close(self) -> None:
-        """Release the owned store and compiled schedules (idempotent).
+        """Drop the memo; release the owned store and compiled schedules.
 
-        A long-lived service that traced many distinct large layer
+        Idempotent.  A long-lived service that traced many distinct large layer
         shapes holds their compiled-schedule index arrays in the
         process-wide LRU (:func:`repro.sim.compiler.schedule_cache_info`);
         closing a service that ran a traced request returns that
@@ -408,6 +505,7 @@ class RedService:
         if self._closed:
             return
         self._closed = True
+        self._memo.clear()
         if self._owns_cache:
             self.cache.close()
         if self._traced:
@@ -456,7 +554,7 @@ class RedService:
             for layer in layers
             for design in designs
         ]
-        evaluated = self._design_runner(jobs, **self._runner_kwargs())
+        evaluated = self._metrics(jobs)
         metrics: dict[str, dict[str, object]] = {}
         for job, result in zip(jobs, evaluated):
             metrics.setdefault(job.layer_name, {})[job.design] = result
@@ -496,7 +594,7 @@ class RedService:
                 DesignJob(traced, spec, tech, fold=fold, layer_name=f"stride{stride}")
             )
             jobs.append(DesignJob(baseline, spec, tech, layer_name=f"stride{stride}"))
-        metrics = self._design_runner(jobs, **self._runner_kwargs(timeout))
+        metrics = self._metrics(jobs, timeout)
         points = []
         for index, stride in enumerate(ordered):
             red_metrics = metrics[2 * index]
@@ -537,7 +635,7 @@ class RedService:
             for design in designs
             for mapped in layers
         ]
-        evaluated = self._design_runner(jobs, **self._runner_kwargs(timeout))
+        evaluated = self._metrics(jobs, timeout)
         metrics: dict[str, dict[str, object]] = {}
         for job, result in zip(jobs, evaluated):
             metrics.setdefault(job.design, {})[job.layer_name] = result

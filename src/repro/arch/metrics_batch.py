@@ -15,7 +15,10 @@ module is the struct-of-arrays twin of the scalar evaluator:
   accounting as vectorized formulas over those arrays for one shared
   :class:`~repro.arch.tech.TechnologyParams`;
 * :func:`evaluate_perf_batch` assembles the per-job
-  :class:`~repro.arch.breakdown.DesignMetrics`.
+  :class:`~repro.arch.breakdown.DesignMetrics`;
+  :func:`pack_metrics` / :func:`unpack_metrics` store a row's numbers
+  as 224 bytes and rebuild it through the same assembly, pickle for
+  pickle (the memo of :class:`~repro.api.service.RedService`).
 
 Every formula is elementwise over jobs, so a job's result does not
 depend on which other jobs share its batch: :mod:`repro.eval.vectorized`
@@ -40,7 +43,10 @@ The design families derive batches closed-form via their
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -355,11 +361,8 @@ def evaluate_perf_batch(
 
     Returns per-job :class:`DesignMetrics` in batch order, bit-identical
     to evaluating each record through the scalar
-    :func:`repro.arch.metrics.evaluate_design`.  Assembly bypasses the
-    frozen-dataclass ``__init__`` (``object.__new__`` plus a direct
-    ``__dict__`` swap): the arrays are already validated and the
-    per-field ``object.__setattr__`` walk would dominate the whole
-    vectorized plane's runtime on a 10k-job grid.
+    :func:`repro.arch.metrics.evaluate_design`, assembled by
+    :func:`_assemble_metrics`.
     """
     tech = tech or default_tech()
     latency = latency_breakdown_batch(batch, tech)
@@ -381,26 +384,41 @@ def evaluate_perf_batch(
         for name in ("computation", "decoder", "mux", "read_circuit",
                      "shift_adder", "extra_adder", "crop")
     )
-    cycles = batch.cycles.tolist()
+    zero = repeat(0.0)
+    return _assemble_metrics(batch.designs, batch.layers, zip(
+        batch.cycles.tolist(),
+        lat_wl, lat_bl, zero, lat_dec, lat_mux, lat_rc, lat_sa, zero, zero,
+        en_wl, en_bl, en_c, en_dec, en_mux, en_rc, en_sa, en_ea, en_cr,
+        zero, zero, ar_c, ar_dec, ar_mux, ar_rc, ar_sa, ar_ea, ar_cr,
+    ))
 
+
+def _assemble_metrics(designs, layers, rows) -> list[DesignMetrics]:
+    """One :class:`DesignMetrics` per ``(design, layer, row)``.
+
+    A row is the cycle count followed by the 27 breakdown values:
+    latency, energy, then area, each in :class:`_Breakdown` field
+    order.  Assembly bypasses the frozen-dataclass ``__init__``
+    (``object.__new__`` plus a direct ``__dict__`` swap): the values are
+    already validated and the per-field ``object.__setattr__`` walk
+    would dominate the whole vectorized plane's runtime on a 10k-job
+    grid.  The ``__dict__`` keys go in field order, as ``__init__``
+    would set them, so a row pickles byte-identical to one the scalar
+    evaluator built.
+    """
     new = object.__new__
     set_attr = object.__setattr__
     results: list[DesignMetrics] = []
-    rows = zip(
-        batch.designs, batch.layers, cycles,
-        lat_wl, lat_bl, lat_dec, lat_mux, lat_rc, lat_sa,
-        en_c, en_wl, en_bl, en_dec, en_mux, en_rc, en_sa, en_ea, en_cr,
-        ar_c, ar_dec, ar_mux, ar_rc, ar_sa, ar_ea, ar_cr,
-    )
-    for (design, layer, cyc,
-         l_wl, l_bl, l_dec, l_mux, l_rc, l_sa,
-         e_c, e_wl, e_bl, e_dec, e_mux, e_rc, e_sa, e_ea, e_cr,
-         a_c, a_dec, a_mux, a_rc, a_sa, a_ea, a_cr) in rows:
+    for design, layer, (cyc,
+                        l_wl, l_bl, l_c, l_dec, l_mux, l_rc, l_sa, l_ea, l_cr,
+                        e_wl, e_bl, e_c, e_dec, e_mux, e_rc, e_sa, e_ea, e_cr,
+                        a_wl, a_bl, a_c, a_dec, a_mux, a_rc, a_sa, a_ea, a_cr,
+                        ) in zip(designs, layers, rows):
         lat = new(LatencyBreakdown)
         set_attr(lat, "__dict__", {
-            "wordline": l_wl, "bitline": l_bl, "computation": 0.0,
+            "wordline": l_wl, "bitline": l_bl, "computation": l_c,
             "decoder": l_dec, "mux": l_mux, "read_circuit": l_rc,
-            "shift_adder": l_sa, "extra_adder": 0.0, "crop": 0.0,
+            "shift_adder": l_sa, "extra_adder": l_ea, "crop": l_cr,
         })
         en = new(EnergyBreakdown)
         set_attr(en, "__dict__", {
@@ -410,7 +428,7 @@ def evaluate_perf_batch(
         })
         ar = new(AreaBreakdown)
         set_attr(ar, "__dict__", {
-            "wordline": 0.0, "bitline": 0.0, "computation": a_c,
+            "wordline": a_wl, "bitline": a_bl, "computation": a_c,
             "decoder": a_dec, "mux": a_mux, "read_circuit": a_rc,
             "shift_adder": a_sa, "extra_adder": a_ea, "crop": a_cr,
         })
@@ -421,3 +439,45 @@ def evaluate_perf_batch(
         })
         results.append(metrics)
     return results
+
+
+#: A packed row: the cycle count (int64) and the 27 breakdown float64s
+#: in :func:`_assemble_metrics` order, 224 bytes.
+_PACKED_ROW = struct.Struct("=q27d")
+#: A breakdown's nine values, in field order, read as one tuple in C.
+_BREAKDOWN_VALUES = attrgetter(*(f.name for f in fields(LatencyBreakdown)))
+
+
+def pack_metrics(row: DesignMetrics) -> bytes | None:
+    """``row``'s numbers as bytes :func:`unpack_metrics` restores exactly.
+
+    The design name and label are not packed: the caller holds them.
+    Returns ``None`` for a row bytes cannot restore pickle-for-pickle:
+    a subclass, an ``int`` or NumPy breakdown value (a technology
+    override given as ``0`` rather than ``0.0`` yields ints), or a
+    cycle count outside int64.
+    """
+    if (
+        type(row) is not DesignMetrics
+        or type(row.cycles) is not int
+        or type(row.latency) is not LatencyBreakdown
+        or type(row.energy) is not EnergyBreakdown
+        or type(row.area) is not AreaBreakdown
+    ):
+        return None
+    values = (
+        *_BREAKDOWN_VALUES(row.latency),
+        *_BREAKDOWN_VALUES(row.energy),
+        *_BREAKDOWN_VALUES(row.area),
+    )
+    if any(type(value) is not float for value in values):
+        return None
+    try:
+        return _PACKED_ROW.pack(row.cycles, *values)
+    except struct.error:  # a cycle count outside int64
+        return None
+
+
+def unpack_metrics(designs, layers, packed) -> list[DesignMetrics]:
+    """Rows from :func:`pack_metrics` bytes, one per ``(design, layer)``."""
+    return _assemble_metrics(designs, layers, map(_PACKED_ROW.unpack, packed))

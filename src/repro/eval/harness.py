@@ -60,8 +60,8 @@ def run_grid(
     evaluation path: the grid is flattened into
     :class:`~repro.eval.parallel.DesignJob` entries and routed through
     :func:`~repro.eval.parallel.run_design_jobs`.  A caller repeating
-    grids holds a ``RedService(cache=store)`` and calls its ``grid``
-    instead, so the store's memory tier serves the repeats.
+    grids holds a ``RedService()`` and calls its ``grid`` instead, so
+    the service's analytic memo serves the repeats.
     """
     from repro.api.service import RedService
 

@@ -52,8 +52,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
+import pickle
 import threading
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -107,23 +109,25 @@ class DesignJob:
 class TechTokens:
     """Small-int value tokens for technology instances.
 
-    ``hash(TechnologyParams)`` walks 30 float fields, so grouping loops
-    never use the instance as a dict key directly: :meth:`token` memoizes
-    the value lookup by object identity, making the common one-tech
-    sweep pay a single tech hash instead of one per job.  Value-equal
-    instances share a token even when they are distinct objects.
+    Grouping loops never use the instance as a dict key directly:
+    :meth:`token` memoizes the value lookup by object identity, so the
+    common one-tech sweep pays a single lookup instead of one per job.
+    The value is the technology's key segment (:func:`_tech_segment`),
+    so distinct instances that print alike share a token, and instances
+    that compare equal but print apart (``t_mux=0`` and ``t_mux=0.0``,
+    which evaluate to int and float rows) do not.
     """
 
     __slots__ = ("_by_id", "_by_value")
 
     def __init__(self) -> None:
         self._by_id: dict[int, int] = {}
-        self._by_value: dict[TechnologyParams, int] = {}
+        self._by_value: dict[str, int] = {}
 
     def token(self, tech: TechnologyParams) -> int:
         token = self._by_id.get(id(tech))
         if token is None:
-            token = self._by_value.setdefault(tech, len(self._by_value))
+            token = self._by_value.setdefault(_tech_segment(tech), len(self._by_value))
             self._by_id[id(tech)] = token
         return token
 
@@ -313,25 +317,53 @@ def _design_heads(jobs: Sequence[DesignJob]) -> list[tuple[str, type, object]]:
     return heads
 
 
-def _tech_segments(jobs: Sequence) -> list[str]:
-    """The ``type name|field=value|...`` technology segment per job.
+#: Technology segments kept across calls.  Bounded: ``tech_overrides``
+#: arrive from the wire, so a stream can carry any number of values.
+_TECH_SEGMENT_ENTRIES = 128
+#: A plain technology's field names, and its values read as one tuple in C.
+_TECH_NAMES = tuple(f.name for f in fields(TechnologyParams))
+_TECH_VALUES = attrgetter(*_TECH_NAMES)
 
-    Memoized by identity+value: a sweep has thousands of jobs but a
-    handful of techs, so the 30-field walk runs once per distinct
-    value, and value-equal jobs share one string object.
+
+@lru_cache(maxsize=_TECH_SEGMENT_ENTRIES)
+def _plain_tech_segment(values: bytes) -> str:
+    """The segment of a plain :class:`TechnologyParams`, by pickled values.
+
+    Pickled values key exactly where ``TechnologyParams.__eq__`` does
+    not: ``0``, ``0.0``, ``-0.0`` and ``False`` compare equal but
+    pickle (and print) apart, and each yields its own segment.
+    """
+    walked = zip(_TECH_NAMES, pickle.loads(values))
+    return "|".join(("TechnologyParams", *(f"{name}={value!r}" for name, value in walked)))
+
+
+def _tech_segment(tech: TechnologyParams) -> str:
+    """The ``type name|field=value|...`` segment of one technology.
+
+    A plain instance costs one pickle of its values and a lookup in
+    :func:`_plain_tech_segment`'s cache instead of the 42-field walk,
+    and value-equal instances share one string object across calls; a
+    subclass takes the walk.
+    """
+    if type(tech) is TechnologyParams:
+        return _plain_tech_segment(pickle.dumps(_TECH_VALUES(tech), 5))
+    walked = (f"{f.name}={getattr(tech, f.name)!r}" for f in fields(tech))
+    return "|".join((type(tech).__name__, *walked))
+
+
+def _tech_segments(jobs: Sequence) -> list[str]:
+    """The :func:`_tech_segment` of each job's technology.
+
+    Memoized by identity within a call: a sweep has thousands of jobs
+    but a handful of technology objects.
     """
     by_id: dict[int, str] = {}
-    by_value: dict[TechnologyParams, str] = {}
     segments: list[str] = []
     for job in jobs:
         tech = job.tech
         segment = by_id.get(id(tech))
         if segment is None:
-            segment = by_value.get(tech)
-            if segment is None:
-                walked = (f"{f.name}={getattr(tech, f.name)!r}" for f in fields(tech))
-                segment = by_value[tech] = "|".join((type(tech).__name__, *walked))
-            by_id[id(tech)] = segment
+            segment = by_id[id(tech)] = _tech_segment(tech)
         segments.append(segment)
     return segments
 
@@ -396,13 +428,16 @@ def metrics_keys(jobs: Sequence[DesignJob]) -> list[tuple]:
     ``(design head, spec values, tech segment)`` per job: the canonical
     design and fold of :func:`_design_heads`, a plain
     :class:`DeconvSpec`'s nine ints (a subclass keys as the spec object
-    itself, so it never meets a plain spec), and the per-call technology
-    segment of :func:`_tech_segments`.  Every part hashes in C, and jobs
-    fall into exactly the groups :func:`job_keys` puts them in
+    itself, so it never meets a plain spec), and the technology segment
+    of :func:`_tech_segment`.  Every part hashes in C, and jobs fall
+    into exactly the groups :func:`job_keys` puts them in
     (property-tested in ``tests/eval/test_store.py``).  Metrics never
     reach disk, so their keys need no stable hash and no kind: no
-    persisted kind's key is a tuple.  Equal heads and spec values share
-    one tuple, so a key the memory tier holds costs less than a 64-hex
+    persisted kind's key is a tuple.  A key is equal across calls for
+    equal jobs, so it can key a memo that outlives the call
+    (:class:`~repro.api.service.RedService`'s).  Equal heads and spec
+    values share one tuple within a call, and value-equal technologies
+    one segment across calls, so a held key costs less than a 64-hex
     string.
     """
     heads: dict[tuple, tuple] = {}
@@ -697,7 +732,10 @@ def run_design_jobs(
             memory tier only (recomputing one is cheaper than reading
             it back from disk), under :func:`metrics_keys` value keys,
             so the store serves in-process repeats without
-            recomputing, and a reopened store recomputes.
+            recomputing, and a reopened store recomputes.  Only
+            direct callers pass a store here: a
+            :class:`~repro.api.service.RedService` serves its repeats
+            from its own memo and calls this runner without one.
         vectorized: route misses whose design registered a
             ``perf_batch`` hook through the struct-of-arrays analytic
             plane (:mod:`repro.eval.vectorized`), one fused batch per

@@ -35,9 +35,8 @@ def stride_speedup_sweep(
     Delegates to :meth:`repro.api.service.RedService.sweep_points`, the
     single evaluation path.  The service is scoped to the call
     (context-managed) and closed before returning; a caller repeating
-    sweeps holds a ``RedService(cache=store)`` and
-    calls its ``sweep_points`` instead, so the store's memory tier
-    serves the repeats.
+    sweeps holds a ``RedService()`` and calls its ``sweep_points``
+    instead, so the service's analytic memo serves the repeats.
     """
     from repro.api.service import RedService
 

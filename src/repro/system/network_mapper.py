@@ -121,9 +121,8 @@ def evaluate_network(
     :class:`~repro.eval.parallel.DesignJob` routed through
     :func:`~repro.eval.parallel.run_design_jobs`.  ``designs=None``
     evaluates every registered design.  A caller repeating evaluations
-    holds a ``RedService(cache=store)`` and calls its
-    ``network_evaluation`` instead, so the store's memory tier serves
-    the repeats.
+    holds a ``RedService()`` and calls its ``network_evaluation``
+    instead, so the service's analytic memo serves the repeats.
     """
     from repro.api.service import RedService
 

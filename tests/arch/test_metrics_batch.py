@@ -16,6 +16,8 @@ from repro.arch.metrics_batch import (
     energy_breakdown_batch,
     evaluate_perf_batch,
     latency_breakdown_batch,
+    pack_metrics,
+    unpack_metrics,
 )
 from repro.arch.perf_input import DecoderBank, DesignPerfInput
 from repro.arch.tech import default_tech
@@ -194,3 +196,38 @@ class TestBitIdentity:
         batch = PerfInputBatch.from_perf_inputs(perfs)
         for perf, got in zip(perfs, evaluate_perf_batch(batch, tech)):
             assert got == evaluate_design(perf, tech)
+
+
+class TestPackedRows:
+    """``pack_metrics`` bytes rebuild a row pickle for pickle, or refuse it."""
+
+    def test_scalar_rows_round_trip_pickle_identical(self):
+        tech = default_tech()
+        rows = [evaluate_design(perf, tech) for perf in perf_zoo(tech)]
+        packed = [pack_metrics(row) for row in rows]
+        rebuilt = unpack_metrics(
+            [row.design for row in rows], [row.layer for row in rows], packed
+        )
+        assert {len(entry) for entry in packed} == {224}
+        for row, again in zip(rows, rebuilt):
+            assert pickle.dumps(again, 5) == pickle.dumps(row, 5)
+
+    def test_rows_bytes_cannot_restore_are_refused(self):
+        from repro.arch.breakdown import DesignMetrics
+
+        class Tagged(DesignMetrics):
+            pass
+
+        tech = default_tech()
+        row = evaluate_design(perf_zoo(tech)[0], tech)
+        assert pack_metrics(row) is not None
+        refused = [
+            dataclasses.replace(row, cycles=2**63),  # outside int64
+            dataclasses.replace(row, cycles=True),
+            dataclasses.replace(
+                row, latency=dataclasses.replace(row.latency, mux=np.float64(row.latency.mux))
+            ),
+            dataclasses.replace(row, area=dataclasses.replace(row.area, crop=0)),
+            Tagged(**{f.name: getattr(row, f.name) for f in dataclasses.fields(row)}),
+        ]
+        assert [pack_metrics(candidate) for candidate in refused] == [None] * len(refused)

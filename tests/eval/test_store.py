@@ -189,6 +189,26 @@ class TestMetricsValueKeys:
         assert type(tech) is str
         assert type(tagged[1]) is TaggedSpec and tagged != plain
 
+    def test_technologies_that_print_apart_key_apart_across_calls(self):
+        # 0, 0.0, -0.0 and False compare equal (so do the technologies),
+        # but their reprs differ and so do the rows they evaluate to.
+        techs = [TECH.with_overrides(t_mux=value) for value in (0, 0.0, -0.0, False)]
+        jobs = [make_job(tech=tech) for tech in techs]
+        assert len(set(metrics_keys(jobs))) == len(techs)
+        assert job_keys(jobs, METRICS_KIND) == [job_key(job, METRICS_KIND) for job in jobs]
+        # Value-equal technologies share one segment object across calls.
+        (_, _, first), = metrics_keys([make_job(tech=TECH.with_overrides())])
+        (_, _, second), = metrics_keys([make_job()])
+        assert first is second
+        # One batch evaluates each as if it were alone, int rows and all.
+        for route in (True, False):
+            together = run_design_jobs(jobs, vectorized=route)
+            alone = [run_design_jobs([job], vectorized=route)[0] for job in jobs]
+            assert [pickle.dumps(row, 5) for row in together] == [
+                pickle.dumps(row, 5) for row in alone
+            ]
+            assert [type(row.latency.mux) for row in together] == [int, float, float, int]
+
 
 class TestFidelityKind:
     def fidelity_payload(self, token: int, layer: str = "L") -> FidelityStats:

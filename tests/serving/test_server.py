@@ -19,12 +19,14 @@ from repro.api.schema import (
     SweepResult,
 )
 from repro.api.service import RedService
+from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError, ShardUnavailableError
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.client import ServingCallError
 from repro.serving.runner import ShardedRunner
 from repro.serving.server import ServingServer
+from repro.serving.supervisor import ShardSupervisor
 from repro.serving.testing import ServerThread
 from tests.serving.conftest import kill_shard
 
@@ -381,6 +383,35 @@ class TestDeadShards:
         assert sorted([*points, *failed]) == list(request.strides)
         for stride, point in points.items():
             assert point == expected[stride]
+        assert plane.exit_code == 0
+
+
+class TestAnalyticMemo:
+    def test_a_repeat_with_other_body_bytes_makes_no_shard_call(self, monkeypatch):
+        # The same analytic jobs under another label: the body bytes
+        # differ, so the response cache misses, and the service's memo
+        # answers without crossing the shard hop.
+        spec = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
+        first, second = (
+            EvaluationRequest(spec=spec, layer_name=label) for label in ("a", "b")
+        )
+        with RedService() as service, configured_failpoints(None):
+            expected = service.evaluate(second)
+        calls = []
+        supervisor_call = ShardSupervisor.call
+
+        def counted(supervisor, shard_id, jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return supervisor_call(supervisor, shard_id, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(ShardSupervisor, "call", counted)
+        with configured_failpoints(None):
+            with ServerThread(num_shards=2) as plane:
+                with plane.client(timeout=60.0) as client:
+                    assert client.call(first).layer == "a"
+                    got = client.call(second)
+        assert calls == [3]
+        assert digest(got) == digest(expected)
         assert plane.exit_code == 0
 
 
