@@ -88,8 +88,8 @@ from repro.eval.store import PackedSweepStore
 from repro.reliability.policy import is_retryable
 
 #: Analytic rows each service's memo holds, least recently used evicted
-#: first.  A row costs about 0.6 KB held (224 packed bytes, its value
-#: key and its LRU link), so a full memo is about 2.5 MB.
+#: first.  A held row costs about 540 B (224 packed bytes, its value key
+#: and its LRU link), so a full memo holds about 2.2 MB.
 MEMO_CAPACITY = 4096
 
 
@@ -489,11 +489,11 @@ class RedService:
     def close(self) -> None:
         """Drop the memo; release the owned store and compiled schedules.
 
-        Idempotent.  A long-lived service that traced many distinct large layer
-        shapes holds their compiled-schedule index arrays in the
-        process-wide LRU (:func:`repro.sim.compiler.schedule_cache_info`);
-        closing a service that ran a traced request returns that
-        memory.  A service that traced nothing leaves the LRU alone, so
+        Idempotent.  A long-lived service that traced many distinct
+        large layer shapes holds their compiled-schedule index arrays in
+        the process-wide LRU
+        (:func:`repro.sim.compiler.schedule_cache_info`); closing a
+        service that ran a traced request returns that memory.  A service that traced nothing leaves the LRU alone, so
         call-scoped services (:func:`~repro.eval.harness.run_grid` and
         friends) never evict schedules other callers compiled.  A cache
         store the service constructed from a path is owned and closed

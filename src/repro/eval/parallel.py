@@ -16,10 +16,11 @@ in-process execution substrate for those lists:
    calibration tweak (``tests/eval/test_sweep_cache.py``).  The batched
    forms share one memo loop (:func:`_hashed_keys`) and are
    property-tested equal to the scalar forms
-   (``tests/eval/test_store.py``).  Analytic metrics live only in the
-   store's memory tier, which needs no stable hash, so
-   :func:`metrics_keys` keys them by value instead, grouping jobs
-   exactly as :func:`job_keys` does.
+   (``tests/eval/test_store.py``).  Analytic metrics never reach disk
+   (they live in a :class:`~repro.api.service.RedService`'s memo, or
+   in the memory tier of a store a direct caller passes), which needs
+   no stable hash, so :func:`metrics_keys` keys them by value instead,
+   grouping jobs exactly as :func:`job_keys` does.
 2. :func:`_run_pipeline` — the one pipeline behind every runner.  With
    a :class:`~repro.eval.store.PackedSweepStore` it makes one batched
    probe (keys + ``get_many``); misses are deduped (by store key, or
@@ -104,32 +105,6 @@ class DesignJob:
     tech: TechnologyParams
     fold: int | str | None = None
     layer_name: str = ""
-
-
-class TechTokens:
-    """Small-int value tokens for technology instances.
-
-    Grouping loops never use the instance as a dict key directly:
-    :meth:`token` memoizes the value lookup by object identity, so the
-    common one-tech sweep pays a single lookup instead of one per job.
-    The value is the technology's key segment (:func:`_tech_segment`),
-    so distinct instances that print alike share a token, and instances
-    that compare equal but print apart (``t_mux=0`` and ``t_mux=0.0``,
-    which evaluate to int and float rows) do not.
-    """
-
-    __slots__ = ("_by_id", "_by_value")
-
-    def __init__(self) -> None:
-        self._by_id: dict[int, int] = {}
-        self._by_value: dict[str, int] = {}
-
-    def token(self, tech: TechnologyParams) -> int:
-        token = self._by_id.get(id(tech))
-        if token is None:
-            token = self._by_value.setdefault(_tech_segment(tech), len(self._by_value))
-            self._by_id[id(tech)] = token
-        return token
 
 
 def _canonical_fold(job: DesignJob) -> int | str | None:
@@ -355,7 +330,11 @@ def _tech_segments(jobs: Sequence) -> list[str]:
     """The :func:`_tech_segment` of each job's technology.
 
     Memoized by identity within a call: a sweep has thousands of jobs
-    but a handful of technology objects.
+    but a handful of technology objects.  Grouping loops key by these
+    segments rather than by the instances: ``hash(TechnologyParams)``
+    walks every field, and instances that compare equal but print apart
+    (``t_mux=0`` and ``t_mux=0.0``, which evaluate to int and float
+    rows) must not share a group.
     """
     by_id: dict[int, str] = {}
     segments: list[str] = []
@@ -495,10 +474,9 @@ def fidelity_job_keys(jobs: Sequence[FidelityJob], kind: str = FIDELITY_KIND) ->
 
 def _design_tokens(jobs: Sequence[DesignJob]) -> list[tuple]:
     """Hash-free value tokens partitioning jobs exactly like :func:`job_keys`."""
-    tech_tokens = TechTokens()
     return [
-        (*head, job.spec, tech_tokens.token(job.tech))
-        for head, job in zip(_design_heads(jobs), jobs)
+        (*head, job.spec, tech)
+        for head, job, tech in zip(_design_heads(jobs), jobs, _tech_segments(jobs))
     ]
 
 
@@ -508,15 +486,14 @@ def _fidelity_scenarios(jobs: Sequence[FidelityJob]) -> list[tuple]:
     One profile derivation and one batched sampler call serve every
     ``(seed, time_s)`` point of a group.
     """
-    tech_tokens = TechTokens()
     return [
         (
             resolve_design(job.design),
             job.spec,
-            tech_tokens.token(job.tech),
+            tech,
             *(getattr(job, name) for name in _FIDELITY_SCENARIO_FIELDS[2:]),
         )
-        for job in jobs
+        for job, tech in zip(jobs, _tech_segments(jobs))
     ]
 
 

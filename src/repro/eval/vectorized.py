@@ -34,7 +34,7 @@ from repro.arch.breakdown import DesignMetrics
 from repro.arch.metrics_batch import PerfInputBatch, evaluate_perf_batch
 from repro.deconv.shapes import SpecArrays
 from repro.errors import ParameterError
-from repro.eval.parallel import TechTokens
+from repro.eval.parallel import _tech_segments
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.eval.parallel import DesignJob
@@ -48,27 +48,27 @@ def evaluate_design_jobs_batch(
     Every job's design must provide a ``perf_batch`` hook (its registry
     entry's ``perf_batch``); mixed-capability work lists are the
     caller's concern (``run_design_jobs`` partitions before calling).
-    Jobs are grouped by tech value (value-equal technology instances
-    share a group even when they are distinct objects) and, within a
-    tech, run design-major: each hook sees one contiguous row slice of
-    the tech's spec pack.  ``fold=None`` canonicalizes to ``'auto'``
-    exactly as the scalar build path does.
+    Jobs are grouped by technology key segment (distinct instances that
+    print alike share a group) and, within a tech, run design-major:
+    each hook sees one contiguous row slice of the tech's spec pack.
+    ``fold=None`` canonicalizes to ``'auto'`` exactly as the scalar
+    build path does.
 
     Returns:
         Per-job :class:`DesignMetrics`, bit-identical to
         :func:`~repro.eval.parallel.evaluate_design_job` on each job.
     """
     results: list[DesignMetrics | None] = [None] * len(jobs)
-    # Registry resolution is memoized per design string; TechTokens
-    # keeps the hash-expensive tech instances out of the group keys.
-    tech_tokens = TechTokens()
+    # Registry resolution is memoized per design string; the technology
+    # key segments keep the hash-expensive instances out of the group
+    # keys.
     canonical: dict[str, str] = {}
-    groups: dict[int, dict[str, list[int]]] = {}
-    for index, job in enumerate(jobs):
+    groups: dict[str, dict[str, list[int]]] = {}
+    for index, (job, tech) in enumerate(zip(jobs, _tech_segments(jobs))):
         design = canonical.get(job.design)
         if design is None:
             design = canonical[job.design] = resolve_design(job.design)
-        by_design = groups.setdefault(tech_tokens.token(job.tech), {})
+        by_design = groups.setdefault(tech, {})
         by_design.setdefault(design, []).append(index)
 
     for by_design in groups.values():

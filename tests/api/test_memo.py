@@ -22,7 +22,6 @@ from repro.api.service import MEMO_CAPACITY, RedService, _MetricsMemo
 from repro.arch.tech import default_tech
 from repro.core.red_design import REDDesign
 from repro.deconv.shapes import DeconvSpec
-from repro.designs.padding_free_design import PaddingFreeDesign
 from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.errors import InjectedFaultError
 from repro.eval.parallel import DesignJob, metrics_keys, run_design_jobs
@@ -42,7 +41,9 @@ FOLDS = (None, "auto", 1, 2)
 #: Labels, each value a single object, so equal labels are identical.
 #: Three equal a design name: RED's (one interned string everywhere),
 #: the zero-padding string the design's rows carry, and the registry's
-#: padding-free string, a different object from the one its rows carry.
+#: padding-free string, a different object from the one its rows carry
+#: (pickle writes a label identical to the row's design string as a
+#: back-reference, so a rebuilt row must reuse the runner's string).
 LABELS = (
     "",
     "L",
@@ -72,14 +73,6 @@ def pickles(rows) -> list[bytes]:
 
 def wire(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def test_the_label_pool_covers_both_design_string_objects():
-    # The memo must rebuild rows around the design string the runner
-    # used, not the registry's equal one, or a label that is one of
-    # them pickles differently.
-    registry = LABELS[-1]
-    assert registry == PaddingFreeDesign.name and registry is not PaddingFreeDesign.name
 
 
 def _job(design: str, spec: DeconvSpec = SPEC, label: str = "L") -> DesignJob:
