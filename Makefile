@@ -4,7 +4,7 @@
 #   make lint        - in-memory compile + ruff check (API-surface regressions)
 #   make chaos       - reliability suite under an ambient fault matrix
 #   make serve-chaos - serving suite clean + under a serving fault matrix
-#   make bench-smoke - quick-mode batch-engine benchmark (ISSUE-1 gate)
+#   make bench-smoke - the seven quick-mode performance gate modules
 #   make bench       - full benchmark suite with reproduced paper tables
 #   make perf-smoke  - every repo-benchmark workload briefly, answers checked
 #   make ledger      - append this commit's row to benchmarks/history/quick.jsonl

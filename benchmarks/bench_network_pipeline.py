@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.system import evaluate_network, pipeline_network, provision_chip
+from repro.system.chip import provision_chip
+from repro.system.network_mapper import evaluate_network
+from repro.system.pipeline import pipeline_network
 from repro.utils.formatting import format_seconds, render_ascii_table
 from repro.workloads.networks import DCGANGenerator, SNGANGenerator
 

@@ -46,7 +46,7 @@ import time
 from benchmarks.conftest import emit
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.testing import ServerThread
 from repro.utils.formatting import render_ascii_table

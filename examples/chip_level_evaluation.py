@@ -19,7 +19,9 @@ import numpy as np
 
 from repro.api.registry import available_designs, baseline_design
 from repro.arch.programming import programming_cost
-from repro.system import evaluate_network, pipeline_network, provision_chip
+from repro.system.chip import provision_chip
+from repro.system.network_mapper import evaluate_network
+from repro.system.pipeline import pipeline_network
 from repro.utils.formatting import (
     format_joules,
     format_seconds,

@@ -14,7 +14,8 @@ Usage::
 
 import numpy as np
 
-from repro import DeconvSpec, explore_fold_tradeoff
+from repro.core.tradeoff import explore_fold_tradeoff
+from repro.deconv.shapes import DeconvSpec
 from repro.reram.noise import NoiseModel
 from repro.reram.pipeline import CrossbarPipeline
 from repro.sim.engine import CycleEngine

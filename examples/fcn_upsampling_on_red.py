@@ -13,7 +13,10 @@ Usage::
 
 import numpy as np
 
-from repro import PaddingFreeDesign, REDDesign, ZeroPaddingDesign, conv_transpose2d
+from repro.core.red_design import REDDesign
+from repro.deconv.reference import conv_transpose2d
+from repro.designs.padding_free_design import PaddingFreeDesign
+from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.utils.formatting import format_ratio, format_seconds, render_ascii_table
 from repro.workloads.networks import FCN8sDecoder
 from repro.workloads.specs import get_layer

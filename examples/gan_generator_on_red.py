@@ -13,14 +13,11 @@ Usage::
 
 import numpy as np
 
-from repro import (
-    EvaluationRequest,
-    REDDesign,
-    RedService,
-    available_designs,
-    conv_transpose2d,
-)
-from repro.api.registry import baseline_design
+from repro.api.registry import available_designs, baseline_design
+from repro.api.schema import EvaluationRequest
+from repro.api.service import RedService
+from repro.core.red_design import REDDesign
+from repro.deconv.reference import conv_transpose2d
 from repro.utils.formatting import format_joules, format_ratio, format_seconds, render_ascii_table
 from repro.workloads.data import latent_batch
 from repro.workloads.networks import SNGANGenerator

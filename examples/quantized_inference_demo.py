@@ -15,7 +15,9 @@ Usage::
 
 import numpy as np
 
-from repro import DeconvSpec, REDDesign, conv_transpose2d
+from repro.core.red_design import REDDesign
+from repro.deconv.reference import conv_transpose2d
+from repro.deconv.shapes import DeconvSpec
 from repro.eval.accuracy import layer_accuracy_study
 from repro.nn.quantize import quantize_tensor, symmetric_quant_params
 from repro.utils.formatting import render_ascii_table

@@ -15,15 +15,13 @@ import json
 
 import numpy as np
 
-from repro import (
-    DeconvSpec,
-    EvaluationRequest,
-    PaddingFreeDesign,
-    REDDesign,
-    RedService,
-    ZeroPaddingDesign,
-    conv_transpose2d,
-)
+from repro.api.schema import EvaluationRequest
+from repro.api.service import RedService
+from repro.core.red_design import REDDesign
+from repro.deconv.reference import conv_transpose2d
+from repro.deconv.shapes import DeconvSpec
+from repro.designs.padding_free_design import PaddingFreeDesign
+from repro.designs.zero_padding_design import ZeroPaddingDesign
 from repro.utils.formatting import (
     format_area,
     format_joules,

@@ -3,8 +3,8 @@
 Metadata lives here rather than in a ``pyproject.toml``: the offline
 build environment lacks the ``wheel`` package, so ``pip`` cannot build
 PEP 660 editable wheels, and this file lets ``pip install -e .`` fall
-back to the classic ``setup.py develop`` path.  ``version`` matches
-``repro.__version__``.
+back to the classic ``setup.py develop`` path.  ``version`` below is
+the one place the package version lives.
 """
 
 from setuptools import find_packages, setup

@@ -10,7 +10,9 @@ Figs. 4, 7, 8, 9).
 Quickstart::
 
     import numpy as np
-    from repro import DeconvSpec, REDDesign, conv_transpose2d
+    from repro.core.red_design import REDDesign
+    from repro.deconv.reference import conv_transpose2d
+    from repro.deconv.shapes import DeconvSpec
 
     spec = DeconvSpec(4, 4, 8, 4, 4, 5, stride=2, padding=1)
     rng = np.random.default_rng(0)
@@ -23,67 +25,3 @@ Quickstart::
 See README.md for the package map and EXPERIMENTS.md for the
 paper-vs-measured comparison.
 """
-
-from repro.api import (
-    EvaluationRequest,
-    EvaluationResult,
-    NetworkRequest,
-    NetworkResult,
-    RedService,
-    SweepRequest,
-    SweepResult,
-    available_designs,
-    register_design,
-)
-from repro.arch import DesignMetrics, TechnologyParams, default_tech
-from repro.core import (
-    REDDesign,
-    SubCrossbarTensor,
-    ZeroSkippingSchedule,
-    build_sct,
-    explore_fold_tradeoff,
-)
-from repro.deconv import (
-    DeconvSpec,
-    conv_transpose2d,
-    padded_zero_fraction,
-    zero_padding_deconv,
-)
-from repro.designs import DeconvDesign, FunctionalRun, PaddingFreeDesign, ZeroPaddingDesign
-from repro.eval import full_report, run_grid
-from repro.workloads import TABLE_I_LAYERS, get_layer
-
-__version__ = "1.1.0"
-
-__all__ = [
-    "DeconvSpec",
-    "conv_transpose2d",
-    "zero_padding_deconv",
-    "padded_zero_fraction",
-    "ZeroPaddingDesign",
-    "PaddingFreeDesign",
-    "DeconvDesign",
-    "FunctionalRun",
-    "REDDesign",
-    "build_sct",
-    "SubCrossbarTensor",
-    "ZeroSkippingSchedule",
-    "explore_fold_tradeoff",
-    "TechnologyParams",
-    "default_tech",
-    "DesignMetrics",
-    "TABLE_I_LAYERS",
-    "get_layer",
-    "run_grid",
-    "full_report",
-    "EvaluationRequest",
-    "EvaluationResult",
-    "NetworkRequest",
-    "NetworkResult",
-    "RedService",
-    "SweepRequest",
-    "SweepResult",
-    "available_designs",
-    "register_design",
-    "__version__",
-]

@@ -8,7 +8,7 @@ exactly-two-store-calls runner discipline, scalar-oracle purity, and
 clock/entropy-free evaluation paths.  This package checks them on every
 ``make lint`` and CI run:
 
->>> from repro.analysis import run_analysis
+>>> from repro.analysis.engine import run_analysis
 >>> report = run_analysis(["src"])
 >>> report.findings
 []
@@ -21,27 +21,3 @@ Exit codes: 0 clean, 1 findings, 2 usage or internal error.  Findings
 are suppressed per line with ``# red: ignore[RED004]``; see README.md
 for the rule catalogue.
 """
-
-from __future__ import annotations
-
-from repro.analysis.engine import (
-    PARSE_ERROR,
-    AnalysisReport,
-    Finding,
-    ModuleSource,
-    Rule,
-    run_analysis,
-    walk_python_files,
-)
-from repro.analysis.rules import default_rules
-
-__all__ = [
-    "PARSE_ERROR",
-    "AnalysisReport",
-    "Finding",
-    "ModuleSource",
-    "Rule",
-    "default_rules",
-    "run_analysis",
-    "walk_python_files",
-]

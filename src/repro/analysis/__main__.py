@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` — the contract-linter command line.
 
 Walks the given paths (default: ``src benchmarks examples``), runs the
-RED001-RED007 contract rules, and prints one line per finding::
+RED001-RED008 contract rules, and prints one line per finding::
 
     src/repro/api/service.py:272: RED001 ...
 
@@ -34,7 +34,7 @@ EXIT_ERROR = 2
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Check the RED substrate contracts (RED001-RED007).",
+        description="Check the RED substrate contracts (RED001-RED008).",
     )
     parser.add_argument(
         "paths",

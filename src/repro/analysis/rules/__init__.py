@@ -20,18 +20,6 @@ from repro.analysis.rules.seeding import SeedingRule
 from repro.analysis.rules.store import StoreDisciplineRule
 from repro.analysis.rules.swallow import SwallowRule
 
-__all__ = [
-    "BlockingAsyncRule",
-    "NondeterminismRule",
-    "OraclePurityRule",
-    "RegistryRule",
-    "SchemaRule",
-    "SeedingRule",
-    "StoreDisciplineRule",
-    "SwallowRule",
-    "default_rules",
-]
-
 
 def default_rules() -> list[Rule]:
     """One fresh instance of every contract rule, in rule-id order."""

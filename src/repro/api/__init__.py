@@ -24,15 +24,16 @@ Module map (the request -> service -> engine flow)
 * :mod:`repro.api.service` — **how it runs.**
   :class:`~repro.api.service.RedService` fronts the batch/cache
   substrate: requests are flattened into
-  :class:`~repro.eval.parallel.DesignJob` lists and executed by
-  :func:`~repro.eval.parallel.run_design_jobs` (vectorized plane +
-  the memory tier of a :class:`~repro.eval.store.PackedSweepStore`);
+  :class:`~repro.eval.parallel.DesignJob` lists, answered from the
+  service's analytic memo (a value-keyed LRU of packed rows), and only
+  the jobs it does not hold are executed by
+  :func:`~repro.eval.parallel.run_design_jobs` (the vectorized plane);
   ``trace=True`` adds cycle-level
   :class:`~repro.eval.parallel.CycleStats` read off each job's compiled
-  schedule (:mod:`repro.sim.compiler`), persisted on disk in the same
-  store.  Its request handlers may be called from many threads at
-  once, as the serving plane's executor does; the service starts no
-  threads of its own.
+  schedule (:mod:`repro.sim.compiler`), persisted on disk in the
+  service's :class:`~repro.eval.store.PackedSweepStore`.  Its request
+  handlers may be called from many threads at once, as the serving
+  plane's executor does; the service starts no threads of its own.
 
 Every pre-API entry point (`repro.eval.harness.run_grid`,
 `repro.eval.sweeps.stride_speedup_sweep`,
@@ -43,7 +44,7 @@ Registering a fourth design
 ---------------------------
 ::
 
-    from repro.api import register_design
+    from repro.api.registry import register_design
     from repro.designs.base import DeconvDesign
 
     @register_design("my-design", aliases=("mine",), accepts_fold=False)
@@ -54,40 +55,7 @@ Registering a fourth design
     # It now appears in available_designs(), every default request,
     # `repro report --json`, and the sweep cache keyspace.
 
-Attributes are imported lazily (PEP 562) so that leaf modules
-importing :mod:`repro.api.registry` never drag in the whole evaluation
-stack.
+Import each name from the module that defines it; this package
+re-exports nothing, so importing :mod:`repro.api.registry` never drags
+in the whole evaluation stack.
 """
-
-from __future__ import annotations
-
-_REGISTRY_EXPORTS = {
-    "DesignEntry", "available_designs", "baseline_design", "build_design",
-    "design_entries", "get_design", "register_design", "resolve_design",
-    "unregister_design",
-}
-_SCHEMA_EXPORTS = {
-    "SCHEMA_VERSION", "CommandPayload", "ErrorInfo", "EvaluationRequest",
-    "EvaluationResult", "FidelityPoint", "FidelityRequest", "FidelityResult",
-    "NetworkDesignSummary", "NetworkRequest", "NetworkResult", "SweepPoint",
-    "SweepRequest", "SweepResult", "payload_from_dict",
-}
-_SERVICE_EXPORTS = {"RedService"}
-
-__all__ = sorted(_REGISTRY_EXPORTS | _SCHEMA_EXPORTS | _SERVICE_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from repro.api import registry as module
-    elif name in _SCHEMA_EXPORTS:
-        from repro.api import schema as module
-    elif name in _SERVICE_EXPORTS:
-        from repro.api import service as module
-    else:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    return getattr(module, name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -5,7 +5,8 @@ Request -> service -> engine flow
 Callers build a frozen request from :mod:`repro.api.schema`, hand it to
 a :class:`RedService`, and get a frozen result back::
 
-    from repro.api import EvaluationRequest, RedService
+    from repro.api.schema import EvaluationRequest
+    from repro.api.service import RedService
 
     with RedService(cache="~/.cache/red") as service:
         result = service.evaluate(EvaluationRequest(layer="GAN_Deconv1", trace=True))

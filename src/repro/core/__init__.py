@@ -8,28 +8,3 @@
 * :mod:`repro.core.red_design` — the full RED accelerator design.
 * :mod:`repro.core.tradeoff` — the Sec. III-C area/parallelism explorer.
 """
-
-from repro.core.dataflow import (
-    CycleSlot,
-    ZeroSkippingSchedule,
-    red_cycle_count,
-)
-from repro.core.fold import FoldedSCT, choose_fold, fold_sct
-from repro.core.mapping import SubCrossbarTensor, build_sct, kernel_from_sct
-from repro.core.red_design import REDDesign
-from repro.core.tradeoff import TradeoffPoint, explore_fold_tradeoff
-
-__all__ = [
-    "SubCrossbarTensor",
-    "build_sct",
-    "kernel_from_sct",
-    "CycleSlot",
-    "ZeroSkippingSchedule",
-    "red_cycle_count",
-    "FoldedSCT",
-    "fold_sct",
-    "choose_fold",
-    "REDDesign",
-    "TradeoffPoint",
-    "explore_fold_tradeoff",
-]

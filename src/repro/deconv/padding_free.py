@@ -25,12 +25,6 @@ import numpy as np
 
 from repro.deconv.shapes import DeconvSpec
 
-__all__ = [
-    "overlap_add",
-    "crop_to_output",
-    "full_overlap_shape",
-]
-
 
 def full_overlap_shape(spec: DeconvSpec) -> tuple[int, int]:
     """Size of the uncropped overlap-add canvas: ``((I-1)s + K, ...)``."""

@@ -8,14 +8,3 @@
 RED itself lives in :mod:`repro.core` (it is the paper's contribution);
 all three share the :class:`DeconvDesign` interface defined here.
 """
-
-from repro.designs.base import DeconvDesign, FunctionalRun
-from repro.designs.padding_free_design import PaddingFreeDesign
-from repro.designs.zero_padding_design import ZeroPaddingDesign
-
-__all__ = [
-    "DeconvDesign",
-    "FunctionalRun",
-    "ZeroPaddingDesign",
-    "PaddingFreeDesign",
-]

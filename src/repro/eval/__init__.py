@@ -14,54 +14,3 @@
   plane (one fused batch per technology, no per-job design objects).
 * :mod:`repro.eval.sweeps` — prose-claim parameter sweeps.
 """
-
-from repro.eval.figures import (
-    fig4_redundancy_curves,
-    fig7_latency,
-    fig8_energy,
-    fig9_area,
-)
-from repro.eval.harness import EvaluationGrid, run_grid
-from repro.eval.paper_targets import PAPER_TARGETS, PaperBand
-from repro.eval.parallel import (
-    CycleStats,
-    DesignJob,
-    evaluate_design_job,
-    job_key,
-    run_cycle_jobs,
-    run_design_jobs,
-)
-from repro.eval.report import (
-    format_fig4,
-    format_fig7,
-    format_fig8,
-    format_fig9,
-    full_report,
-)
-from repro.eval.tables import render_table1, render_table2
-from repro.eval.vectorized import evaluate_design_jobs_batch
-
-__all__ = [
-    "EvaluationGrid",
-    "run_grid",
-    "CycleStats",
-    "DesignJob",
-    "evaluate_design_job",
-    "job_key",
-    "run_cycle_jobs",
-    "run_design_jobs",
-    "evaluate_design_jobs_batch",
-    "fig4_redundancy_curves",
-    "fig7_latency",
-    "fig8_energy",
-    "fig9_area",
-    "render_table1",
-    "render_table2",
-    "PAPER_TARGETS",
-    "PaperBand",
-    "format_fig4",
-    "format_fig7",
-    "format_fig8",
-    "format_fig9",
-    "full_report",
-]

@@ -25,7 +25,8 @@ in-process execution substrate for those lists:
    a :class:`~repro.eval.store.PackedSweepStore` it makes one batched
    probe (keys + ``get_many``); misses are deduped (by store key, or
    without a store by a hash-free value token inducing the same
-   partition), the deadline is checked, one compute step runs under
+   partition: :func:`metrics_keys` for design and cycle jobs), the
+   deadline is checked, one compute step runs under
    the :class:`~repro.reliability.policy.RetryPolicy`, one ``put_many``
    publishes, and each result fans out relabelled per requesting job.
    The key/token build and each compute attempt run with CPython's
@@ -472,14 +473,6 @@ def fidelity_job_keys(jobs: Sequence[FidelityJob], kind: str = FIDELITY_KIND) ->
     return _hashed_keys(jobs, heads)
 
 
-def _design_tokens(jobs: Sequence[DesignJob]) -> list[tuple]:
-    """Hash-free value tokens partitioning jobs exactly like :func:`job_keys`."""
-    return [
-        (*head, job.spec, tech)
-        for head, job, tech in zip(_design_heads(jobs), jobs, _tech_segments(jobs))
-    ]
-
-
 def _fidelity_scenarios(jobs: Sequence[FidelityJob]) -> list[tuple]:
     """Value tokens of each job's (design, spec, tech, scenario) group.
 
@@ -738,7 +731,7 @@ def run_design_jobs(
             "process parallelism"
         )
     return _run_pipeline(
-        "run_design_jobs", jobs, METRICS_KIND, cache, metrics_keys, _design_tokens,
+        "run_design_jobs", jobs, METRICS_KIND, cache, metrics_keys, metrics_keys,
         lambda unique, deadline: _evaluate_metrics(unique, deadline, vectorized),
         timeout, retry_policy,
     )
@@ -806,7 +799,7 @@ def run_cycle_jobs(
     ]
     stats = _run_pipeline(
         "run_cycle_jobs", [jobs[index] for index in traceable], CYCLES_KIND,
-        cache, lambda unique: job_keys(unique, CYCLES_KIND), _design_tokens,
+        cache, lambda unique: job_keys(unique, CYCLES_KIND), metrics_keys,
         _cycle_stats, timeout, retry_policy,
     )
     results: list[CycleStats | None] = [None] * len(jobs)
@@ -850,6 +843,7 @@ def _sample_fidelity(jobs: list[FidelityJob], deadline: Deadline) -> list[Fideli
 def run_fidelity_jobs(
     jobs: list[FidelityJob] | tuple[FidelityJob, ...],
     cache: PackedSweepStore | None = None,
+    *,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[FidelityStats]:

@@ -46,8 +46,8 @@ The layout is deliberately batch-oriented: each publish rewrites the
 (compact, 48-bytes-per-entry) index and appends one segment file, so
 one sweep's worth of entries per ``put_many`` is the intended traffic
 shape.  A workload of many tiny single-entry publishes pays an index
-rewrite each time and accretes small segments; segment compaction is
-future work (see ROADMAP).
+rewrite each time and accretes small segments, which the store never
+compacts.
 
 The store is key-addressed and payload-kind aware but job-agnostic:
 :mod:`repro.eval.parallel` produces the keys, and its runners drive

@@ -21,22 +21,3 @@ between retries) lives here and is injected into ``repro.eval`` /
 
 See ``README.md`` next to this file for the failpoint catalogue.
 """
-
-from repro.reliability.failpoints import (
-    Failpoint,
-    configure_failpoints,
-    configured_failpoints,
-    parse_failpoints,
-)
-from repro.reliability.policy import Deadline, RetryPolicy, is_retryable, no_sleep
-
-__all__ = [
-    "Deadline",
-    "Failpoint",
-    "RetryPolicy",
-    "configure_failpoints",
-    "configured_failpoints",
-    "is_retryable",
-    "no_sleep",
-    "parse_failpoints",
-]

@@ -47,48 +47,3 @@ domain: repeated calls draw fresh (but reproducible) variates — the
 behaviour the crossbar pipeline wants for per-tile programming and
 per-read noise.
 """
-
-from repro.reram.adc import ADCParams, exact_adc_bits, quantize_readout
-from repro.reram.batch import (
-    FidelityProfile,
-    fidelity_point,
-    profile_for_design,
-    sample_fidelity_grid,
-)
-from repro.reram.bitslice import (
-    WeightSlicing,
-    bit_serial_inputs,
-    reassemble_slices,
-    slice_weights,
-)
-from repro.reram.crossbar import CrossbarArray
-from repro.reram.device import ReRAMDeviceParams, conductance_grid
-from repro.reram.drift import DriftModel
-from repro.reram.noise import NoiseModel
-from repro.reram.pipeline import CrossbarPipeline, PipelineResult
-from repro.reram.program import ProgramResult, WriteVerifyProgrammer
-from repro.reram.shift_adder import ShiftAdder
-
-__all__ = [
-    "ReRAMDeviceParams",
-    "conductance_grid",
-    "WeightSlicing",
-    "slice_weights",
-    "reassemble_slices",
-    "bit_serial_inputs",
-    "CrossbarArray",
-    "ADCParams",
-    "quantize_readout",
-    "exact_adc_bits",
-    "ShiftAdder",
-    "NoiseModel",
-    "WriteVerifyProgrammer",
-    "ProgramResult",
-    "CrossbarPipeline",
-    "PipelineResult",
-    "DriftModel",
-    "FidelityProfile",
-    "fidelity_point",
-    "profile_for_design",
-    "sample_fidelity_grid",
-]

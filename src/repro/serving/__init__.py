@@ -19,33 +19,3 @@ touch the clock — but only through injectable seams (breaker ``clock``,
 supervisor ``sleeper``), and never with blocking calls inside ``async``
 bodies (RED008).
 """
-
-from repro.serving.admission import AdmissionGate
-from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serving.client import ServingCallError, ServingClient
-from repro.serving.runner import ShardedRunner
-from repro.serving.server import ServingServer
-from repro.serving.supervisor import (
-    DEGRADED,
-    RESTARTING,
-    RUNNING,
-    STOPPED,
-    ShardSupervisor,
-)
-
-__all__ = [
-    "AdmissionGate",
-    "CLOSED",
-    "CircuitBreaker",
-    "DEGRADED",
-    "HALF_OPEN",
-    "OPEN",
-    "RESTARTING",
-    "RUNNING",
-    "STOPPED",
-    "ServingCallError",
-    "ServingClient",
-    "ServingServer",
-    "ShardSupervisor",
-    "ShardedRunner",
-]

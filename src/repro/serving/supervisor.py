@@ -35,7 +35,7 @@ from repro.errors import (
     ReproError,
     ShardUnavailableError,
 )
-from repro.reliability.policy import RetryPolicy, no_sleep
+from repro.reliability.policy import RetryPolicy
 from repro.serving.shard import shard_worker_main
 
 STARTING = "starting"
@@ -331,15 +331,3 @@ class ShardSupervisor:
             raise ParameterError(
                 f"unknown shard id {shard_id!r}; have {sorted(self._shards)}"
             ) from None
-
-
-__all__ = [
-    "DEGRADED",
-    "DEFAULT_RESPAWN_POLICY",
-    "RESTARTING",
-    "RUNNING",
-    "STARTING",
-    "STOPPED",
-    "ShardSupervisor",
-    "no_sleep",
-]

@@ -1,44 +1,2 @@
 """Cycle-level simulation utilities: counters, traces, instrumented runs,
 the analytic schedule compiler and the fused multi-job engine."""
-
-from repro.sim.batch import BatchEngine, BatchJob, BatchJobResult, BatchResult
-from repro.sim.compiler import (
-    CompiledSchedule,
-    ScheduleCacheEntry,
-    ScheduleCacheInfo,
-    TapGroup,
-    build_compiled_schedule,
-    clear_compiled_schedules,
-    compile_schedule,
-    compile_schedule_via_walk,
-    configure_schedule_cache,
-    schedule_cache_info,
-    walk_events,
-)
-from repro.sim.counters import CounterSet
-from repro.sim.engine import CycleEngine, InstrumentedRun, counters_from_schedule
-from repro.sim.trace import Trace, TraceEvent
-
-__all__ = [
-    "CounterSet",
-    "Trace",
-    "TraceEvent",
-    "CompiledSchedule",
-    "TapGroup",
-    "ScheduleCacheEntry",
-    "ScheduleCacheInfo",
-    "CycleEngine",
-    "InstrumentedRun",
-    "build_compiled_schedule",
-    "clear_compiled_schedules",
-    "compile_schedule",
-    "compile_schedule_via_walk",
-    "configure_schedule_cache",
-    "counters_from_schedule",
-    "schedule_cache_info",
-    "walk_events",
-    "BatchEngine",
-    "BatchJob",
-    "BatchJobResult",
-    "BatchResult",
-]

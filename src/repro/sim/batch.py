@@ -29,8 +29,9 @@ import numpy as np
 from repro.core.fold import resolve_fold
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError, ShapeError
+from repro.sim.compiler import compile_schedule
 from repro.sim.counters import CounterSet
-from repro.sim.engine import CycleEngine, compile_schedule, counters_from_schedule
+from repro.sim.engine import CycleEngine, counters_from_schedule
 
 
 @dataclass(frozen=True)

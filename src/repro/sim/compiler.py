@@ -19,8 +19,8 @@ one Python iteration at a time — O(fires) interpreter work per cold
   once, and the per-block distinct-input count (buffer reads) is the
   product of per-axis distinct ``shift`` counts over the live taps.
 
-:func:`compile_schedule` is the cached front door (LRU, capacity from
-``RED_SCHEDULE_CACHE`` or :func:`configure_schedule_cache`);
+:func:`compile_schedule` is the cached front door (an LRU of
+``DEFAULT_SCHEDULE_CACHE_CAPACITY`` entries);
 :func:`compile_schedule_via_walk` keeps the scalar walk as the oracle the
 analytic path is tested against (``tests/sim/test_compiler.py``), and
 the trace replay in :class:`~repro.sim.engine.CycleEngine` still streams
@@ -29,7 +29,6 @@ the trace replay in :class:`~repro.sim.engine.CycleEngine` still streams
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -40,10 +39,9 @@ from repro.core.dataflow import ZeroSkippingSchedule
 from repro.core.fold import fold_tap_slots
 from repro.deconv.modes import decompose_modes
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import ParameterError
 from repro.utils.validation import check_positive_int
 
-#: Default LRU capacity when ``RED_SCHEDULE_CACHE`` is unset.
+#: Compiled schedules the LRU holds, least recently used evicted first.
 DEFAULT_SCHEDULE_CACHE_CAPACITY = 64
 
 
@@ -371,56 +369,18 @@ _cache_lock = threading.Lock()
 _cache: OrderedDict[tuple[DeconvSpec, int], CompiledSchedule] = OrderedDict()
 _cache_hits = 0
 _cache_misses = 0
-_cache_capacity: int | None = None  # lazily resolved from the environment
-
-
-def _resolve_capacity() -> int:
-    """Capacity from ``RED_SCHEDULE_CACHE`` (default 64); validated."""
-    raw = os.environ.get("RED_SCHEDULE_CACHE", "").strip()
-    if not raw:
-        return DEFAULT_SCHEDULE_CACHE_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"RED_SCHEDULE_CACHE must be a positive integer, got {raw!r}"
-        ) from None
-    check_positive_int(capacity, "RED_SCHEDULE_CACHE")
-    return capacity
-
-
-def configure_schedule_cache(capacity: int | None = None) -> int:
-    """Set the compiled-schedule LRU capacity (keyword path).
-
-    Args:
-        capacity: new capacity (>= 1), or ``None`` to re-read the
-            ``RED_SCHEDULE_CACHE`` environment variable (default
-            ``64``).  Shrinking evicts least-recently-used entries.
-
-    Returns:
-        The capacity now in effect.
-    """
-    global _cache_capacity
-    if capacity is not None:
-        check_positive_int(capacity, "capacity")
-    with _cache_lock:
-        _cache_capacity = capacity if capacity is not None else _resolve_capacity()
-        while len(_cache) > _cache_capacity:
-            _cache.popitem(last=False)
-        return _cache_capacity
 
 
 def compile_schedule(spec: DeconvSpec, fold: int) -> CompiledSchedule:
     """Analytically compile (LRU-cached per ``(spec, fold)``).
 
     A compiled schedule's index arrays scale with the layer's fire-event
-    count, so long-lived processes sweeping many large distinct shapes
-    can bound residency via ``RED_SCHEDULE_CACHE`` /
-    :func:`configure_schedule_cache` or release everything with
-    :func:`clear_compiled_schedules`; :func:`schedule_cache_info` shows
-    the per-entry footprint.
+    count, so the LRU holds at most ``DEFAULT_SCHEDULE_CACHE_CAPACITY``
+    of them; long-lived processes can release everything with
+    :func:`clear_compiled_schedules`, and :func:`schedule_cache_info`
+    shows the per-entry footprint.
     """
-    global _cache_hits, _cache_misses, _cache_capacity
+    global _cache_hits, _cache_misses
     key = (spec, fold)
     with _cache_lock:
         cached = _cache.get(key)
@@ -429,13 +389,11 @@ def compile_schedule(spec: DeconvSpec, fold: int) -> CompiledSchedule:
             _cache_hits += 1
             return cached
         _cache_misses += 1
-        if _cache_capacity is None:
-            _cache_capacity = _resolve_capacity()
     compiled = build_compiled_schedule(spec, fold)
     with _cache_lock:
         _cache[key] = compiled
         _cache.move_to_end(key)
-        while len(_cache) > _cache_capacity:
+        while len(_cache) > DEFAULT_SCHEDULE_CACHE_CAPACITY:
             _cache.popitem(last=False)
     return compiled
 
@@ -443,11 +401,10 @@ def compile_schedule(spec: DeconvSpec, fold: int) -> CompiledSchedule:
 def schedule_cache_info() -> ScheduleCacheInfo:
     """Hits, misses, capacity and per-entry memory of the schedule LRU."""
     with _cache_lock:
-        capacity = _cache_capacity if _cache_capacity is not None else _resolve_capacity()
         return ScheduleCacheInfo(
             hits=_cache_hits,
             misses=_cache_misses,
-            capacity=capacity,
+            capacity=DEFAULT_SCHEDULE_CACHE_CAPACITY,
             entries=tuple(
                 ScheduleCacheEntry(spec=spec, fold=fold, nbytes=compiled.nbytes)
                 for (spec, fold), compiled in _cache.items()

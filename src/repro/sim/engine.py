@@ -29,15 +29,7 @@ from repro.core.fold import fold_sct
 from repro.core.mapping import build_sct
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ShapeError
-from repro.sim.compiler import (  # noqa: F401  (re-exported compatibility surface)
-    CompiledSchedule,
-    TapGroup,
-    clear_compiled_schedules,
-    compile_schedule,
-    configure_schedule_cache,
-    schedule_cache_info,
-    walk_events,
-)
+from repro.sim.compiler import CompiledSchedule, compile_schedule, walk_events
 from repro.sim.counters import CounterSet
 from repro.sim.trace import Trace
 

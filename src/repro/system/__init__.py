@@ -14,23 +14,3 @@ pipeline the layers.  This package adds that level:
   level view under which the paper's "+21.41% for all layers" area claim
   is recovered).
 """
-
-from repro.system.chip import ChipProvision, provision_chip
-from repro.system.network_mapper import (
-    MappedLayer,
-    NetworkEvaluation,
-    evaluate_network,
-    extract_deconv_layers,
-)
-from repro.system.pipeline import PipelineReport, pipeline_network
-
-__all__ = [
-    "MappedLayer",
-    "NetworkEvaluation",
-    "extract_deconv_layers",
-    "evaluate_network",
-    "PipelineReport",
-    "pipeline_network",
-    "ChipProvision",
-    "provision_chip",
-]

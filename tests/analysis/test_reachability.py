@@ -10,12 +10,12 @@ every ``import`` statement, including the lazy ones inside functions:
 
 * ``import a.b`` reaches ``a.b`` and the packages above it;
 * ``from pkg import name`` reaches ``pkg.name`` when that is a module,
-  and otherwise the module that defines ``name``, following a package
-  ``__init__``'s re-exports;
-* a package ``__init__`` that only re-exports adds no edges of its own,
-  so re-exporting a module does not keep it alive.  One that defines
-  functions or classes (``repro.api``'s lazy ``__getattr__``, for
-  example) is an ordinary module and adds its edges.
+  and otherwise ``pkg`` itself, the module that defines ``name``.
+
+That second rule holds because every name has one import path, the
+module that defines it: a package ``__init__`` binds no import its own
+code does not use (most hold only their docstring), and no module
+defines ``__all__``.  The guard checks that layout too.
 
 The same holds name by name inside the reached modules.  Every public
 module-level function, class and UPPER_CASE constant, and every public
@@ -23,8 +23,8 @@ method of a public class, must be referenced outside its own definition
 by a reached module or by a file of an entry tree.  A reference is a
 name, an attribute, a ``from`` import or a string literal equal to the
 name (so ``getattr`` dispatch counts); it is matched by name alone, so
-an attribute ``x.run`` keeps every method called ``run`` alive.  Tests,
-``__all__`` lists and re-export-only package ``__init__``s do not count.
+an attribute ``x.run`` keeps every method called ``run`` alive.  Tests
+do not count.
 ``ALLOWLIST`` names the few that stay although only tests call them.
 """
 
@@ -60,23 +60,6 @@ def _is_package(name: str) -> bool:
     return MODULES[name].name == "__init__.py"
 
 
-def _only_reexports(tree: ast.Module) -> bool:
-    return not any(
-        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        for node in tree.body
-    )
-
-
-def _reexports(tree: ast.Module) -> dict[str, tuple[str, str]]:
-    """Name bound by a top-level ``from X import Y as name`` -> (X, Y)."""
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                bound[alias.asname or alias.name] = (node.module, alias.name)
-    return bound
-
-
 TREES = {name: ast.parse(path.read_text()) for name, path in MODULES.items()}
 
 
@@ -89,17 +72,10 @@ def _with_parents(name: str) -> list[str]:
     ]
 
 
-def _resolve_from(package: str, name: str, seen=frozenset()) -> list[str]:
+def _resolve_from(package: str, name: str) -> list[str]:
     """The modules ``from package import name`` reaches."""
     if f"{package}.{name}" in MODULES:
         return _with_parents(f"{package}.{name}")
-    if package not in MODULES or package in seen:
-        return _with_parents(package)
-    tree = TREES[package]
-    origin = _reexports(tree).get(name)
-    if _is_package(package) and _only_reexports(tree) and origin is not None:
-        module, attribute = origin
-        return _resolve_from(module, attribute, seen | {package})
     return _with_parents(package)
 
 
@@ -116,13 +92,6 @@ def _imports(tree: ast.Module) -> set[str]:
     return reached
 
 
-def _edges(name: str) -> set[str]:
-    tree = TREES[name]
-    if _is_package(name) and _only_reexports(tree):
-        return set()
-    return _imports(tree)
-
-
 def reached_modules() -> set[str]:
     """Every ``repro`` module some entry point reaches."""
     frontier: set[str] = set()
@@ -136,7 +105,7 @@ def reached_modules() -> set[str]:
         module = frontier.pop()
         if module not in reached:
             reached.add(module)
-            frontier.update(_edges(module) - reached)
+            frontier.update(_imports(TREES[module]) - reached)
     return reached
 
 
@@ -200,22 +169,9 @@ def public_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
                     yield target.id, node
 
 
-def _all_list_nodes(tree: ast.Module) -> set[int]:
-    skipped: set[int] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                skipped.update(id(child) for child in ast.walk(node))
-    return skipped
-
-
 def references(tree: ast.Module) -> Iterator[tuple[str, tuple[int, int]]]:
-    """(referenced name, position) of every reference outside ``__all__``."""
-    skipped = _all_list_nodes(tree)
+    """(referenced name, position) of every reference in a file."""
     for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
         if isinstance(node, ast.Name):
             yield node.id, (node.lineno, node.col_offset)
         elif isinstance(node, ast.Attribute):
@@ -227,20 +183,13 @@ def references(tree: ast.Module) -> Iterator[tuple[str, tuple[int, int]]]:
             yield node.value, (node.lineno, node.col_offset)
 
 
-def name_sources(
-    trees: dict[str, ast.Module], packages: set[str], root: Path
-) -> dict[str, ast.Module]:
+def name_sources(trees: dict[str, ast.Module], root: Path) -> dict[str, ast.Module]:
     """The code whose references keep a name alive.
 
-    Every module in ``trees`` except the re-export-only package
-    ``__init__``s among ``packages``, plus every file of the entry trees
-    under ``root``; nothing under ``tests/``.
+    Every module in ``trees`` plus every file of the entry trees under
+    ``root``; nothing under ``tests/``.
     """
-    sources = {
-        name: tree
-        for name, tree in trees.items()
-        if not (name in packages and _only_reexports(tree))
-    }
+    sources = dict(trees)
     for tree_name in ENTRY_TREES:
         for path in sorted((root / tree_name).glob("*.py")):
             sources[path.relative_to(root).as_posix()] = ast.parse(path.read_text())
@@ -294,6 +243,42 @@ def name_guard_failures(
     return failures
 
 
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every name a file's top-level imports bind (``__future__`` aside)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
+def _defines_all(tree: ast.Module) -> bool:
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    )
+
+
+def layout_failures(trees: dict[str, ast.Module], packages: set[str]) -> list[str]:
+    """Every import a package ``__init__`` among ``packages`` binds but
+    does not use, and every module that defines ``__all__``."""
+    failures = []
+    for name, tree in sorted(trees.items()):
+        if name in packages:
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            failures.extend(
+                f"{name}: binds {bound} by import but does not use it"
+                for bound in sorted(_imported_names(tree) - used)
+            )
+        if _defines_all(tree):
+            failures.append(f"{name}: defines __all__")
+    return failures
+
+
 def _reached_trees() -> dict[str, ast.Module]:
     return {name: TREES[name] for name in sorted(reached_modules())}
 
@@ -306,26 +291,17 @@ class TestReachability:
             f"imports (only tests do): {', '.join(unreached)}"
         )
 
-    def test_reexport_alone_does_not_reach(self):
-        # repro.arch re-exports its submodules and defines nothing, so
-        # it reaches none of them; repro.api defines a lazy __getattr__
-        # and reaches what that imports.
-        assert _edges("repro.arch") == set()
-        assert "repro.api.service" in _edges("repro.api")
-
-    def test_from_import_follows_reexports_to_the_defining_module(self):
-        assert "repro.arch.tech" in _resolve_from("repro.arch", "default_tech")
-        assert "repro.arch.metrics" not in _resolve_from("repro.arch", "default_tech")
-        # Two hops: repro re-exports run_grid from repro.eval, which
-        # re-exports it from repro.eval.harness.
-        assert "repro.eval.harness" in _resolve_from("repro", "run_grid")
+    def test_every_name_has_one_import_path(self):
+        packages = {name for name in MODULES if _is_package(name)}
+        failures = layout_failures(TREES, packages)
+        assert failures == [], (
+            "import each name from the module that defines it; no package "
+            "re-exports and no module lists __all__:\n" + "\n".join(failures)
+        )
 
     def test_every_public_name_is_referenced_from_reached_code(self):
         definers = _reached_trees()
-        packages = {name for name in definers if _is_package(name)}
-        failures = name_guard_failures(
-            definers, name_sources(definers, packages, REPO), ALLOWLIST
-        )
+        failures = name_guard_failures(definers, name_sources(definers, REPO), ALLOWLIST)
         assert failures == [], (
             "public names no command, example, benchmark or perfbench "
             "workload references (only tests do):\n" + "\n".join(failures)
@@ -347,7 +323,7 @@ class TestNameGuard:
         (tmp_path / "examples").mkdir()
         (tmp_path / "examples" / "demo.py").write_text("import pkg.mod\n")
         definers = {"pkg.mod": _parse("def helper():\n    return 1\n")}
-        sources = name_sources(definers, set(), tmp_path)
+        sources = name_sources(definers, tmp_path)
         assert set(sources) == {"pkg.mod", "examples/demo.py"}
         assert unreached_names(definers, sources) == ["pkg.mod.helper"]
 
@@ -385,49 +361,6 @@ class TestNameGuard:
             "pkg.mod.Tree", "pkg.mod.Tree.size", "pkg.mod.countdown",
         ]
 
-    def test_a_reexport_only_init_does_not_reach(self, tmp_path):
-        definers = {"pkg.mod": _parse("def exported():\n    return 1\n")}
-        reexport = _parse(
-            """
-            from pkg.mod import exported
-
-            __all__ = ["exported"]
-            """
-        )
-        trees = {**definers, "pkg": reexport}
-        sources = name_sources(trees, {"pkg"}, tmp_path)
-        assert unreached_names(definers, sources) == ["pkg.mod.exported"]
-        # An __init__ that defines code is an ordinary module.
-        trees["pkg"] = _parse(
-            """
-            from pkg.mod import exported
-
-
-            def main():
-                return exported()
-            """
-        )
-        sources = name_sources(trees, {"pkg"}, tmp_path)
-        assert unreached_names(definers, sources) == []
-
-    def test_an_all_list_does_not_reach(self):
-        definers = {
-            "pkg.mod": _parse(
-                """
-                __all__ = ["LIMIT", "helper"]
-
-                LIMIT = 3
-
-
-                def helper():
-                    return 1
-                """
-            )
-        }
-        assert unreached_names(definers, dict(definers)) == [
-            "pkg.mod.LIMIT", "pkg.mod.helper",
-        ]
-
     def test_a_reached_allowlisted_name_fails(self):
         definers = {
             "pkg.mod": _parse(
@@ -454,4 +387,42 @@ class TestNameGuard:
         allowlist = {"pkg.mod.kept": "an oracle", "pkg.mod.gone": "an oracle"}
         assert name_guard_failures(definers, dict(definers), allowlist) == [
             "pkg.mod.gone: allowlisted but no longer defined",
+        ]
+
+
+class TestLayoutCheck:
+    """The one-import-path check on small synthetic sources."""
+
+    def test_a_package_init_that_reexports_fails(self):
+        trees = {
+            "pkg": _parse("from pkg.mod import exported\nimport pkg.util\n"),
+            # An ordinary module's unused import is ruff's business.
+            "pkg.mod": _parse("import pkg.util\n\n\ndef exported():\n    return 1\n"),
+        }
+        assert layout_failures(trees, {"pkg"}) == [
+            "pkg: binds exported by import but does not use it",
+            "pkg: binds pkg by import but does not use it",
+        ]
+        # An __init__ may import what its own code uses.
+        trees["pkg"] = _parse(
+            """
+            from __future__ import annotations
+
+            from pkg.mod import exported
+
+
+            def main():
+                return exported()
+            """
+        )
+        assert layout_failures(trees, {"pkg"}) == []
+
+    def test_an_all_list_fails(self):
+        trees = {
+            "pkg": _parse('"""A package."""\n'),
+            "pkg.mod": _parse('LIMIT = 3\n__all__ = ["LIMIT"]\n'),
+            "pkg.other": _parse('__all__: list[str] = []\n__all__ += ["x"]\n'),
+        }
+        assert layout_failures(trees, {"pkg"}) == [
+            "pkg.mod: defines __all__", "pkg.other: defines __all__",
         ]

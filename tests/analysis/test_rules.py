@@ -7,16 +7,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.engine import ModuleSource, Rule, module_parts_for, run_analysis
-from repro.analysis.rules import (
-    BlockingAsyncRule,
-    NondeterminismRule,
-    OraclePurityRule,
-    RegistryRule,
-    SchemaRule,
-    SeedingRule,
-    StoreDisciplineRule,
-    SwallowRule,
-)
+from repro.analysis.rules.blocking import BlockingAsyncRule
+from repro.analysis.rules.nondeterminism import NondeterminismRule
+from repro.analysis.rules.oracle import OraclePurityRule
+from repro.analysis.rules.registry import RegistryRule
+from repro.analysis.rules.schema import SchemaRule
+from repro.analysis.rules.seeding import SeedingRule
+from repro.analysis.rules.store import StoreDisciplineRule
+from repro.analysis.rules.swallow import SwallowRule
 
 
 def run_on(tmp_path, files):

@@ -10,8 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import default_rules, run_analysis
 from repro.analysis.__main__ import main
+from repro.analysis.engine import run_analysis
+from repro.analysis.rules import default_rules
 
 REPO = Path(__file__).resolve().parents[2]
 LINTED_TREES = [REPO / "src", REPO / "benchmarks", REPO / "examples"]
@@ -72,13 +73,14 @@ class TestCommandLine:
 
     def test_cli_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "RED001-RED007" in capsys.readouterr().out
+        assert "RED001-RED008" in capsys.readouterr().out
 
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
             "RED001", "RED002", "RED003", "RED004", "RED005", "RED006", "RED007",
+            "RED008",
         ):
             assert rule_id in out
 

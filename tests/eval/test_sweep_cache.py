@@ -301,6 +301,19 @@ class TestRunnerValidation:
         with pytest.raises(TypeError):
             run_design_jobs([make_job()], 1, None, False)
 
+    @pytest.mark.parametrize(
+        "runner, job",
+        [
+            (run_cycle_jobs, make_job()),
+            (run_fidelity_jobs, FidelityJob("RED", SPEC, default_tech())),
+        ],
+        ids=["cycle", "fidelity"],
+    )
+    def test_timeout_is_keyword_only(self, runner, job):
+        with pytest.raises(TypeError):
+            runner([job], None, 60.0)
+        assert runner([job], None, timeout=60.0)[0] is not None
+
     def test_unknown_design_raises(self):
         with pytest.raises(KeyError):
             evaluate_design_job(make_job(design="systolic"))

@@ -37,8 +37,7 @@ from repro.eval.parallel import (
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
-from repro.reliability import configured_failpoints
-from repro.reliability.failpoints import ENV_VAR, parse_failpoints
+from repro.reliability.failpoints import ENV_VAR, configured_failpoints, parse_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()

@@ -16,7 +16,7 @@ from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.eval.parallel import FIDELITY_KIND, FidelityJob, fidelity_job_key
 from repro.eval.store import _INDEX_MAGIC, _ROW, PackedSweepStore
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()

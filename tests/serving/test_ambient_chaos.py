@@ -15,8 +15,7 @@ import os
 
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
-from repro.reliability import configured_failpoints
-from repro.reliability.failpoints import ENV_VAR
+from repro.reliability.failpoints import ENV_VAR, configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.testing import ServerThread
 

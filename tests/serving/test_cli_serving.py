@@ -16,7 +16,7 @@ import pytest
 
 from repro.api.schema import SCHEMA_VERSION, payload_from_dict
 from repro.cli import main
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.serving.testing import ServerThread
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")

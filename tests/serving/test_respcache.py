@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.schema import SweepRequest
 from repro.errors import ParameterError
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.serving.respcache import ResponseCache
 from repro.serving.testing import ServerThread
 

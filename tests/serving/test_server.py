@@ -21,7 +21,7 @@ from repro.api.schema import (
 from repro.api.service import RedService
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError, ShardUnavailableError
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 from repro.serving.client import ServingCallError
 from repro.serving.runner import ShardedRunner

@@ -18,7 +18,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.eval.parallel import DesignJob, run_design_jobs
-from repro.reliability import configured_failpoints
+from repro.reliability.failpoints import configured_failpoints
 from repro.reliability.policy import no_sleep
 from repro.serving.runner import ShardedRunner
 from repro.serving.supervisor import (

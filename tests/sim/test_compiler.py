@@ -1,4 +1,4 @@
-"""Tests for the analytic schedule compiler and its configurable LRU.
+"""Tests for the analytic schedule compiler and its LRU.
 
 The load-bearing property: :func:`build_compiled_schedule` (closed-form
 meshgrid construction) is event-for-event identical to
@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.compiler as schedule_compiler
 from repro.core.fold import choose_fold
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ParameterError
 from repro.sim.compiler import (
+    DEFAULT_SCHEDULE_CACHE_CAPACITY,
     build_compiled_schedule,
     clear_compiled_schedules,
     compile_schedule,
     compile_schedule_via_walk,
-    configure_schedule_cache,
     schedule_cache_info,
     walk_events,
 )
@@ -36,10 +37,8 @@ def fresh_cache():
     ``@given`` would trip the function_scoped_fixture health check.
     """
     clear_compiled_schedules()
-    configure_schedule_cache(64)
     yield
     clear_compiled_schedules()
-    configure_schedule_cache(None)
 
 
 def assert_schedules_identical(analytic, walked) -> None:
@@ -138,9 +137,10 @@ class TestScheduleCache:
         info = schedule_cache_info()
         assert info.hits == 2
         assert info.size == 1
+        assert info.capacity == DEFAULT_SCHEDULE_CACHE_CAPACITY == 64
 
-    def test_capacity_evicts_least_recently_used(self):
-        configure_schedule_cache(2)
+    def test_capacity_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(schedule_compiler, "DEFAULT_SCHEDULE_CACHE_CAPACITY", 2)
         a, b, c = SMALL_SPECS[0], SMALL_SPECS[1], SMALL_SPECS[2]
         first = compile_schedule(a, 1)
         compile_schedule(b, 1)
@@ -148,31 +148,8 @@ class TestScheduleCache:
         compile_schedule(c, 1)  # evicts b
         resident = {(entry.spec, entry.fold) for entry in schedule_cache_info().entries}
         assert resident == {(a, 1), (c, 1)}
+        assert schedule_cache_info().capacity == 2
         assert compile_schedule(a, 1) is first
-
-    def test_shrinking_capacity_trims_entries(self):
-        for spec in SMALL_SPECS[:4]:
-            compile_schedule(spec, 1)
-        assert schedule_cache_info().size == 4
-        assert configure_schedule_cache(1) == 1
-        assert schedule_cache_info().size == 1
-
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("RED_SCHEDULE_CACHE", "3")
-        assert configure_schedule_cache(None) == 3
-        assert schedule_cache_info().capacity == 3
-
-    def test_env_capacity_invalid(self, monkeypatch):
-        monkeypatch.setenv("RED_SCHEDULE_CACHE", "many")
-        with pytest.raises(ParameterError):
-            configure_schedule_cache(None)
-        monkeypatch.setenv("RED_SCHEDULE_CACHE", "0")
-        with pytest.raises(Exception):
-            configure_schedule_cache(None)
-
-    def test_keyword_capacity_validated(self):
-        with pytest.raises(Exception):
-            configure_schedule_cache(0)
 
     def test_per_entry_footprint(self):
         spec = SMALL_SPECS[2]
