@@ -26,6 +26,16 @@ from __future__ import annotations
 
 import gc
 
+# Loaded here, in the server, before the supervisor forks any shard: a
+# forked child inherits the import lock of any module another server
+# thread is importing at that moment, and would hang importing that
+# module itself.  With the vectorized plane and the built-in designs
+# (which the registry imports lazily) loaded first, a shard's design
+# runner imports nothing after the fork.
+import repro.core.red_design  # noqa: F401
+import repro.designs.padding_free_design  # noqa: F401
+import repro.designs.zero_padding_design  # noqa: F401
+import repro.eval.vectorized  # noqa: F401
 from repro.errors import ReproError
 from repro.eval.parallel import run_design_jobs
 from repro.reliability import failpoints

@@ -5,6 +5,8 @@ own imports.  A fresh interpreter that imports :mod:`repro.api.service`
 loads the registry, the schema, the analytic runner and the store, and
 none of the designs, simulators, device models, workloads, figures,
 reports or the serving plane: those load when a request needs them.
+The one exception is deliberate: the server loads everything a shard
+runs before it forks the shard.
 """
 
 import json
@@ -76,3 +78,21 @@ def test_the_contract_linter_loads_only_itself():
     loaded = _loaded_after("import repro.analysis.__main__")
     assert "repro.analysis.rules" in loaded
     assert [m for m in loaded if m != "repro" and not m.startswith("repro.analysis")] == []
+
+
+def test_a_forked_shard_imports_nothing():
+    # A forked child inherits the import lock of any module another
+    # server thread is importing at fork time, and would hang importing
+    # it: what `repro serve` loads before forking covers a shard's calls.
+    server = "import repro.cli, repro.serving.server\n"
+    shard_calls = (
+        "from repro.api.registry import available_designs\n"
+        "from repro.arch.tech import default_tech\n"
+        "from repro.deconv.shapes import DeconvSpec\n"
+        "from repro.eval.parallel import DesignJob, run_design_jobs\n"
+        "spec = DeconvSpec(4, 4, 8, 4, 4, 5, stride=2, padding=1)\n"
+        "jobs = [DesignJob(d, spec, default_tech()) for d in available_designs()]\n"
+        "run_design_jobs(jobs)\n"
+        "run_design_jobs(jobs, vectorized=False)\n"
+    )
+    assert _loaded_after(server + shard_calls) == _loaded_after(server)
