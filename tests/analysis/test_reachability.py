@@ -299,6 +299,19 @@ class TestReachability:
             "re-exports and no module lists __all__:\n" + "\n".join(failures)
         )
 
+    def test_from_import_reaches_the_submodule_or_the_defining_module(self):
+        # ``from repro.arch import tech`` names a module: it and its
+        # packages are reached.
+        assert _resolve_from("repro.arch", "tech") == [
+            "repro", "repro.arch", "repro.arch.tech",
+        ]
+        # ``from repro.arch.tech import default_tech`` names a function:
+        # the module that defines it is reached, and no sibling.
+        assert _resolve_from("repro.arch.tech", "default_tech") == [
+            "repro", "repro.arch", "repro.arch.tech",
+        ]
+        assert "repro.arch.metrics" not in _resolve_from("repro.arch", "tech")
+
     def test_every_public_name_is_referenced_from_reached_code(self):
         definers = _reached_trees()
         failures = name_guard_failures(definers, name_sources(definers, REPO), ALLOWLIST)

@@ -151,6 +151,16 @@ class TestScheduleCache:
         assert schedule_cache_info().capacity == 2
         assert compile_schedule(a, 1) is first
 
+    def test_shrinking_capacity_trims_entries(self, monkeypatch):
+        for spec in SMALL_SPECS[:4]:
+            compile_schedule(spec, 1)
+        assert schedule_cache_info().size == 4
+        monkeypatch.setattr(schedule_compiler, "DEFAULT_SCHEDULE_CACHE_CAPACITY", 1)
+        newest = compile_schedule(SMALL_SPECS[4], 1)  # one insert trims all excess
+        (entry,) = schedule_cache_info().entries
+        assert (entry.spec, entry.fold) == (SMALL_SPECS[4], 1)
+        assert compile_schedule(SMALL_SPECS[4], 1) is newest
+
     def test_per_entry_footprint(self):
         spec = SMALL_SPECS[2]
         compiled = compile_schedule(spec, 1)
