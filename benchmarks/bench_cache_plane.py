@@ -11,21 +11,24 @@ results — became the bottleneck.  This module gates both tiers of the
    (batched :func:`~repro.eval.parallel.metrics_keys` value keys + one
    ``get_many`` against the in-memory LRU hit tier).  Gate: the warm
    path must be **>= 3x** the cold jobs/s, with byte-identical results.
-2. **Disk tier**, per kind the store writes to disk (analytic metrics
-   stay in the memory tier, because they recompute faster than a disk
-   read decodes them): a warm read through a reopened store with the
+2. **Disk tier**, one leg per kind the store writes to disk
+   (:data:`repro.eval.store._PERSISTED_KINDS`; a persisted kind without
+   a leg fails the gate): a warm read through a reopened store with the
    memory tier disabled (``memory_entries=0``) against recomputing the
-   same results with no store.
-   - *fidelity*: a grid of Monte-Carlo samples
-     (:func:`build_fidelity_grid`), recomputed by the batched sampler;
-   - *cycles*: the six Table-I RED layers, recomputed after
-     :func:`~repro.sim.compiler.clear_compiled_schedules` (a warm
-     schedule LRU makes the recompute cheaper than any store read, so
-     the gate times what a new process pays).
+   same results with no store.  The one leg is *cycles*: the six
+   Table-I RED layers, recomputed after
+   :func:`~repro.sim.compiler.clear_compiled_schedules` (a warm
+   schedule LRU makes the recompute cheaper than any store read, so
+   the gate times what a new process pays).
 
    Gate: each warm disk read is **>= 5x** faster than its recompute
    (``DISK_READ_FLOOR``), with disk reads byte-identical to the cold
    results.
+3. **Memory-only kinds stay off disk.**  A warm disk read of analytic
+   metrics or fidelity samples beats recomputing them by less than 5x,
+   so the store keeps them in memory.  A ``put_many`` of a fidelity
+   grid (:func:`build_fidelity_grid`) must return 0 and write no
+   segment, and a reopened store must miss every entry.
 
 Measurements land in ``BENCH_cache.json`` (path override:
 ``RED_BENCH_CACHE_JSON``), uploaded as a CI artifact.
@@ -46,13 +49,16 @@ from benchmarks.conftest import emit
 from repro.api.registry import available_designs
 from repro.arch.tech import default_tech
 from repro.eval.parallel import (
+    CYCLES_KIND,
+    FIDELITY_KIND,
     DesignJob,
     FidelityJob,
+    fidelity_job_keys,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
 )
-from repro.eval.store import PackedSweepStore
+from repro.eval.store import _PERSISTED_KINDS, PackedSweepStore
 from repro.sim.compiler import clear_compiled_schedules
 from repro.utils.formatting import render_ascii_table
 from repro.workloads.specs import TABLE_I_LAYERS
@@ -129,6 +135,26 @@ def _disk_tier(directory, run, jobs, setup=None) -> dict:
     }
 
 
+def _fidelity_stays_in_memory(directory) -> dict:
+    """A fidelity grid's ``put_many`` writes nothing a reopened store reads."""
+    jobs = build_fidelity_grid()
+    keys = fidelity_job_keys(jobs)
+    with PackedSweepStore(directory) as store:
+        written = store.put_many(zip(keys, run_fidelity_jobs(jobs)), FIDELITY_KIND)
+        assert written == 0, f"a fidelity put_many wrote {written} entries to disk"
+        # The memory tier serves them back to the store that took them.
+        assert all(value is not None for value in store.get_many(keys, FIDELITY_KIND))
+    segments = sorted(directory.glob("seg-*.seg"))
+    assert not segments, f"a fidelity put_many wrote segments {segments}"
+    with PackedSweepStore(directory) as reopened:
+        assert reopened.get_many(keys, FIDELITY_KIND) == [None] * len(keys), (
+            "a reopened store read fidelity samples back"
+        )
+        stats = reopened.stats()
+    return {"jobs": len(jobs), "written": written, "segments": len(segments),
+            "reopened": stats}
+
+
 def test_cache_plane_speedup(tmp_path):
     jobs = build_grid()
 
@@ -150,15 +176,14 @@ def test_cache_plane_speedup(tmp_path):
         DesignJob("RED", layer.spec, default_tech(), layer_name=layer.name)
         for layer in TABLE_I_LAYERS
     ]
+    legs = {CYCLES_KIND: (run_cycle_jobs, red_layers, clear_compiled_schedules)}
+    missing = sorted(_PERSISTED_KINDS - legs.keys())
+    assert not missing, f"persisted kinds without a disk-tier leg: {missing}"
     disk_tier = {
-        "fidelity": _disk_tier(
-            tmp_path / "fidelity", run_fidelity_jobs, build_fidelity_grid()
-        ),
-        "cycles": _disk_tier(
-            tmp_path / "cycles", run_cycle_jobs, red_layers,
-            setup=clear_compiled_schedules,
-        ),
+        kind: _disk_tier(tmp_path / kind, *legs[kind])
+        for kind in sorted(_PERSISTED_KINDS)
     }
+    memory_only = {"fidelity": _fidelity_stays_in_memory(tmp_path / "fidelity")}
 
     rows = [
         (
@@ -187,6 +212,11 @@ def test_cache_plane_speedup(tmp_path):
             f"{row['jobs'] / row['read_s']:.0f}",
             f"{row['read_speedup']:.2f}x",
         ))
+    for kind, row in memory_only.items():
+        rows.append((
+            f"{kind}, memory tier only ({row['jobs']} jobs)",
+            "-", "-", f"{row['written']} on disk",
+        ))
     emit(
         render_ascii_table(
             ("cache route", "wall-clock (ms)", "jobs/s", "vs cold"),
@@ -196,7 +226,7 @@ def test_cache_plane_speedup(tmp_path):
     )
 
     document = {
-        "schema": 2,
+        "schema": 3,
         "quick": QUICK,
         "jobs": len(jobs),
         "unique_entries": store.memory_size(),
@@ -208,6 +238,7 @@ def test_cache_plane_speedup(tmp_path):
         },
         "speedup_vs_cold": speedup_cold,
         "disk_tier": disk_tier,
+        "memory_only": memory_only,
         "byte_identical": True,
         "store": store.stats(),
         "floors": {"cold": COLD_FLOOR, "disk_read": DISK_READ_FLOOR},

@@ -5,13 +5,13 @@ hottest substrate paths — every store publish and every store read
 goes through ``check``/``inject``/``corrupted``.  The
 contract that made that acceptable is that *disarmed* hooks are a
 dictionary miss and nothing more.  This module gates that contract on
-the fidelity grid the cache plane's disk tier uses
-(``bench_cache_plane.build_fidelity_grid``; fidelity samples are a
-kind the store writes to disk, analytic metrics are not), measured on
-the route where the hooks actually fire per entry: warm **disk-tier**
-reads (``memory_entries=0``), where ``corrupted()`` runs once per key
-ahead of every ``pickle.loads`` (memory-tier hits bypass the hook by
-construction, so timing them would gate nothing).
+the cycle traces of the RED jobs of the stride-sweep grid
+(``bench_sweep_vectorized.build_grid``; cycle traces are the kind the
+store writes to disk, analytic metrics and fidelity samples are not),
+measured on the route where the hooks actually fire per entry: warm
+**disk-tier** reads (``memory_entries=0``), where ``corrupted()`` runs
+once per key ahead of every ``pickle.loads`` (memory-tier hits bypass
+the hook by construction, so timing them would gate nothing).
 
 1. **Hooks bypassed** (``failpoints.hooks_bypassed()``): the hook
    call-sites rebound to no-ops — the closest measurable stand-in for
@@ -25,7 +25,7 @@ construction, so timing them would gate nothing).
    rounds run and the first one within the ceiling passes (a genuine
    hook regression inflates every round).
 3. **Chaos recovery** (informational, not time-gated): a slice of the
-   fidelity grid, cold then reopened through a packed store under an
+   traced jobs, cold then reopened through a packed store under an
    armed ``store.put_many:io_error;store.get_many:corrupt`` matrix,
    must still produce *byte-identical* results — the headline
    invariant of ``tests/reliability/`` measured at benchmark scale.
@@ -43,9 +43,9 @@ import pickle
 import statistics
 import time
 
-from benchmarks.bench_cache_plane import build_fidelity_grid
+from benchmarks.bench_sweep_vectorized import build_grid
 from benchmarks.conftest import emit
-from repro.eval.parallel import run_fidelity_jobs
+from repro.eval.parallel import run_cycle_jobs
 from repro.eval.store import PackedSweepStore
 from repro.reliability import failpoints
 from repro.reliability.failpoints import configured_failpoints
@@ -67,7 +67,7 @@ PAIRS = 9
 ROUNDS = 4
 #: Warm sweeps per timed sample — sized so each timed leg runs long
 #: enough (~200 ms+) that scheduler jitter cannot swamp a 2% signal.
-LOOP = 100 if QUICK else 10
+LOOP = 250 if QUICK else 6
 #: Chaos slice: the informational recovery row runs on a bounded
 #: prefix of the grid.
 CHAOS_JOBS = 60 if QUICK else 240
@@ -82,18 +82,18 @@ def _digest(results) -> list[bytes]:
 
 
 def test_disarmed_hooks_within_overhead_budget(tmp_path):
-    jobs = build_fidelity_grid()
+    jobs = [job for job in build_grid() if job.design == "RED"]  # the traced ones
 
     with configured_failpoints(None):
         populate = PackedSweepStore(tmp_path / "grid")
-        baseline_results = run_fidelity_jobs(jobs, cache=populate)
+        baseline_results = run_cycle_jobs(jobs, cache=populate)
         # Disk tier only: every read re-enters corrupted() + unpickle,
         # which is exactly the per-entry surface the hooks add to.
         disk = PackedSweepStore(tmp_path / "grid", memory_entries=0)
 
         def warm_sweep():
             for _ in range(LOOP):
-                results = run_fidelity_jobs(jobs, cache=disk)
+                results = run_cycle_jobs(jobs, cache=disk)
             return results
 
         warm_sweep()  # untimed: page cache, mmaps, compiled schedules
@@ -102,10 +102,10 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
         disarmed_results = warm_sweep()
 
         assert _digest(disarmed_results) == _digest(baseline_results), (
-            "disarmed hooks changed the served samples"
+            "disarmed hooks changed the served traces"
         )
         assert _digest(bypassed_results) == _digest(baseline_results), (
-            "bypassed hooks changed the served samples"
+            "bypassed hooks changed the served traces"
         )
         assert disk.misses == 0, "a warm disk-tier read recomputed"
 
@@ -163,18 +163,18 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
 
         # --- informational chaos-recovery row -------------------------
         chaos_jobs = jobs[:CHAOS_JOBS]
-        fault_free = run_fidelity_jobs(chaos_jobs)
+        fault_free = run_cycle_jobs(chaos_jobs)
         t_start = time.perf_counter()
-        run_fidelity_jobs(chaos_jobs)
+        run_cycle_jobs(chaos_jobs)
         t_clean = time.perf_counter() - t_start
         store_policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
         with configured_failpoints(CHAOS_SPEC, seed=0):
             t_start = time.perf_counter()
             cold_store = PackedSweepStore(tmp_path / "chaos", retry_policy=store_policy)
-            chaos_cold = run_fidelity_jobs(chaos_jobs, cache=cold_store)
+            chaos_cold = run_cycle_jobs(chaos_jobs, cache=cold_store)
             cold_store.close()
             store = PackedSweepStore(tmp_path / "chaos", retry_policy=store_policy)
-            chaos_results = run_fidelity_jobs(chaos_jobs, cache=store)
+            chaos_results = run_cycle_jobs(chaos_jobs, cache=store)
             t_chaos = time.perf_counter() - t_start
         assert _digest(chaos_cold) == _digest(fault_free), (
             "cold chaos run diverged from the fault-free results"
@@ -197,7 +197,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             f"{1.0 + overhead:.3f}x (paired median)",
         ),
         (
-            f"chaos matrix, {len(chaos_jobs)} fidelity jobs, cold + reopened",
+            f"chaos matrix, {len(chaos_jobs)} traced jobs, cold + reopened",
             f"{t_chaos * 1e3:.1f}",
             f"{2 * len(chaos_jobs) / t_chaos:.0f}",
             f"{t_chaos / t_clean:.3f}x vs one clean pass",
@@ -208,7 +208,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             ("resilience route", "wall-clock (ms)", "jobs/s", "ratio"),
             rows,
             title=(
-                f"Resilience plane: {len(jobs)} fidelity jobs warm disk tier, "
+                f"Resilience plane: {len(jobs)} cycle traces warm disk tier, "
                 f"overhead {overhead * 100:+.2f}% "
                 f"(ceiling {OVERHEAD_CEILING * 100:.0f}%, quick={QUICK})"
             ),
@@ -218,7 +218,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
     document = {
         "schema": 2,
         "quick": QUICK,
-        "kind": "fidelity",
+        "kind": "cycles",
         "jobs": len(jobs),
         "pairs": PAIRS,
         "loop": LOOP,

@@ -49,8 +49,7 @@ GATES = {
     "BENCH_cache.json": (
         "speedup_vs_cold", "floors.cold",
         "jobs_per_s.cold_vectorized", "jobs_per_s.packed_warm_memory",
-        "disk_tier.fidelity.read_speedup", "disk_tier.cycles.read_speedup",
-        "floors.disk_read", "byte_identical",
+        "disk_tier.cycles.read_speedup", "floors.disk_read", "byte_identical",
     ),
     "BENCH_device.json": (
         "speedup_vs_scalar", "floors.batched", "samples_per_s.batched", "bit_identical",

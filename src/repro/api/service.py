@@ -186,8 +186,9 @@ class RedService:
         cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
             directory path (constructs the packed store, which the
             service owns and closes), or ``None``.  The store holds
-            cycle traces and fidelity samples, on disk; the service
-            never hands it analytic metrics, which live in its memo.
+            cycle traces on disk and fidelity samples in its memory
+            tier; the service never hands it analytic metrics, which
+            live in its memo.
         vectorized: route analytic cache misses through the
             struct-of-arrays evaluation plane
             (:mod:`repro.eval.vectorized`, the default).  ``False``
@@ -284,8 +285,9 @@ class RedService:
         :func:`~repro.eval.parallel.run_fidelity_jobs`, one
         :class:`~repro.eval.parallel.FidelityJob` per
         (design, seed, time) grid point, batched through the
-        struct-of-arrays sampler and persisted under the ``"fidelity"``
-        cache kind.
+        struct-of-arrays sampler (one call per distinct probe array)
+        and kept under the ``"fidelity"`` kind in the store's memory
+        tier.
         """
         if not isinstance(request, FidelityRequest):
             raise SchemaError(

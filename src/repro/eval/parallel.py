@@ -9,11 +9,12 @@ in-process execution substrate for those lists:
 
 1. :func:`job_key` / :func:`job_keys` (and the fidelity pair) — a
    SHA-256 over the canonical field-by-field representation of a job,
-   a schema version and a payload *kind*: the keys of the kinds the
-   store persists (cycle traces, fidelity samples).  Changing *any*
-   field of the spec or of :class:`~repro.arch.tech.TechnologyParams`
-   changes the key, so stale results can never be served after a
-   calibration tweak (``tests/eval/test_sweep_cache.py``).  The batched
+   a schema version and a payload *kind*: the keys of the kind the
+   store persists (cycle traces) and of fidelity samples, which it
+   keeps in its memory tier.  Changing *any* field of the spec or of
+   :class:`~repro.arch.tech.TechnologyParams` changes the key, so
+   stale results can never be served after a calibration tweak
+   (``tests/eval/test_sweep_cache.py``).  The batched
    forms share one memo loop (:func:`_hashed_keys`) and are
    property-tested equal to the scalar forms
    (``tests/eval/test_store.py``).  Analytic metrics never reach disk
@@ -41,7 +42,8 @@ in-process execution substrate for those lists:
    ``vectorized=False``), :func:`run_cycle_jobs` (cycles and activity
    counters read off each compiled schedule, :mod:`repro.sim.compiler`,
    ``"cycles"`` kind) and :func:`run_fidelity_jobs` (the batched
-   Monte-Carlo sampler, :mod:`repro.reram.batch`, ``"fidelity"`` kind).
+   Monte-Carlo sampler, :mod:`repro.reram.batch`, one call per distinct
+   probe array, ``"fidelity"`` kind).
 
 Everything runs in the calling process; process parallelism belongs to
 the serving plane (``repro serve --shards N``, :mod:`repro.serving`).
@@ -149,7 +151,7 @@ class CycleStats:
 
 @dataclass(frozen=True)
 class FidelityStats:
-    """One Monte-Carlo device-fidelity sample, as persisted in the cache.
+    """One Monte-Carlo device-fidelity sample, as the runner returns it.
 
     Produced by the batched sampler (:mod:`repro.reram.batch`): the
     arithmetic error of one design's representative crossbar read under
@@ -220,6 +222,8 @@ _FIDELITY_SCENARIO_FIELDS = (
     "max_rows",
     "max_cols",
 )
+#: A job's scenario fields after its ``(seed, time_s)`` point.
+_FIDELITY_KNOBS = attrgetter(*_FIDELITY_SCENARIO_FIELDS[2:])
 
 
 def job_key(job: DesignJob, kind: str = METRICS_KIND) -> str:
@@ -476,16 +480,12 @@ def fidelity_job_keys(jobs: Sequence[FidelityJob], kind: str = FIDELITY_KIND) ->
 def _fidelity_scenarios(jobs: Sequence[FidelityJob]) -> list[tuple]:
     """Value tokens of each job's (design, spec, tech, scenario) group.
 
-    One profile derivation and one batched sampler call serve every
-    ``(seed, time_s)`` point of a group.
+    One profile derivation serves every ``(seed, time_s)`` point of a
+    group; groups whose profiles build equal probe arrays then share
+    one batched sampler call (:func:`_sample_fidelity`).
     """
     return [
-        (
-            resolve_design(job.design),
-            job.spec,
-            tech,
-            *(getattr(job, name) for name in _FIDELITY_SCENARIO_FIELDS[2:]),
-        )
+        (resolve_design(job.design), job.spec, tech, *_FIDELITY_KNOBS(job))
         for job, tech in zip(jobs, _tech_segments(jobs))
     ]
 
@@ -519,15 +519,17 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def relabelled(value, layer_name: str):
-    """``value`` carrying ``layer_name``, skipping the no-op replace.
+    """``value`` carrying ``layer_name``, skipping the no-op relabel.
 
     Cache hits whose stored label already equals the requesting job's
-    label are returned as-is — ``dataclasses.replace`` re-runs the
-    frozen dataclass constructor and is pure overhead on the warm path.
+    label are returned as-is.  Otherwise the constructor runs on the
+    value's own field dict: what ``dataclasses.replace`` does for these
+    plain frozen dataclasses, without its per-call field introspection
+    (a third to a half of its cost).
     """
     if value.layer == layer_name:
         return value
-    return replace(value, layer=layer_name)
+    return type(value)(**dict(vars(value), layer=layer_name))
 
 
 def _is_store(cache) -> bool:
@@ -809,17 +811,27 @@ def run_cycle_jobs(
 
 
 def _sample_fidelity(jobs: list[FidelityJob], deadline: Deadline) -> list[FidelityStats]:
-    """Fidelity samples of unique jobs: one sampler call per scenario group."""
-    from repro.reram.batch import profile_for_design, sample_fidelity_grid
+    """Fidelity samples of unique jobs: one sampler call per probe array.
+
+    Each (design, spec, tech, scenario) group derives its profile once.
+    A sample reads only the profile's shape, device and ADC and the four
+    noise knobs; the design name is a label.  So groups that program
+    equal probe arrays under equal knobs share one sampler call over the
+    union of their ``(seed, time_s)`` points, and each job's stats carry
+    its own group's canonical design name.  Every job gets its own
+    stats object, as one call per group gave it.
+    """
+    # Resolved per call (not at import): profilers and fault tests
+    # rebind both functions on the module.
+    from repro.reram import batch
 
     groups: dict[tuple, list[int]] = {}
     for position, scenario in enumerate(_fidelity_scenarios(jobs)):
         groups.setdefault(scenario, []).append(position)
-    stats: list[FidelityStats | None] = [None] * len(jobs)
+    arrays: dict[tuple, list[tuple]] = {}
     for positions in groups.values():
-        deadline.check("run_fidelity_jobs (scenario group)")
         first = jobs[positions[0]]
-        profile = profile_for_design(
+        profile = batch.profile_for_design(
             first.design,
             first.spec,
             first.tech,
@@ -827,16 +839,48 @@ def _sample_fidelity(jobs: list[FidelityJob], deadline: Deadline) -> list[Fideli
             max_rows=first.max_rows,
             max_cols=first.max_cols,
         )
-        sampled = sample_fidelity_grid(
+        probe = (
+            replace(profile, design=""),
+            first.nu,
+            first.programming_sigma,
+            first.read_noise_sigma,
+            first.stuck_at_rate,
+        )
+        arrays.setdefault(probe, []).append((profile, positions))
+    stats: list[FidelityStats | None] = [None] * len(jobs)
+    for members in arrays.values():
+        slots: dict[tuple, int] = {}
+        for _, positions in members:
+            for position in positions:
+                job = jobs[position]
+                slots.setdefault((job.seed, job.time_s), len(slots))
+        profile, positions = members[0]
+        first = jobs[positions[0]]
+        deadline.check("run_fidelity_jobs (probe array)")
+        sampled = batch.sample_fidelity_grid(
             profile,
-            [(jobs[p].seed, jobs[p].time_s) for p in positions],
+            list(slots),
             nu=first.nu,
             programming_sigma=first.programming_sigma,
             read_noise_sigma=first.read_noise_sigma,
             stuck_at_rate=first.stuck_at_rate,
         )
-        for position, stat in zip(positions, sampled):
-            stats[position] = stat
+        unused = [True] * len(sampled)
+        for profile, positions in members:
+            design = profile.design
+            for position in positions:
+                job = jobs[position]
+                slot = slots[job.seed, job.time_s]
+                stat = sampled[slot]
+                if unused[slot] and stat.design is design:
+                    unused[slot] = False
+                else:
+                    stat = FidelityStats(
+                        design, stat.layer, stat.seed, stat.time_s,
+                        stat.rms_error, stat.mean_abs_error,
+                        stat.max_abs_error, stat.stuck_fraction,
+                    )
+                stats[position] = stat
     return stats  # type: ignore[return-value]
 
 
@@ -851,20 +895,24 @@ def run_fidelity_jobs(
 
     Evaluates every :class:`FidelityJob` through the batched
     struct-of-arrays sampler (:func:`repro.reram.batch
-    .sample_fidelity_grid`): misses are grouped per
-    (design, spec, tech, scenario), the design's fidelity profile is
-    derived once per group, and all of a group's unique
-    ``(seed, time_s)`` points are drawn in one vectorized pass —
-    bit-identical to the scalar per-point oracle
-    (:func:`repro.reram.batch.fidelity_point`) and invariant to job
-    order and sharding, because every RNG stream is keyed by values,
-    never by batch position (``tests/reram/test_batch.py``).
+    .sample_fidelity_grid`).  Misses are grouped per
+    (design, spec, tech, scenario), and the design's fidelity profile
+    is derived once per group.  A sample reads only the probe array
+    (shape, device, ADC) and the noise knobs, so groups with equal
+    probe arrays and knobs are drawn together: all their unique
+    ``(seed, time_s)`` points in one vectorized pass, each job's stats
+    stamped with its own canonical design name.  That is exactly what
+    one pass per group returns, bit-identical to the scalar per-point
+    oracle (:func:`repro.reram.batch.fidelity_point`) and invariant to
+    job order and sharding, because every RNG stream is keyed by
+    values, never by batch position (``tests/reram/test_batch.py``).
 
-    Results persist under the ``"fidelity"`` kind through the same
-    pipeline as the other runners, in the store passed as ``cache`` (a
+    Results enter the memory tier of the store passed as ``cache`` (a
     store object or ``None``; a path raises
-    :class:`~repro.errors.ParameterError`); returns
-    :class:`FidelityStats` in job order.
+    :class:`~repro.errors.ParameterError`) under the ``"fidelity"``
+    kind, through the same pipeline as the other runners; a warm disk
+    read would not beat the sampler by the store's margin, so none is
+    written.  Returns :class:`FidelityStats` in job order.
     """
     return _run_pipeline(
         "run_fidelity_jobs", jobs, FIDELITY_KIND, cache, fidelity_job_keys,

@@ -2,8 +2,8 @@
 
 The storage tier behind every runner's ``cache=``, built for batch
 traffic.  Only kinds that read back faster than they recompute reach
-disk (:data:`_PERSISTED_KINDS`: cycle traces and fidelity samples);
-analytic metrics live in the memory tier alone:
+disk (:data:`_PERSISTED_KINDS`: cycle traces); analytic metrics and
+fidelity samples live in the memory tier alone:
 
 - **Append-only segments.**  ``put_many`` appends its whole batch to
   one new immutable segment file (``seg-<unique>.seg``).  Records are
@@ -25,17 +25,19 @@ analytic metrics live in the memory tier alone:
   in an :class:`~collections.OrderedDict` capped at ``memory_entries``,
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.  Every ``put_many``
-  fills it, and for analytic metrics it is the whole store: a metrics
-  batch is never pickled, written or indexed, and a metrics probe never
-  reads the index, so the tier serves repeats for as long as the store
-  object lives.  Metrics an older store wrote to disk are ignored.
+  fills it, and for the memory-only kinds it is the whole store: their
+  batches are never pickled, written or indexed, and their probes never
+  read the index, so the tier serves repeats for as long as the store
+  object lives.  Metrics and fidelity samples an older store wrote to
+  disk are ignored.
 
-Keys: the persisted kinds take 64-hex-digit SHA-256 keys
-(:func:`~repro.eval.parallel.job_keys`,
-:func:`~repro.eval.parallel.fidelity_job_keys`), whose raw 32 bytes
-address the index.  The memory-only metrics kind takes the hashable
-value keys of :func:`~repro.eval.parallel.metrics_keys`, which no
-process outside the one holding the store ever has to reproduce.
+Keys: the persisted kind takes 64-hex-digit SHA-256 keys
+(:func:`~repro.eval.parallel.job_keys`), whose raw 32 bytes address
+the index.  Fidelity samples keep their SHA-256 keys
+(:func:`~repro.eval.parallel.fidelity_job_keys`) in the memory tier;
+the metrics kind takes the hashable value keys of
+:func:`~repro.eval.parallel.metrics_keys`, which no process outside
+the one holding the store ever has to reproduce.
 
 Segment names are opaque to readers: the index manifest names every
 segment and an index rebuild scans every ``seg-*.seg`` file, so stores
@@ -95,15 +97,16 @@ _KIND_PAYLOADS: dict[str, type] = {
 }
 
 #: Kinds written to the disk tier: only those a warm read beats
-#: recomputing.  A fidelity sample reads back ~14x faster than the
-#: Monte-Carlo sampler draws it and a cycle trace ~30x faster than
-#: compiling its schedule, but an analytic ``DesignMetrics`` is
-#: closed-form arithmetic that recomputes faster than a disk read
-#: decodes it (the 9,888-job grid on a 2-vCPU host: 178 ms to
-#: recompute, 369 ms through a reopened store), so metrics live in the
-#: memory tier only.  ``bench_cache_plane.py`` gates each persisted
-#: kind's warm read at >= 5x its recompute.
-_PERSISTED_KINDS = frozenset({CYCLES_KIND, FIDELITY_KIND})
+#: recomputing by the 5x ``bench_cache_plane.py`` gates.  A cycle trace
+#: reads back ~140x faster than compiling its schedule.  An analytic
+#: ``DesignMetrics`` is closed-form arithmetic that recomputes faster
+#: than a disk read decodes it (the 9,888-job grid on a 2-vCPU host:
+#: 178 ms to recompute, 369 ms through a reopened store).  Fidelity
+#: samples, drawn once per distinct probe array, read back only
+#: 1.2-1.8x faster than they recompute on the same host (1,440
+#: samples; 4.2x on the gate's 144-sample quick grid).  So metrics and
+#: fidelity samples live in the memory tier only.
+_PERSISTED_KINDS = frozenset({CYCLES_KIND})
 
 #: What ``pickle.loads`` of a truncated/corrupt/shape-skewed entry can
 #: raise.  Deliberately narrower than ``Exception`` so programming
@@ -146,10 +149,11 @@ class PackedSweepStore:
     """Batched sweep result store: on-disk segments for the kinds worth
     persisting, an in-memory hit tier for every kind.
 
-    Persisted kinds (cycles, fidelity) take 64-hex SHA-256 keys; the
-    memory-only metrics kind takes value keys
-    (:func:`~repro.eval.parallel.metrics_keys`) and never reads the
-    disk, so metrics an older store wrote there are ignored.
+    The persisted kind (cycles) takes 64-hex SHA-256 keys.  The
+    memory-only kinds never read the disk, so entries of theirs an
+    older store wrote there are ignored: fidelity samples keep their
+    SHA-256 keys, metrics take value keys
+    (:func:`~repro.eval.parallel.metrics_keys`).
 
     Args:
         directory: store root; created if missing.
@@ -319,10 +323,10 @@ class PackedSweepStore:
         """Store ``(key, payload)`` pairs as one batch.
 
         Every payload enters the memory tier.  A persisted kind
-        (cycles, fidelity) also becomes exactly one new segment file and
-        one atomic index publish, serialized against concurrent writers
-        by the store's advisory file lock.  Analytic metrics stay in
-        memory: nothing is pickled or written for them
+        (cycles) also becomes exactly one new segment file and one
+        atomic index publish, serialized against concurrent writers by
+        the store's advisory file lock.  Analytic metrics and fidelity
+        samples stay in memory: nothing is pickled or written for them
         (:data:`_PERSISTED_KINDS`).  Returns the number of entries
         written to disk.
         """

@@ -63,6 +63,14 @@ def stats_payload(token: int, layer: str = "L") -> CycleStats:
     )
 
 
+def fidelity_payload(token: int, layer: str = "L") -> FidelityStats:
+    return FidelityStats(
+        design="RED", layer=layer, seed=token, time_s=1.0,
+        rms_error=0.1 * token, mean_abs_error=0.0, max_abs_error=0.0,
+        stuck_fraction=0.0,
+    )
+
+
 def synthetic_key(token: int) -> str:
     """A deterministic, well-formed 64-hex store key."""
     import hashlib
@@ -211,23 +219,21 @@ class TestMetricsValueKeys:
 
 
 class TestFidelityKind:
-    def fidelity_payload(self, token: int, layer: str = "L") -> FidelityStats:
-        return FidelityStats(
-            design="RED", layer=layer, seed=token, time_s=1.0,
-            rms_error=0.1 * token, mean_abs_error=0.0, max_abs_error=0.0,
-            stuck_fraction=0.0,
-        )
-
     def test_put_many_get_many_round_trip(self, tmp_path):
+        # Fidelity samples live in the memory tier only: the store that
+        # took them serves them back, nothing reaches disk, and a
+        # reopened store misses them.
         store = PackedSweepStore(tmp_path)
-        entries = [(synthetic_key(i), self.fidelity_payload(i)) for i in range(5)]
-        assert store.put_many(entries, kind=FIDELITY_KIND) == 5
-        values = store.get_many([k for k, _ in entries], kind=FIDELITY_KIND)
-        assert values == [payload for _, payload in entries]
+        entries = [(synthetic_key(i), fidelity_payload(i)) for i in range(5)]
+        keys = [k for k, _ in entries]
+        assert store.put_many(entries, kind=FIDELITY_KIND) == 0
+        assert store.get_many(keys, kind=FIDELITY_KIND) == [
+            payload for _, payload in entries
+        ]
+        assert not any(tmp_path.iterdir())  # no segment, no index
         fresh = PackedSweepStore(tmp_path)
-        assert fresh.get_many(
-            [k for k, _ in entries], kind=FIDELITY_KIND
-        ) == values
+        assert fresh.get_many(keys, kind=FIDELITY_KIND) == [None] * len(keys)
+        assert (fresh.misses, fresh.corrupt) == (len(keys), 0)
 
     def test_wrong_payload_type_rejected(self, tmp_path):
         store = PackedSweepStore(tmp_path)
@@ -237,7 +243,7 @@ class TestFidelityKind:
             )
         with pytest.raises(TypeError):
             store.put_many(
-                [(synthetic_key(0), self.fidelity_payload(0))], kind=CYCLES_KIND
+                [(synthetic_key(0), fidelity_payload(0))], kind=CYCLES_KIND
             )
 
     @given(job_lists())
@@ -371,19 +377,18 @@ class TestCorruptHandling:
         assert fresh.disk_hits == 3 and fresh.memory_size() == 1
 
     def test_shape_skewed_payload_counts_as_corrupt(self, tmp_path):
+        # A record under a cycles key whose payload is another class
+        # (put_many refuses to write one, so publish the bytes directly).
         store = PackedSweepStore(tmp_path)
         key = synthetic_key(6)
-        store.put_many([(key, stats_payload(6))], kind=CYCLES_KIND)
+        skewed = pickle.dumps(fidelity_payload(6), pickle.HIGHEST_PROTOCOL)
+        assert store._publish([(bytes.fromhex(key), skewed)])
         fresh = PackedSweepStore(tmp_path)  # LRU cold: forces the disk path
-        # Fidelity is persisted too, so the probe reads the cycles
-        # payload from disk and finds the wrong class.
-        assert fresh.get_many([key], kind=FIDELITY_KIND) == [None]
+        assert fresh.get_many([key], kind=CYCLES_KIND) == [None]
         assert fresh.corrupt == 1
         # The payload's bytes are kept for post-mortems.
         quarantined = tmp_path / "quarantine" / f"{key}.bin"
-        assert quarantined.read_bytes() == pickle.dumps(
-            stats_payload(6), pickle.HIGHEST_PROTOCOL
-        )
+        assert quarantined.read_bytes() == skewed
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,13 @@ below, each with the store as ``cache``.  It holds the Table-I layers'
 metrics for the three designs registered when it was written, RED's
 cycle stats for those layers and twelve fidelity points.
 
-Every stored cycle trace and fidelity sample, relabelled to its job as
-the runners serve it, must read back byte-identical to a fresh
-recompute, both through the committed ``index.bin`` and after the index
-is rebuilt from the self-describing segments.  Metrics live in a
-store's memory tier only, under value keys: the fixture's metrics read
-as misses without the index being touched, and the runner recomputes
-them byte-identical to the bytes on disk.
+Every stored cycle trace, relabelled to its job as the runners serve
+it, must read back byte-identical to a fresh recompute, both through
+the committed ``index.bin`` and after the index is rebuilt from the
+self-describing segments.  Metrics and fidelity samples live in a
+store's memory tier only: the fixture's entries of those kinds read as
+misses without the index being touched, and the runners recompute them
+byte-identical to the bytes on disk.
 """
 
 import pickle
@@ -78,13 +78,10 @@ def fidelity_jobs() -> list[FidelityJob]:
 
 #: Per persisted kind: the jobs the fixture was written from and their
 #: runner.
-PERSISTED = {
-    CYCLES_KIND: (cycle_jobs, run_cycle_jobs),
-    FIDELITY_KIND: (fidelity_jobs, run_fidelity_jobs),
-}
+PERSISTED = {CYCLES_KIND: (cycle_jobs, run_cycle_jobs)}
 
-#: Index rows, the legacy metrics included.
-ENTRIES = len(design_jobs()) + sum(len(build()) for build, _ in PERSISTED.values())
+#: Index rows, the legacy metrics and fidelity samples included.
+ENTRIES = len(design_jobs()) + len(cycle_jobs()) + len(fidelity_jobs())
 
 
 @pytest.fixture(params=["index", "rebuilt"])
@@ -114,12 +111,10 @@ def test_every_entry_reads_back_byte_identical(fixture_store, kind):
     assert store.rebuilt_entries == (ENTRIES if route == "rebuilt" else 0)
     build, recompute = PERSISTED[kind]
     jobs = build()
-    keys = fidelity_job_keys(jobs) if kind == FIDELITY_KIND else job_keys(jobs, kind)
-    stored = store.get_many(keys, kind)
+    stored = store.get_many(job_keys(jobs, kind), kind)
     assert store.misses == 0 and store.corrupt == 0
     assert store.disk_hits == len(jobs)
-    # A hit is served relabelled to the requesting job, as the runners
-    # do (fidelity payloads are stored unlabelled).
+    # A hit is served relabelled to the requesting job, as the runners do.
     served = [relabelled(value, job.layer_name) for value, job in zip(stored, jobs)]
     assert [pickle.dumps(value) for value in served] == [
         pickle.dumps(value) for value in recompute(jobs)
@@ -127,13 +122,27 @@ def test_every_entry_reads_back_byte_identical(fixture_store, kind):
 
 
 def untouched(*args):
-    raise AssertionError("a metrics probe read the store's index")
+    raise AssertionError("a memory-only probe read the store's index")
 
 
 class UntouchableIndex(dict):
-    """An index a metrics probe must never read."""
+    """An index a memory-only kind's probe must never read."""
 
     get = __getitem__ = __contains__ = untouched
+
+
+def legacy_entries(store, keys, monkeypatch) -> list:
+    """The payloads an older store wrote under ``keys``, read straight
+    off the segments; afterwards the store's index reads raise."""
+    with store._lock:
+        legacy = [
+            pickle.loads(store._read_locked(store._index[bytes.fromhex(key)]))
+            for key in keys
+        ]
+    monkeypatch.setattr(store, "_index", UntouchableIndex(store._index))
+    monkeypatch.setattr(store, "_maybe_reload_index_locked", untouched)
+    monkeypatch.setattr(store, "_read_locked", untouched)
+    return legacy
 
 
 def test_legacy_metrics_read_as_misses_and_recompute_byte_identical(
@@ -142,20 +151,29 @@ def test_legacy_metrics_read_as_misses_and_recompute_byte_identical(
     _, store = fixture_store
     jobs = design_jobs()
     legacy_keys = job_keys(jobs, METRICS_KIND)
-    with store._lock:
-        # The bytes an older store wrote, read straight off the segments.
-        legacy = [
-            pickle.loads(store._read_locked(store._index[bytes.fromhex(key)]))
-            for key in legacy_keys
-        ]
-    monkeypatch.setattr(store, "_index", UntouchableIndex(store._index))
-    monkeypatch.setattr(store, "_maybe_reload_index_locked", untouched)
-    monkeypatch.setattr(store, "_read_locked", untouched)
+    legacy = legacy_entries(store, legacy_keys, monkeypatch)
     misses = [None] * len(jobs)
     assert store.get_many(legacy_keys, METRICS_KIND) == misses
     assert store.get_many(metrics_keys(jobs), METRICS_KIND) == misses
     recomputed = run_design_jobs(jobs, cache=store)
     assert (store.disk_hits, store.misses, store.corrupt) == (0, 3 * len(jobs), 0)
+    served = [relabelled(value, job.layer_name) for value, job in zip(legacy, jobs)]
+    assert [pickle.dumps(value) for value in recomputed] == [
+        pickle.dumps(value) for value in served
+    ]
+
+
+def test_legacy_fidelity_reads_as_misses_and_recompute_byte_identical(
+    fixture_store, monkeypatch
+):
+    _, store = fixture_store
+    jobs = fidelity_jobs()
+    keys = fidelity_job_keys(jobs)
+    legacy = legacy_entries(store, keys, monkeypatch)
+    assert store.get_many(keys, FIDELITY_KIND) == [None] * len(jobs)
+    recomputed = run_fidelity_jobs(jobs, cache=store)
+    assert (store.disk_hits, store.misses, store.corrupt) == (0, 2 * len(jobs), 0)
+    # The fixture's samples are stored unlabelled.
     served = [relabelled(value, job.layer_name) for value, job in zip(legacy, jobs)]
     assert [pickle.dumps(value) for value in recomputed] == [
         pickle.dumps(value) for value in served

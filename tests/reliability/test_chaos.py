@@ -52,6 +52,14 @@ JOBS = tuple(
     for design in DESIGNS
 )
 RED_JOBS = tuple(job for job in JOBS if job.design == "RED")
+#: Sixteen RED layers: enough cycle traces that an ambient store-fault
+#: matrix reaches some of them on disk.
+TRACE_JOBS = tuple(
+    DesignJob("RED", DeconvSpec(size, size, channels, 4, 4, 2, stride=2, padding=1),
+              TECH, layer_name=f"trace{size}x{channels}")
+    for size in range(2, 10)
+    for channels in (2, 3)
+)
 
 #: Generous attempts, no real sleeping — chaos tests retry a lot.
 LENIENT = RetryPolicy(max_attempts=10, base_delay_s=0.0, sleeper=no_sleep)
@@ -70,7 +78,7 @@ def fault_free_cycles() -> tuple:
         return tuple(run_cycle_jobs(list(RED_JOBS)))
 
 
-def fidelity_jobs(seeds=(0, 1, 2)) -> list[FidelityJob]:
+def fidelity_jobs() -> list[FidelityJob]:
     return [
         FidelityJob(
             design="RED",
@@ -83,7 +91,7 @@ def fidelity_jobs(seeds=(0, 1, 2)) -> list[FidelityJob]:
             max_cols=16,
             layer_name=f"fid{seed}",
         )
-        for seed in seeds
+        for seed in (0, 1, 2)
     ]
 
 
@@ -174,24 +182,25 @@ class TestPipelineRetry:
 
 
 class TestStoreChaos:
-    """Store faults on the kinds the store writes to disk (analytic
-    metrics stay in its memory tier, where no store fault can reach)."""
+    """Store faults on the kind the store writes to disk, cycle traces
+    (analytic metrics and fidelity samples stay in its memory tier,
+    where no store fault can reach)."""
 
     def test_publish_faults_degrade_not_corrupt(self, tmp_path):
         # Publish I/O faults at rate 1.0 exhaust the store's retries and
-        # flip it into degraded mode — the sweep results are unaffected
-        # and the memory tier still serves the second pass.
+        # flip it into degraded mode — the traces are unaffected and the
+        # memory tier still serves the second pass.
         store = PackedSweepStore(
             tmp_path, retry_policy=RetryPolicy(max_attempts=2, sleeper=no_sleep)
         )
         with configured_failpoints("store.put_many:io_error@1.0"):
-            first = run_fidelity_jobs(fidelity_jobs(), cache=store)
-            assert tuple(first) == fault_free_fidelity()
+            first = run_cycle_jobs(list(RED_JOBS), cache=store)
+            assert tuple(first) == fault_free_cycles()
             assert store.degraded
-            assert store.degraded_puts == len(fidelity_jobs())
-            warm = run_fidelity_jobs(fidelity_jobs(), cache=store)
-        assert tuple(warm) == fault_free_fidelity()
-        assert store.memory_hits > 0
+            assert store.degraded_puts == len(RED_JOBS)
+            warm = run_cycle_jobs(list(RED_JOBS), cache=store)
+        assert tuple(warm) == fault_free_cycles()
+        assert store.memory_hits == len(RED_JOBS)
 
     def test_corrupt_reads_quarantine_and_recompute(self, tmp_path):
         store = PackedSweepStore(tmp_path)
@@ -261,14 +270,22 @@ class TestRunnerCompanionsChaos:
         assert store.degraded
 
     def test_fidelity_jobs_survive_corrupt_reads(self, tmp_path):
+        # Fidelity samples live in the memory tier only, so corrupt
+        # reads never reach them: the store serves them from memory,
+        # and a reopened store misses and recomputes them.
         store = PackedSweepStore(tmp_path)
         with configured_failpoints(None):
             run_fidelity_jobs(fidelity_jobs(), cache=store)
         with configured_failpoints("store.get_many:corrupt@1.0"):
+            warm = run_fidelity_jobs(fidelity_jobs(), cache=store)
             fresh = PackedSweepStore(tmp_path)
             result = run_fidelity_jobs(fidelity_jobs(), cache=fresh)
-        assert tuple(result) == fault_free_fidelity()
-        assert fresh.corrupt > 0
+        assert tuple(warm) == tuple(result) == fault_free_fidelity()
+        assert store.memory_hits == len(fidelity_jobs())
+        assert (fresh.misses, fresh.corrupt, fresh.quarantined) == (
+            len(fidelity_jobs()), 0, 0,
+        )
+        assert not (tmp_path / "quarantine").exists()
 
 
 class TestTimeouts:
@@ -341,28 +358,27 @@ class TestAmbientEnvironment:
         # armed from the environment, so the cold runs publish and the
         # reopened runs read under the ambient store-fault matrix;
         # unarmed it is a plain determinism check.  Metrics stay in the
-        # memory tier, so the fidelity leg is what store faults reach.
+        # memory tier, so the cycle-trace leg is what store faults reach.
         store_policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
-        samples = fidelity_jobs(seeds=range(16))
         with configured_failpoints(None):
-            expected = tuple(run_fidelity_jobs(samples))
+            expected = tuple(run_cycle_jobs(list(TRACE_JOBS)))
         store = PackedSweepStore(tmp_path, retry_policy=store_policy)
         cold = run_design_jobs(
             list(JOBS), cache=store, vectorized=False, retry_policy=LENIENT
         )
-        cold_samples = run_fidelity_jobs(samples, cache=store, retry_policy=LENIENT)
+        cold_traces = run_cycle_jobs(list(TRACE_JOBS), cache=store, retry_policy=LENIENT)
         store.close()
         reopened = PackedSweepStore(tmp_path, retry_policy=store_policy)
         warm = run_design_jobs(
             list(JOBS), cache=reopened, vectorized=False, retry_policy=LENIENT
         )
-        warm_samples = run_fidelity_jobs(
-            samples, cache=reopened, retry_policy=LENIENT
+        warm_traces = run_cycle_jobs(
+            list(TRACE_JOBS), cache=reopened, retry_policy=LENIENT
         )
         assert tuple(cold) == fault_free_metrics()
         assert tuple(warm) == fault_free_metrics()
-        assert tuple(cold_samples) == expected
-        assert tuple(warm_samples) == expected
+        assert tuple(cold_traces) == expected
+        assert tuple(warm_traces) == expected
         if any(
             point.site == "store.get_many" and point.mode == "corrupt"
             for point in parse_failpoints(os.environ.get(ENV_VAR, ""))

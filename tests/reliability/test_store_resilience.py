@@ -5,8 +5,9 @@ self-describing segments make ``index.bin`` disposable (missing,
 truncated or corrupt indexes rebuild by scanning segments), publish
 failures degrade to a counted read-only mode instead of corrupting
 state, and corrupt payloads move to ``quarantine/`` rather than being
-destroyed.  Every scenario runs on fidelity samples, a kind the store
-writes to disk (analytic metrics stay in its memory tier).
+destroyed.  Every scenario runs on RED cycle traces, the kind the
+store writes to disk (analytic metrics and fidelity samples stay in its
+memory tier).
 """
 
 import pytest
@@ -14,21 +15,20 @@ import pytest
 import repro.eval.store as store_module
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import FIDELITY_KIND, FidelityJob, fidelity_job_key
+from repro.eval.parallel import CYCLES_KIND, DesignJob, job_keys
 from repro.eval.store import _INDEX_MAGIC, _ROW, PackedSweepStore
 from repro.reliability.failpoints import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
 TECH = default_tech()
-KIND = FIDELITY_KIND
+KIND = CYCLES_KIND
 JOBS = tuple(
-    FidelityJob(
-        design,
+    DesignJob("RED", spec, TECH, layer_name=f"L{index}")
+    for index, spec in enumerate((
         DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1),
-        TECH,
-        layer_name=f"{design}",
-    )
-    for design in ("RED", "zero-padding", "padding-free")
+        DeconvSpec(5, 5, 2, 4, 4, 3, stride=2, padding=1),
+        DeconvSpec(3, 3, 4, 6, 6, 2, stride=3, padding=1),
+    ))
 )
 
 NO_SLEEP = RetryPolicy(max_attempts=3, sleeper=no_sleep)
@@ -47,13 +47,13 @@ def _disarmed():
 
 
 def populated(tmp_path):
-    """A store holding one fidelity entry per job, plus the key list."""
-    from repro.eval.parallel import run_fidelity_jobs
+    """A store holding one cycle trace per job, plus the key list."""
+    from repro.eval.parallel import run_cycle_jobs
 
     store = PackedSweepStore(tmp_path)
     with configured_failpoints(None):
-        run_fidelity_jobs(list(JOBS), cache=store)
-    keys = [fidelity_job_key(job) for job in JOBS]
+        run_cycle_jobs(list(JOBS), cache=store)
+    keys = job_keys(JOBS, KIND)
     return store, keys
 
 
@@ -127,13 +127,13 @@ class TestIndexRecovery:
             assert recovered.get_many(keys, KIND) == expected
             # The rebuilt index lives in memory until the next publish
             # rewrites index.bin; publish one fresh entry and reopen.
-            extra_job = FidelityJob(
+            extra_job = DesignJob(
                 "RED",
                 DeconvSpec(3, 3, 2, 6, 6, 3, stride=3, padding=2,
                            output_padding=1),
                 TECH,
             )
-            recovered.put_many([(fidelity_job_key(extra_job), expected[0])], KIND)
+            recovered.put_many([(job_keys([extra_job], KIND)[0], expected[0])], KIND)
             reopened = PackedSweepStore(tmp_path, memory_entries=0)
             assert reopened.get_many(keys, KIND) == expected
         assert (tmp_path / "index.bin").exists()

@@ -13,6 +13,9 @@ Covers the ISSUE-6 contracts:
   means equal per-row means.
 - ``run_fidelity_jobs`` respects the batched cache discipline: results
   in job order, relabelled per job, cold/warm byte-identical.
+- ``run_fidelity_jobs`` samples each distinct probe array once, yet
+  returns exactly what one sampler call per (design, spec, tech,
+  scenario) group returns (hypothesis property).
 """
 
 import pickle
@@ -22,6 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.reram.batch as fidelity_sampler
+from repro.api.registry import resolve_design
+from repro.api.schema import FidelityRequest
+from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.eval.parallel import (
@@ -29,6 +36,7 @@ from repro.eval.parallel import (
     FidelityJob,
     fidelity_job_key,
     fidelity_job_keys,
+    relabelled,
     run_fidelity_jobs,
 )
 from repro.eval.store import PackedSweepStore
@@ -322,13 +330,180 @@ class TestRunFidelityJobs:
         assert fidelity_job_key(job) != fidelity_job_key(bumped)
 
     def test_store_round_trips_fidelity_stats(self, tmp_path):
+        # In the memory tier only: the store that took the samples
+        # serves them back, and a reopened one misses them.
         jobs = make_fidelity_jobs()
         results = run_fidelity_jobs(jobs)
         keys = fidelity_job_keys(jobs)
         store = PackedSweepStore(tmp_path / "raw")
-        store.put_many(zip(keys, results), kind=FIDELITY_KIND)
+        assert store.put_many(zip(keys, results), kind=FIDELITY_KIND) == 0
+        assert store.get_many(keys, kind=FIDELITY_KIND) == results
         reopened = PackedSweepStore(tmp_path / "raw")
-        assert reopened.get_many(keys, kind=FIDELITY_KIND) == results
+        assert reopened.get_many(keys, kind=FIDELITY_KIND) == [None] * len(keys)
+
+
+# ----------------------------------------------------------------------
+# One sampler call per probe array
+# ----------------------------------------------------------------------
+TECHS = (
+    default_tech(),
+    default_tech().with_overrides(mux_share=4),  # a field no sample reads
+    default_tech().with_overrides(bits_per_cell=1),  # a field samples read
+)
+
+
+#: Small jobs whose capped probe arrays often coincide across groups.
+fidelity_job_lists = st.lists(
+    st.builds(
+        FidelityJob,
+        design=st.sampled_from(("RED", "red", "zero-padding", "zp", "padding-free")),
+        spec=st.sampled_from((
+            SPEC,
+            DeconvSpec(3, 3, 2, 4, 4, 2, stride=2, padding=1),
+            DeconvSpec(5, 5, 4, 6, 6, 3, stride=3, padding=2),
+        )),
+        tech=st.sampled_from(TECHS),
+        seed=st.integers(0, 2),
+        time_s=st.sampled_from((1.0, 3600.0, 3.2e7)),
+        nu=st.sampled_from((0.02, 0.05)),
+        programming_sigma=st.sampled_from((0.05, 0.1)),
+        read_noise_sigma=st.sampled_from((0.0, 0.02)),
+        stuck_at_rate=st.sampled_from((0.0, 0.01)),
+        adc_bits=st.sampled_from((None, 4)),
+        max_rows=st.sampled_from((4, 8)),
+        max_cols=st.sampled_from((4, 8)),
+        layer_name=st.sampled_from(("", "A", "B")),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def sampled_per_group(jobs):
+    """One sampler call per (design, spec, tech, scenario) group.
+
+    The reference the grouping by probe array must reproduce: duplicate
+    jobs share their group's stats object, relabelled per job.
+    """
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
+    for index, job in enumerate(jobs):
+        scenario = (
+            resolve_design(job.design), job.spec, job.tech, job.nu,
+            job.programming_sigma, job.read_noise_sigma, job.stuck_at_rate,
+            job.adc_bits, job.max_rows, job.max_cols,
+        )
+        points = groups.setdefault(scenario, {})
+        points.setdefault((job.seed, job.time_s), []).append(index)
+    results = [None] * len(jobs)
+    for points in groups.values():
+        first = jobs[next(iter(points.values()))[0]]
+        profile = profile_for_design(
+            first.design, first.spec, first.tech, adc_bits=first.adc_bits,
+            max_rows=first.max_rows, max_cols=first.max_cols,
+        )
+        sampled = sample_fidelity_grid(
+            profile, list(points), nu=first.nu,
+            programming_sigma=first.programming_sigma,
+            read_noise_sigma=first.read_noise_sigma,
+            stuck_at_rate=first.stuck_at_rate,
+        )
+        for stats, indices in zip(sampled, points.values()):
+            for index in indices:
+                results[index] = relabelled(stats, jobs[index].layer_name)
+    return results
+
+
+class SamplerSpy:
+    """Records each sampler call's probe array, knobs and point count."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.profiles = []
+        sample = fidelity_sampler.sample_fidelity_grid
+        derive = fidelity_sampler.profile_for_design
+
+        def spy_sample(profile, points, **knobs):
+            self.calls.append((blank(profile), tuple(sorted(knobs.items())), len(points)))
+            return sample(profile, points, **knobs)
+
+        def spy_derive(*args, **kwargs):
+            profile = derive(*args, **kwargs)
+            self.profiles.append(profile)
+            return profile
+
+        monkeypatch.setattr(fidelity_sampler, "sample_fidelity_grid", spy_sample)
+        monkeypatch.setattr(fidelity_sampler, "profile_for_design", spy_derive)
+
+
+def blank(profile: FidelityProfile) -> FidelityProfile:
+    """The probe array itself: the profile without its design label."""
+    import dataclasses
+
+    return dataclasses.replace(profile, design="")
+
+
+class TestProbeArrayGrouping:
+    @given(jobs=fidelity_job_lists, order=st.randoms(use_true_random=False))
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_equals_one_sampler_call_per_group(self, jobs, order):
+        shuffled = list(jobs)
+        order.shuffle(shuffled)
+        for batch in (jobs, shuffled):
+            expected = sampled_per_group(batch)
+            assert pickle.dumps(run_fidelity_jobs(batch)) == pickle.dumps(expected)
+
+    def test_paper_pass_frontiers_sample_each_probe_array_once(self, monkeypatch):
+        spy = SamplerSpy(monkeypatch)
+        times = (1.0, 3600.0, 86400.0, 2.6e6, 3.2e7)
+        calls, groups, points = 0, 0, 0
+        with RedService() as service:
+            for layer in TABLE_I_LAYERS:
+                frontier = service.fidelity_sweep(
+                    FidelityRequest(layer=layer.name, seeds=range(1, 33), times=times)
+                )
+                assert {point.design for point in frontier.points} == set(frontier.designs)
+                # Within a frontier, calls never share an array, so no
+                # two jobs whose probe arrays differ share a call.
+                arrays = [array for array, _, _ in spy.calls]
+                assert len(set(arrays)) == len(arrays)
+                assert set(arrays) == {blank(profile) for profile in spy.profiles}
+                # Each call draws the frontier's 32 seeds x 5 times once.
+                counts = [count for _, _, count in spy.calls]
+                assert counts == [160] * len(counts)
+                calls += len(counts)
+                groups += len(spy.profiles)
+                points += sum(counts)
+                spy.calls.clear()
+                spy.profiles.clear()
+        # One call per (layer, design) group would make 18 calls over
+        # 2,880 points; one per distinct probe array makes 8 over 1,280.
+        assert (groups, calls, points) == (18, 8, 1280)
+
+    def test_jobs_whose_profiles_differ_never_share_a_call(self, monkeypatch):
+        spy = SamplerSpy(monkeypatch)
+        tech = default_tech()
+        base = dict(spec=SPEC, seed=0, time_s=1.0)
+        jobs = [
+            FidelityJob("RED", tech=tech, **base),
+            FidelityJob("zero-padding", tech=tech, **base),  # the same array
+            FidelityJob("RED", tech=TECHS[1], **base),  # the same array
+            FidelityJob("padding-free", tech=tech, **base),  # another shape
+            FidelityJob("RED", tech=TECHS[2], **base),  # another device
+            FidelityJob("RED", tech=tech, adc_bits=4, **base),  # another ADC
+            FidelityJob("RED", tech=tech, nu=0.05, **base),  # another knob
+        ]
+        results = run_fidelity_jobs(jobs)
+        assert len(spy.profiles) == len(jobs)  # every job is its own group
+        assert len(spy.calls) == len(set(spy.calls)) == 5
+        assert [stats.design for stats in results] == [
+            resolve_design(job.design) for job in jobs
+        ]
+        # Jobs 0 and 2 share an array and a point, yet each gets its own
+        # stats object, as one call per group gave it.
+        assert len({id(stats) for stats in results}) == len(jobs)
 
 
 def test_design_without_a_fidelity_hook_joins_through_its_derived_profile():
